@@ -39,7 +39,6 @@ from .homology import (
     kz_matrix,
     lie_algebra_dim,
     restrict,
-    step_matrix,
     tautological_split,
     unipotent_log,
 )
@@ -53,7 +52,6 @@ from .origami import (
     genus,
     is_reduced,
     load_origami,
-    new_origami,
     save_origami,
     stratum,
 )

@@ -8,6 +8,15 @@ edges per square (sigma_i: bottom edge, zeta_i: left edge) and one square
 sigma_i at index i-1 and zeta_i at index N+i-1.  The boundary of square i
 is sigma_i + zeta_{h(i)} - sigma_{v(i)} - zeta_i.
 
+H_1 comes from a tree-cotree decomposition (Eppstein, "Dynamic generators
+of topologically embedded graphs", SODA 2003): a spanning tree T of the
+vertex graph, a spanning tree C of the square-adjacency graph that avoids
+the duals of T, and the 2g leftover edges.  Each leftover edge e closes a
+basis loop e + (T-path) and, through its dual edge, a dual loop
+e* + (C-path) through square centers.  Coordinates of a cycle are read off
+the leftover edges after peeling squares along C; the intersection form
+follows from the crossings of basis loops with dual loops.
+
 All arithmetic in this module is exact (integers and fractions); no
 floating point anywhere.
 """
@@ -28,50 +37,78 @@ from .orbit import Sl2zWord, sl2z_orbit
 
 @dataclass(frozen=True)
 class ChainComplexData:
+    """Boundary maps plus the incidences they are built from: edge k runs
+    from vertex tail[k] to vertex head[k], with square plus[k] (0-based) on
+    its left and square minus[k] on its right, so it enters the boundary
+    of plus[k] with sign +1 and that of minus[k] with sign -1."""
+
     boundary1: list  # V x 2N
     boundary2: list  # 2N x N
+    tail: list
+    head: list
+    plus: list
+    minus: list
 
 
 def chain_complex(o):
     n = o.degree
-    c = corner_permutation(o)
-    vertex_cycles = c.cycles(include_fixed=True)
-    vertex_of = [0] * (n + 1)
-    for idx, cyc in enumerate(vertex_cycles):
+    vertex_of = [0] * n
+    for idx, cyc in enumerate(corner_permutation(o).cycles(include_fixed=True)):
         for s in cyc:
-            vertex_of[s] = idx
-    nv = len(vertex_cycles)
+            vertex_of[s - 1] = idx
+    squares = range(1, n + 1)
+    hi, vi = o.h.inverse(), o.v.inverse()
+    # sigma_i runs from the corner of square i to the corner of h(i), with
+    # square i above it; zeta_i runs from the corner of square i to the
+    # corner of v(i), with square i to its right
+    tail = vertex_of * 2
+    head = [vertex_of[o.h(i) - 1] for i in squares] + [vertex_of[o.v(i) - 1] for i in squares]
+    plus = [i - 1 for i in squares] + [hi(i) - 1 for i in squares]
+    minus = [vi(i) - 1 for i in squares] + [i - 1 for i in squares]
 
+    b1 = la.zeros(max(vertex_of) + 1, 2 * n)
     b2 = la.zeros(2 * n, n)
-    for i in range(1, n + 1):
-        b2[i - 1][i - 1] += 1  # sigma_i
-        b2[n + o.h(i) - 1][i - 1] += 1  # zeta_{h(i)}
-        b2[o.v(i) - 1][i - 1] -= 1  # -sigma_{v(i)}
-        b2[n + i - 1][i - 1] -= 1  # -zeta_i
-
-    b1 = la.zeros(nv, 2 * n)
-    for i in range(1, n + 1):
-        # sigma_i runs from the corner of square i to the corner of h(i)
-        b1[vertex_of[o.h(i)]][i - 1] += 1
-        b1[vertex_of[i]][i - 1] -= 1
-        # zeta_i runs from the corner of square i to the corner of v(i)
-        b1[vertex_of[o.v(i)]][n + i - 1] += 1
-        b1[vertex_of[i]][n + i - 1] -= 1
+    for k in range(2 * n):
+        b1[head[k]][k] += 1
+        b1[tail[k]][k] -= 1
+        b2[k][plus[k]] += 1
+        b2[k][minus[k]] -= 1
 
     if any(x != 0 for row in la.mat_mul(b1, b2) for x in row):
         raise AssertionError("boundary maps do not compose to zero")
-    return ChainComplexData(boundary1=b1, boundary2=b2)
+    return ChainComplexData(b1, b2, tail, head, plus, minus)
 
 
-def intersection_pairing(o_or_hom, x, y):
-    """Algebraic intersection number of two edge cycles.
+def _spanning_tree(count, ends, edges):
+    """Breadth-first spanning tree from node 0 of the graph on nodes
+    0..count-1 whose edge k (for k in ``edges``) runs from ends[0][k] to
+    ends[1][k].  Returns the (child, edge, parent) triples in discovery
+    order and, per node, the tree path from the root as {edge: +1 or -1}
+    (-1 where the path runs against the edge)."""
+    adjacent = [[] for _ in range(count)]
+    for k in edges:
+        adjacent[ends[0][k]].append((k, ends[1][k]))
+        adjacent[ends[1][k]].append((k, ends[0][k]))
+    paths = {0: {}}
+    order = [(0, None, None)]
+    for x, _k, _parent in order:
+        for k, y in adjacent[x]:
+            if y not in paths:
+                paths[y] = {**paths[x], k: 1 if ends[0][k] == x else -1}
+                order.append((y, k, x))
+    if len(order) != count:
+        raise AssertionError("cell graph is not connected")
+    return order[1:], paths
 
-    Both inputs must be cycles (boundary-1 zero); the value only depends on
-    their homology classes and is computed through the intersection matrix
-    of the homology basis."""
-    hom = o_or_hom if isinstance(o_or_hom, Homology) else Homology(o_or_hom)
-    cx, cy = hom.project_many([x, y])
-    return hom.pairing_in_basis(cx, cy)
+
+def _closed_path(paths, e, start, end):
+    """The edge e from ``start`` to ``end`` closed up through the tree:
+    e + path(start) - path(end), as {edge: coefficient}."""
+    out = dict(paths[start])
+    out[e] = 1
+    for k, c in paths[end].items():
+        out[k] = out.get(k, 0) - c
+    return out
 
 
 class Homology:
@@ -81,107 +118,90 @@ class Homology:
     def __init__(self, o):
         self.origami = o
         n = o.degree
-        self.complex = chain_complex(o)
-        k_cols = la.kernel_basis(self.complex.boundary1)
-        self.k_matrix = [[col[i] for col in k_cols] for i in range(2 * n)]
-        # express boundaries in kernel coordinates
-        x = la.solve_right(self.k_matrix, self.complex.boundary2)
-        if x is None or not la.is_integral(x):
-            raise AssertionError("image of boundary2 must lie in the kernel lattice")
-        x = la.to_int_matrix(x)
-        d, u, _v = la.smith_normal_form(x)
-        k = len(k_cols)
-        r = sum(1 for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i] != 0)
-        if any(d[i][i] not in (0, 1) for i in range(min(len(d), len(d[0]) if d else 0))):
-            raise AssertionError("H_1 of a closed orientable surface must be free")
-        self.u_matrix = u  # unimodular k x k; U @ x = D
-        uinv = la.to_int_matrix(la.invert(u))
-        free = [uinv_col for uinv_col in range(r, k)]
-        # basis columns in edge coordinates
-        self.basis = la.mat_mul(
-            self.k_matrix, [[uinv[i][j] for j in free] for i in range(k)]
+        cx = self.complex = chain_complex(o)
+        tree, vertex_paths = _spanning_tree(len(cx.boundary1), (cx.tail, cx.head), range(2 * n))
+        in_tree = {k for _child, k, _parent in tree}
+        self._cotree, square_paths = _spanning_tree(
+            n, (cx.minus, cx.plus), [k for k in range(2 * n) if k not in in_tree]
         )
-        self.rank = k - r
-        self._free_start = r
+        in_cotree = {k for _child, k, _parent in self._cotree}
+        self._leftover = [k for k in range(2 * n) if k not in in_tree and k not in in_cotree]
+        self.rank = len(self._leftover)
         if self.rank != 2 * genus(o):
             raise AssertionError("H_1 rank must equal 2g")
-        self.intersection = self._intersection_matrix()
+        # per leftover edge e: the basis loop e + (T-path back to its tail)
+        # and the dual loop e* + (C-path back to square minus[e]), where e*
+        # crosses e from square minus[e] to square plus[e]
+        loops = [_closed_path(vertex_paths, e, cx.tail[e], cx.head[e]) for e in self._leftover]
+        duals = [_closed_path(square_paths, e, cx.minus[e], cx.plus[e]) for e in self._leftover]
+        self.basis = [[loop.get(k, 0) for loop in loops] for k in range(2 * n)]
+        self.intersection = self._intersection_matrix(loops, duals)
         if la.det(self.intersection) != 1:
             raise AssertionError("intersection form must be unimodular")
-        sigma_sum = [1] * n + [0] * n
-        zeta_sum = [0] * n + [1] * n
-        self.taut_sigma = self.project(sigma_sum)
-        self.taut_zeta = self.project(zeta_sum)
+        self.taut_sigma = self.project([1] * n + [0] * n)
+        self.taut_zeta = self.project([0] * n + [1] * n)
 
-    def _intersection_matrix(self):
-        """Intersection form in basis coordinates, solved from exact
-        signed crossing numbers of center-path loop representatives."""
-        from .paths import generating_loops, path_class_chain, signed_crossings
+    def _intersection_matrix(self, loops, duals):
+        """Intersection form in basis coordinates.
 
-        o = self.origami
-
-        def q_rank(chains):
-            if not chains:
-                return 0
-            return la.rank(self.project_many(chains))
-
-        pool = generating_loops(o, q_rank, self.rank)
-        coords = self.project_many([path_class_chain(o, p) for p in pool])
-        span = la.RationalSpan()
-        idx = [i for i, c in enumerate(coords) if span.add(c)]
-        assert len(idx) == self.rank
-        sel = [pool[i] for i in idx]
-        g = la.zeros(self.rank, self.rank)
-        for a in range(self.rank):
-            for b in range(a + 1, self.rank):
-                val = signed_crossings(o, sel[a], sel[b])
-                g[a][b] = val
-                g[b][a] = -val
-        p = [[coords[i][r] for i in idx] for r in range(self.rank)]
-        pinv = la.invert(p)
-        j = la.mat_mul(la.transpose(pinv), la.mat_mul(g, pinv))
+        With every dual edge run from its right square to its left one
+        (minus to plus), each crossing of an edge by its dual is positive,
+        so <a, b> = sum_k a_k b_k for an edge cycle a and a dual cycle b;
+        this is sum_i b_U(i) a_sigma(v(i)) - b_R(i) a_zeta(h(i)) in terms
+        of the up and right steps of b.  P[a][b] = <loop a, dual b> must be
+        the identity, and with D the coordinates of the dual loops,
+        J D = P gives J = D^-1."""
+        n = self.origami.degree
+        p = [[sum(loop.get(k, 0) * c for k, c in dual.items()) for dual in duals] for loop in loops]
+        if not la.mat_eq(p, la.identity_matrix(self.rank)):
+            raise AssertionError("basis loops and dual loops do not cross once each")
+        # a dual edge k run minus -> plus is an up step at square minus[k]
+        # (k a sigma) or a left step into square plus[k] (k a zeta); pushed
+        # to bottom-left corners these are +zeta_{minus[k]} and -sigma_{plus[k]}
+        chains = []
+        for dual in duals:
+            chain = [0] * (2 * n)
+            for k, c in dual.items():
+                if k < n:
+                    chain[n + self.complex.minus[k]] += c
+                else:
+                    chain[self.complex.plus[k]] -= c
+            chains.append(chain)
+        coords = self.project_many(chains)
+        d = [[coords[b][r] for b in range(self.rank)] for r in range(self.rank)]
+        j = la.invert(d)
         if not la.is_integral(j):
             raise AssertionError("intersection form came out non-integral")
         j = la.to_int_matrix(j)
         if any(j[a][b] != -j[b][a] for a in range(self.rank) for b in range(self.rank)):
             raise AssertionError("intersection form must be skew")
-        # cross-validate on pool elements outside the chosen basis
-        rest = [i for i in range(len(pool)) if i not in idx][:6]
-        for i in rest:
-            for a in range(min(self.rank, 4)):
-                via_j = sum(
-                    coords[i][r] * j[r][s] * coords[idx[a]][s]
-                    for r in range(self.rank)
-                    for s in range(self.rank)
-                )
-                direct = signed_crossings(o, pool[i], sel[a])
-                if via_j != direct:
-                    raise AssertionError(
-                        "crossing engine disagrees with the bilinear form"
-                    )
         return j
 
     def project_many(self, chains):
         """Coordinates of edge cycles in the H_1 basis; columns in, columns
-        out."""
-        n2 = 2 * self.origami.degree
-        rhs = [[chain[i] for chain in chains] for i in range(n2)]
-        y = la.solve_right(self.k_matrix, rhs)
-        if y is None or not la.is_integral(y):
-            raise ValueError("chain is not a cycle (or not integral)")
-        y = la.to_int_matrix(y)
-        w = la.mat_mul(self.u_matrix, y)
-        return [
-            [w[self._free_start + i][j] for i in range(self.rank)]
-            for j in range(len(chains))
-        ]
+        out.  Square coefficients s are peeled from the root of C so that
+        chain - boundary2(s) vanishes on C; what is left on the leftover
+        edges are the coordinates."""
+        cx = self.complex
+        out = []
+        for chain in chains:
+            boundary = [0] * len(cx.boundary1)
+            for k, c in enumerate(chain):
+                boundary[cx.head[k]] += c
+                boundary[cx.tail[k]] -= c
+            if any(boundary):
+                raise ValueError("chain is not a cycle")
+            s = [0] * self.origami.degree
+            for child, k, parent in self._cotree:
+                if child == cx.plus[k]:
+                    s[child] = chain[k] + s[parent]
+                else:
+                    s[child] = s[parent] - chain[k]
+            out.append([chain[e] - s[cx.plus[e]] + s[cx.minus[e]] for e in self._leftover])
+        return out
 
     def project(self, chain):
         return self.project_many([chain])[0]
-
-    def class_to_chain(self, coords):
-        """An edge-cycle representative of a homology class."""
-        return la.mat_vec(self.basis, list(coords))
 
     def pairing_in_basis(self, x, y):
         return sum(
@@ -191,19 +211,23 @@ class Homology:
             if xi and yj
         )
 
-    def holonomy(self, coords):
-        """Total (horizontal, vertical) holonomy of a class."""
-        chain = self.class_to_chain(coords)
+    def action_matrix(self, tau):
+        """Matrix on H_1 (basis coordinates) of the square permutation tau,
+        which must be a deck transformation."""
         n = self.origami.degree
-        return (sum(chain[:n]), sum(chain[n:]))
-
-
-def h1_basis(o):
-    return Homology(o)
+        images = []
+        for j in range(self.rank):
+            img = [0] * (2 * n)
+            for i in range(1, n + 1):
+                img[tau(i) - 1] += self.basis[i - 1][j]
+                img[n + tau(i) - 1] += self.basis[n + i - 1][j]
+            images.append(img)
+        cols = self.project_many(images)
+        return [[cols[j][i] for j in range(self.rank)] for i in range(self.rank)]
 
 
 def tautological_split(o_or_hom):
-    """(H1_st, H1_zero): coordinates (in the h1_basis) of the tautological
+    """(H1_st, H1_zero): coordinates (in the Homology basis) of the tautological
     plane span{sum sigma, sum zeta} and a saturated integral basis of the
     zero-holonomy subspace; dim H1_zero = 2g - 2."""
     hom = o_or_hom if isinstance(o_or_hom, Homology) else Homology(o_or_hom)
@@ -332,40 +356,30 @@ class KzContext:
     def aut_matrices(self, node):
         """H_1 action matrices of the deck transformations of a node."""
         if node not in self._aut_matrices:
-            o = self.graph.nodes[node]
             hom = self.homology(node)
-            n = o.degree
-            mats = []
-            for tau in automorphisms(o):
-                if tau.is_identity():
-                    continue
-                images = []
-                for j in range(hom.rank):
-                    col = [hom.basis[e][j] for e in range(2 * n)]
-                    img = [0] * (2 * n)
-                    for i in range(1, n + 1):
-                        img[tau(i) - 1] += col[i - 1]
-                        img[n + tau(i) - 1] += col[n + i - 1]
-                    images.append(img)
-                cols = hom.project_many(images)
-                mats.append(
-                    tuple(
-                        tuple(cols[j][i] for j in range(hom.rank))
-                        for i in range(hom.rank)
-                    )
-                )
-            self._aut_matrices[node] = tuple(mats)
+            self._aut_matrices[node] = tuple(
+                tuple(tuple(row) for row in hom.action_matrix(tau))
+                for tau in automorphisms(self.graph.nodes[node])
+                if not tau.is_identity()
+            )
         return self._aut_matrices[node]
 
     def word_matrix(self, word, start=None):
         """(end node, accumulated H1 matrix) for a word applied at a node;
         letters act right to left."""
         node = self.graph.basepoint if start is None else start
-        total = la.identity_matrix(self.homology(node).rank)
-        for letter in reversed(word.letters):
-            node, m = self.step(node, letter)
-            total = la.mat_mul(m, total)
-        return node, total
+        return walk_word(self.step, node, word, self.homology(node).rank)
+
+
+def walk_word(step, node, word, dim):
+    """(end node, product of the step matrices) for a word applied at a
+    node; letters act right to left, ``step(node, letter)`` returns
+    (target node, dim x dim matrix)."""
+    total = la.identity_matrix(dim)
+    for letter in reversed(word.letters):
+        node, m = step(node, letter)
+        total = la.mat_mul(m, total)
+    return node, total
 
 
 _context_cache = {}
@@ -376,20 +390,6 @@ def kz_context(o):
     if canon not in _context_cache:
         _context_cache[canon] = KzContext(canon)
     return _context_cache[canon]
-
-
-def step_matrix(o, letter):
-    """The cocycle matrix of a single generator letter at an origami."""
-    ctx = kz_context(o)
-    node = ctx.graph.basepoint
-    target, m = ctx.step(node, letter)
-    return CocycleMatrix(
-        matrix=tuple(tuple(row) for row in m),
-        source=ctx.graph.nodes[node],
-        target=ctx.graph.nodes[target],
-        word=Sl2zWord((letter,)),
-        ambiguity=ctx.aut_matrices(node),
-    )
 
 
 def kz_matrix(o, word):
@@ -438,7 +438,7 @@ def restrict(m, sub_source, sub_target=None):
 
 
 def isotypical_W(o, tau):
-    """Saturated integral basis (in h1_basis coordinates) of the
+    """Saturated integral basis (in Homology basis coordinates) of the
     (-1)-eigenspace of a central involution tau acting on H_1."""
     from .perm import conjugate
 
@@ -448,18 +448,7 @@ def isotypical_W(o, tau):
         raise ValueError("tau is not an automorphism of the origami")
     if not (tau * tau).is_identity():
         raise ValueError("tau must be an involution")
-    n = hom.origami.degree
-    images = []
-    for j in range(hom.rank):
-        col = [hom.basis[e][j] for e in range(2 * n)]
-        img = [0] * (2 * n)
-        for i in range(1, n + 1):
-            img[tau(i) - 1] += col[i - 1]
-            img[n + tau(i) - 1] += col[n + i - 1]
-        images.append(img)
-    cols = hom.project_many(images)
-    rho = [[cols[j][i] for j in range(hom.rank)] for i in range(hom.rank)]
-    plus_id = la.mat_add(rho, la.identity_matrix(hom.rank))
+    plus_id = la.mat_add(hom.action_matrix(tau), la.identity_matrix(hom.rank))
     return la.kernel_basis(plus_id)
 
 

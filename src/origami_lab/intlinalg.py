@@ -21,10 +21,6 @@ def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def copy_matrix(a):
-    return [list(row) for row in a]
-
-
 def transpose(a):
     return [list(col) for col in zip(*a)]
 

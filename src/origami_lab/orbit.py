@@ -113,22 +113,6 @@ def apply_letter(o, letter):
     return raw, canon, relabel
 
 
-def apply_T(o):
-    return apply_letter(o, "T")
-
-
-def apply_S(o):
-    return apply_letter(o, "S")
-
-
-def apply_T_inv(o):
-    return apply_letter(o, "t")
-
-
-def apply_S_inv(o):
-    return apply_letter(o, "s")
-
-
 @dataclass
 class OrbitGraph:
     """SL(2,Z)-orbit of canonical forms.

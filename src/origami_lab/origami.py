@@ -88,10 +88,6 @@ class Origami:
         )
 
 
-def new_origami(h, v, label=None):
-    return Origami(h, v, label)
-
-
 @dataclass(frozen=True)
 class Stratum:
     """Zero orders (sorted descending) and the genus; sum k = 2g - 2."""

@@ -121,18 +121,19 @@ def is_transitive(gens):
     n = gens[0].degree
     if any(g.degree != n for g in gens):
         raise ValueError("generators have mismatched degrees")
+    moves = [g.images for g in gens] + [g.inverse().images for g in gens]
     seen = [False] * n
     seen[0] = True
     stack = [1]
     count = 1
     while stack:
         i = stack.pop()
-        for g in gens:
-            for j in (g(i), g.inverse()(i)):
-                if not seen[j - 1]:
-                    seen[j - 1] = True
-                    count += 1
-                    stack.append(j)
+        for images in moves:
+            j = images[i - 1]
+            if not seen[j - 1]:
+                seen[j - 1] = True
+                count += 1
+                stack.append(j)
     return count == n
 
 

@@ -25,7 +25,7 @@ from typing import Optional
 
 from . import intlinalg as la
 from .galois import is_galois_pinching_sp4
-from .homology import Homology, kz_context, restrict, tautological_split
+from .homology import Homology, kz_context, restrict, tautological_split, walk_word
 from .origami import Origami, automorphisms, canonical_form, genus, is_reduced
 from .orbit import Sl2zWord, apply_letter_raw
 
@@ -257,10 +257,7 @@ def _unipotent_witness(ctx, g):
     form = _zero_form(ctx.homology(base), zero[base])
     for direction in ("horizontal", "vertical"):
         word = parabolic_word(ctx.graph.nodes[base], direction)
-        node, mat = base, la.identity_matrix(len(zero[base]))
-        for letter in reversed(word.letters):
-            node, step = steps[(node, letter)]
-            mat = la.mat_mul(step, mat)
+        node, mat = walk_word(lambda n, l: steps[n, l], base, word, len(zero[base]))
         if node != base:
             raise AssertionError("parabolic word did not close up")
         if la.mat_eq(mat, la.identity_matrix(len(mat))):
@@ -333,11 +330,7 @@ def verify_certificate(cert):
         zero, steps = _zero_context(ctx)
 
         def word_zero_matrix(word):
-            node, mat = base, la.identity_matrix(len(zero[base]))
-            for letter in reversed(word.letters):
-                node, step = steps[(node, letter)]
-                mat = la.mat_mul(step, mat)
-            return node, mat
+            return walk_word(lambda n, l: steps[n, l], base, word, len(zero[base]))
 
         node, mat = word_zero_matrix(cert.pinching_word)
         if node != base:

@@ -274,24 +274,30 @@ def hyperelliptic_involution(o):
     return None
 
 
+def _vertex_map(o, rho):
+    """(corner cycles, index of the image cycle of each) under the
+    rotation rho: the corner of square s goes to that of v(h(rho(s)))."""
+    cycles = corner_permutation(o).cycles(include_fixed=True)
+    cls = [0] * (o.degree + 1)
+    for idx, cyc in enumerate(cycles):
+        for s in cyc:
+            cls[s] = idx
+    targets = []
+    for cyc in cycles:
+        images = {cls[o.v(o.h(rho(s)))] for s in cyc}
+        if len(images) != 1:
+            raise AssertionError("vertex image of a rotation is not well defined")
+        targets.append(images.pop())
+    return cycles, targets
+
+
 def _rotation_fixed_points(o, rho):
     n = o.degree
     centers = sum(1 for i in range(1, n + 1) if rho(i) == i)
     h_mid = sum(1 for i in range(1, n + 1) if o.v(rho(i)) == i)
     v_mid = sum(1 for i in range(1, n + 1) if o.h(rho(i)) == i)
-    c = corner_permutation(o)
-    cycles = c.cycles(include_fixed=True)
-    cls = [0] * (n + 1)
-    for idx, cyc in enumerate(cycles):
-        for s in cyc:
-            cls[s] = idx
-    fixed_vertices = 0
-    for cyc in cycles:
-        images = {cls[o.v(o.h(rho(s)))] for s in cyc}
-        if len(images) != 1:
-            raise AssertionError("vertex image of a rotation is not well defined")
-        if images.pop() == cls[cyc[0]]:
-            fixed_vertices += 1
+    _cycles, targets = _vertex_map(o, rho)
+    fixed_vertices = sum(1 for idx, t in enumerate(targets) if t == idx)
     return centers + h_mid + v_mid + fixed_vertices
 
 
@@ -309,8 +315,10 @@ def component(o):
     Classification of components of strata: genus 2 strata are connected;
     the minimal stratum H(2g-2) for g >= 3 splits by hyperellipticity and
     spin parity; H(g-1, g-1) splits by hyperellipticity (and parity when
-    g-1 is even and g >= 4); all remaining strata with some odd order are
-    connected, and remaining all-even strata split by parity for g >= 4.
+    g-1 is even and g >= 4), where hyperelliptic means that the
+    hyperelliptic involution swaps the two zeros; all remaining strata
+    with some odd order are connected, and remaining all-even strata
+    split by parity for g >= 4.
     Returns one of: connected, hyperelliptic, even-spin, odd-spin,
     hyperelliptic-or-spin-undecided.
     """
@@ -328,8 +336,12 @@ def component(o):
             return "hyperelliptic"
         return "odd-spin" if spin_parity(o) else "even-spin"
     if two_equal:
-        if is_hyperelliptic(o):
-            return "hyperelliptic"
+        found = hyperelliptic_involution(o)
+        if found is not None:
+            cycles, targets = _vertex_map(o, found[0])
+            zero = next(idx for idx, cyc in enumerate(cycles) if len(cyc) > 1)
+            if targets[zero] != zero:
+                return "hyperelliptic"
         if all_even:
             if g == 3:
                 return "odd-spin"

@@ -1,0 +1,62 @@
+"""Invariants of the tree-cotree homology engine on random origamis.
+
+The reference for the intersection form is the crossing engine of
+``paths``: signed crossing numbers of closed center paths, computed
+without any homology basis.
+"""
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from origami_lab import intlinalg as la
+from origami_lab.homology import Homology
+from origami_lab.origami import Origami, genus
+from origami_lab.paths import cycle_loops, path_class_chain, pattern_loops, signed_crossings
+from origami_lab.perm import Permutation, is_transitive
+
+from conftest import fixture_origami
+
+
+@st.composite
+def transitive_pairs(draw, max_degree=9):
+    n = draw(st.integers(1, max_degree))
+    h = Permutation(draw(st.permutations(range(1, n + 1))))
+    v = Permutation(draw(st.permutations(range(1, n + 1))))
+    assume(is_transitive([h, v]))
+    return Origami(h, v)
+
+
+def check_engine(o):
+    hom = Homology(o)
+    assert hom.rank == 2 * genus(o)
+    j = hom.intersection
+    assert la.mat_eq(la.transpose(j), la.mat_scale(-1, j))
+    assert la.det(j) == 1
+    for col in range(hom.rank):
+        unit = [int(i == col) for i in range(hom.rank)]
+        assert hom.project([row[col] for row in hom.basis]) == unit
+    assert hom.pairing_in_basis(hom.taut_sigma, hom.taut_zeta) == o.degree
+    # a single edge between two different vertices is not a cycle
+    cx = hom.complex
+    for k in range(2 * o.degree):
+        if cx.tail[k] != cx.head[k]:
+            with pytest.raises(ValueError):
+                hom.project([int(e == k) for e in range(2 * o.degree)])
+            break
+    loops = cycle_loops(o) + pattern_loops(o, "RU")
+    coords = hom.project_many([path_class_chain(o, p) for p in loops])
+    for a, ca in zip(loops, coords):
+        for b, cb in zip(loops, coords):
+            assert hom.pairing_in_basis(ca, cb) == signed_crossings(o, a, b)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(transitive_pairs())
+def test_engine_on_random_origamis(o):
+    check_engine(o)
+
+
+@pytest.mark.parametrize("name", ("ltilde", "mbar_star_3"))
+def test_engine_on_covers(name):
+    check_engine(fixture_origami(name))

@@ -2,7 +2,7 @@ import pytest
 
 from origami_lab.orbit import sl2z_orbit
 from origami_lab.origami import Origami, stratum
-from origami_lab.perm import Permutation
+from origami_lab.perm import Permutation, parse_cycles
 from origami_lab.spin import (
     arf_from_data,
     component,
@@ -71,9 +71,24 @@ def test_components():
     assert component(fixture_origami("l3")) == "connected"
     assert component(fixture_origami("mstar")) == "odd-spin"
     assert component(fixture_origami("mstarstar")) == "hyperelliptic"
-    assert component(fixture_origami("dema")) == "hyperelliptic"
+    # H(2,2) with spin parity 1: the hyperelliptic involution fixes both
+    # zeros instead of swapping them, so this is the odd component
+    assert component(fixture_origami("dema")) == "odd-spin"
     assert component(fixture_origami("ew")) == "connected"
     assert component(fixture_origami("ltilde")) == "connected"
+
+
+def test_h22_hyperelliptic_component_needs_swapped_zeros():
+    # both surfaces have a hyperelliptic involution, but only the second
+    # one swaps the two zeros; the hyperelliptic component of H(2,2) has
+    # spin parity 0 (Kontsevich-Zorich)
+    fixes = Origami(parse_cycles("(1,2,5,6)(3,4)"), parse_cycles("(1,3)(2,6)(4,5)"))
+    swaps = Origami(Permutation([1, 5, 2, 3, 4, 6]), Permutation([2, 1, 6, 4, 3, 5]))
+    for o, parity, comp in ((fixes, 1, "odd-spin"), (swaps, 0, "hyperelliptic")):
+        assert str(stratum(o)) == "H(2,2)"
+        assert is_hyperelliptic(o)
+        assert spin_parity(o) == parity
+        assert component(o) == comp
 
 
 def test_torus_spin_trivial():
