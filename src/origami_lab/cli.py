@@ -365,6 +365,9 @@ def main(argv=None):
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    except AssertionError as exc:
+        print("error: internal check failed: %s" % exc, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

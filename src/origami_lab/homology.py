@@ -23,6 +23,7 @@ floating point anywhere.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -74,7 +75,14 @@ def chain_complex(o):
         b2[k][plus[k]] += 1
         b2[k][minus[k]] -= 1
 
-    if any(x != 0 for row in la.mat_mul(b1, b2) for x in row):
+    # boundary1(boundary2(square)) from the incidences: the entry of the
+    # product at (vertex, square), without forming the V x N product
+    composed = Counter()
+    for k in range(2 * n):
+        for square, sign in ((plus[k], 1), (minus[k], -1)):
+            composed[square, head[k]] += sign
+            composed[square, tail[k]] -= sign
+    if any(composed.values()):
         raise AssertionError("boundary maps do not compose to zero")
     return ChainComplexData(b1, b2, tail, head, plus, minus)
 

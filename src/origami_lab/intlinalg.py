@@ -6,10 +6,17 @@ Matrices are lists of lists (row major) over ``int`` or
 the substrate for integral homology (Smith normal form, saturated kernels)
 and for the exact cocycle computations (rational solves, characteristic
 polynomials, Lie brackets).
+
+The determinant, the inverse and the characteristic polynomial run in
+integers: ``det`` and ``invert`` by Bareiss fraction-free elimination,
+whose divisions are all exact, after scaling rational rows to integers;
+``charpoly`` by Berkowitz's division-free recursion, which serves int and
+Fraction input alike.  Rank, solves and spans use rational elimination.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -129,14 +136,6 @@ def solve_right(a, b):
     return [row[0] for row in x] if vector_input else x
 
 
-def invert(a):
-    n = len(a)
-    inv = solve_right(a, identity_matrix(n))
-    if inv is None or rank(a) != n:
-        raise ValueError("matrix is singular")
-    return inv
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form and integral lattices
 
@@ -237,36 +236,122 @@ def kernel_basis(a):
 
 
 # ---------------------------------------------------------------------------
-# Characteristic polynomial (Faddeev-LeVerrier, exact)
+# Fraction-free kernels: determinant and inverse (Bareiss), characteristic
+# polynomial (Berkowitz)
+
+
+def _integral_rows(a):
+    """Rows of a cleared of denominators: (rows, scales) with
+    rows[i] = scales[i] * a[i] integral.  Rows of ints come back as copies
+    with scale 1."""
+    rows, scales = [], []
+    for row in a:
+        if all(type(x) is int for x in row):
+            rows.append(list(row))
+            scales.append(1)
+            continue
+        row = [Fraction(x) for x in row]
+        d = math.lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (d // x.denominator) for x in row])
+        scales.append(d)
+    return rows, scales
+
+
+def _check_square(a):
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix must be square")
+    return n
+
+
+def _bareiss_step(rows, k, prev):
+    """One fraction-free elimination step on column 0 of ``rows``, with
+    rows[k] as pivot row and ``prev`` the previous pivot.  Every other row
+    becomes (p * row - row[0] * pivot row) // prev, an exact division
+    (Bareiss, Math. Comp. 22, 1968); column 0 is dropped from all rows."""
+    p = rows[k][0]
+    tail = rows[k][1:]
+    out = []
+    for i, row in enumerate(rows):
+        f = row[0]
+        if i == k or (f == 0 and p == prev):
+            out.append(row[1:])
+        elif f == 0:
+            out.append([p * x // prev for x in row[1:]])
+        else:
+            out.append([(p * x - f * y) // prev for x, y in zip(row[1:], tail)])
+    return out
+
+
+def invert(a):
+    """Exact inverse as a matrix of Fractions.
+
+    Fraction-free Gauss-Jordan on [B | I] with B = diag(s) a integral:
+    after n Bareiss steps the right half is d B^-1 with d the last pivot,
+    and a^-1 = B^-1 diag(s).
+    """
+    n = _check_square(a)
+    b, scales = _integral_rows(a)
+    rows = [row + unit for row, unit in zip(b, identity_matrix(n))]
+    prev = 1
+    for k in range(n):
+        pr = next((i for i in range(k, n) if rows[i][0] != 0), None)
+        if pr is None:
+            raise ValueError("matrix is singular")
+        rows[k], rows[pr] = rows[pr], rows[k]
+        prev, rows = rows[k][0], _bareiss_step(rows, k, prev)
+    return [[Fraction(x * s, prev) for x, s in zip(row, scales)] for row in rows]
+
+
+def det(a):
+    """Exact determinant by Bareiss fraction-free elimination.
+
+    Rational rows are first scaled to integers and the result divided by
+    the product of the scales; an integral result is returned as an int.
+    """
+    n = _check_square(a)
+    rows, scales = _integral_rows(a)
+    sign, prev = 1, 1
+    for _ in range(n):
+        pr = next((i for i, row in enumerate(rows) if row[0] != 0), None)
+        if pr is None:
+            return 0
+        if pr:
+            rows[0], rows[pr] = rows[pr], rows[0]
+            sign = -sign
+        prev, rows = rows[0][0], _bareiss_step(rows, 0, prev)[1:]
+    d = Fraction(sign * prev, math.prod(scales))
+    return int(d) if d.denominator == 1 else d
 
 
 def charpoly(a):
     """Coefficients [1, c1, .., cn] of det(xI - a) = x^n + c1 x^(n-1) + .. + cn.
 
-    Exact; integral input yields integral coefficients.
+    Berkowitz's division-free recursion (Inf. Proc. Letters 18, 1984) over
+    the leading principal submatrices: with a_k = [[M, C], [R, d]] and
+    q_j = R M^j C, the coefficients e of a_k follow from those c of M by
+    e_t = c_t - d c_(t-1) - sum_(j <= t-2) q_j c_(t-2-j).  Exact over int
+    and Fraction alike; integral coefficients are returned as ints.
     """
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix must be square")
-    af = [[Fraction(x) for x in row] for row in a]
-    coeffs = [Fraction(1)]
-    mk = identity_matrix(n)
-    for k in range(1, n + 1):
-        mk = mat_mul(af, mk)
-        ck = -sum(mk[i][i] for i in range(n)) / k
-        coeffs.append(ck)
-        for i in range(n):
-            mk[i][i] += ck
-    out = []
-    for c in coeffs:
-        out.append(int(c) if c.denominator == 1 else c)
-    return out
-
-
-def det(a):
-    n = len(a)
-    cp = charpoly(a)
-    return cp[n] if n % 2 == 0 else -cp[n]
+    n = _check_square(a)
+    a = [[x if type(x) is int else Fraction(x) for x in row] for row in a]
+    coeffs = [1]
+    for k in range(n):
+        col = [a[i][k] for i in range(k)]
+        q = []
+        for j in range(k):
+            if j:
+                col = [sum(x * y for x, y in zip(a[i], col)) for i in range(k)]
+            q.append(sum(x * y for x, y in zip(a[k], col)))
+        d = a[k][k]
+        c = coeffs + [0]
+        coeffs = [
+            c[t]
+            - (d * c[t - 1] if t else 0)
+            - sum(q[j] * c[t - 2 - j] for j in range(t - 1))
+            for t in range(k + 2)
+        ]
+    return [c if type(c) is int or c.denominator != 1 else int(c) for c in coeffs]
 
 
 def is_reciprocal(coeffs):

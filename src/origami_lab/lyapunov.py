@@ -167,8 +167,9 @@ def _subspace_steps(ctx, subspace):
 def mc_exponents(o, subspace="full", steps=10000, trials=10, seed=None):
     """Monte Carlo Lyapunov exponents of the uniform generator walk.
 
-    Deterministic given (seed, steps, trials).  Estimates are sorted in
-    decreasing order with standard errors across trials.
+    Deterministic given (seed, steps, trials).  Each trial's exponents
+    are sorted in decreasing order; the estimates are their means with
+    standard errors across trials.
     """
     if seed is None:
         raise ValueError("a seed is required for reproducible estimates")
@@ -200,13 +201,13 @@ def mc_exponents(o, subspace="full", steps=10000, trials=10, seed=None):
                 signs = np.sign(np.diag(r))
                 signs[signs == 0] = 1.0
                 q = q * signs
-        per_trial.append(sums / steps)
+        # QR column order need not be the order of the exponents, so each
+        # trial is sorted before the trials are averaged
+        per_trial.append(np.sort(sums / steps)[::-1])
     data = np.array(per_trial)
     means = data.mean(axis=0)
-    order = np.argsort(-means)
-    means = means[order]
     if trials > 1:
-        errs = data.std(axis=0, ddof=1)[order] / math.sqrt(trials)
+        errs = data.std(axis=0, ddof=1) / math.sqrt(trials)
     else:
         errs = np.zeros(dim)
     return McEstimate(

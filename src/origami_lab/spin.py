@@ -319,8 +319,8 @@ def component(o):
     hyperelliptic involution swaps the two zeros; all remaining strata
     with some odd order are connected, and remaining all-even strata
     split by parity for g >= 4.
-    Returns one of: connected, hyperelliptic, even-spin, odd-spin,
-    hyperelliptic-or-spin-undecided.
+    Returns one of: connected, hyperelliptic, non-hyperelliptic (H(g-1, g-1)
+    with g-1 odd), even-spin, odd-spin, hyperelliptic-or-spin-undecided.
     """
     st = stratum(o)
     g = st.genus
@@ -346,7 +346,7 @@ def component(o):
             if g == 3:
                 return "odd-spin"
             return "odd-spin" if spin_parity(o) else "even-spin"
-        return "connected"
+        return "non-hyperelliptic"
     if all_even:
         if g == 3:
             # H(2,2): hyperelliptic handled above via two_equal; other

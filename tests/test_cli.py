@@ -158,6 +158,16 @@ def test_missing_file_is_domain_error(capsys):
     assert "error:" in err
 
 
+def test_internal_check_failure_is_reported(capsys, monkeypatch):
+    from origami_lab import intlinalg
+
+    # spin builds a fresh Homology, whose unimodularity check now fails
+    monkeypatch.setattr(intlinalg, "det", lambda a: 2)
+    code, out, err = run(capsys, ["spin", fixture_path("mstar")])
+    assert code == 1
+    assert err == "error: internal check failed: intersection form must be unimodular\n"
+
+
 def test_cover_stdout_and_out(capsys, tmp_path):
     code, out, err = run(capsys, ["cover", "ew"])
     assert code == 0

@@ -3,8 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from origami_lab import intlinalg as la
+from origami_lab.homology import Homology
+
+from conftest import fixture_origami
 
 
 def random_int_matrix(rng, n, m, lo=-5, hi=5):
@@ -91,3 +97,79 @@ def test_bracket_antisymmetry():
     ab = la.bracket(a, b)
     ba = la.bracket(b, a)
     assert la.mat_eq(ab, la.mat_scale(-1, ba))
+
+
+# ---------------------------------------------------------------------------
+# det, charpoly and invert against sympy
+
+
+def to_fraction(r):
+    return Fraction(int(r.p), int(r.q))
+
+
+def check_against_sympy(a):
+    n = len(a)
+    m = sympy.Matrix(n, n, [sympy.Rational(x.numerator, x.denominator) for row in a for x in row])
+    want_det = to_fraction(m.det())
+    assert la.det(a) == want_det
+    cp = la.charpoly(a)
+    want_cp = [to_fraction(c) for c in m.charpoly().all_coeffs()] if n else [1]
+    assert cp == want_cp
+    # integral coefficients (and the determinant) come back as ints
+    assert all(type(c) is int for c in cp + [la.det(a)] if Fraction(c).denominator == 1)
+    if want_det == 0:
+        with pytest.raises(ValueError, match="matrix is singular"):
+            la.invert(a)
+    else:
+        inv = la.invert(a)
+        want_inv = m.inv()
+        assert all(isinstance(x, Fraction) for row in inv for x in row)
+        assert inv == [[to_fraction(want_inv[i, j]) for j in range(n)] for i in range(n)]
+
+
+def square_matrices(elements):
+    return st.integers(0, 8).flatmap(
+        lambda n: st.lists(st.lists(elements, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(square_matrices(st.integers(-9, 9)))
+def test_kernels_on_int_matrices(a):
+    check_against_sympy(a)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(square_matrices(st.fractions(-5, 5, max_denominator=6)))
+def test_kernels_on_fraction_matrices(a):
+    check_against_sympy(a)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        [[0, 1], [1, 0]],  # zero leading pivot, one swap
+        [[0, 2, 1], [0, 1, 3], [4, 0, 5]],
+        [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+        [[1, 2, 3], [2, 4, 6], [1, 0, 1]],  # zero pivot after one step
+        [[1, 2], [2, 4]],  # singular
+        [[0, 1, 2], [0, 3, 4], [0, 5, 6]],  # zero column
+        [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+        [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 6)]],
+        [[Fraction(0), Fraction(2, 3)], [Fraction(3, 2), 1]],
+        [[5]],
+        [[0]],
+        [[Fraction(-2, 3)]],
+        [],
+    ],
+)
+def test_kernels_on_edge_cases(a):
+    check_against_sympy(a)
+
+
+def test_kernels_on_mbar_star_7_form():
+    j = Homology(fixture_origami("mbar_star_7")).intersection
+    assert len(j) == 36
+    assert la.mat_eq(la.transpose(j), la.mat_scale(-1, j))
+    assert la.det(j) == 1
+    check_against_sympy(j)

@@ -1,7 +1,11 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from origami_lab import lyapunov
+from origami_lab.homology import kz_context
 from origami_lab.lyapunov import (
     combinatorial_term,
     ekz_sum,
@@ -78,6 +82,31 @@ def test_mc_reproducible(l3):
     assert a.std_errors == b.std_errors
     c = mc_exponents(l3, subspace="full", steps=500, trials=3, seed=43)
     assert c.estimates != a.estimates
+
+
+def test_mc_sorts_each_trial_before_averaging(l3, monkeypatch):
+    # two one-step walks, by T and by S (letter indices 0 and 1); the QR
+    # diagonal of the T step comes out unordered, so averaging in column
+    # order would mix its second and third exponents
+    letters = iter([0, 1])
+
+    class Scripted:
+        def __init__(self, seed):
+            self.letter = next(letters)
+
+        def randrange(self, n):
+            return self.letter
+
+    monkeypatch.setattr(lyapunov, "random", SimpleNamespace(Random=Scripted))
+    est = mc_exponents(l3, subspace="full", steps=1, trials=2, seed=1)
+    ctx = kz_context(l3)
+    trials = []
+    for letter in "TS":
+        _target, m = ctx.step(ctx.graph.basepoint, letter)
+        r = np.linalg.qr(np.array(m, dtype=float))[1]
+        trials.append(sorted(np.log(np.abs(np.diag(r))), reverse=True))
+    assert est.estimates == pytest.approx(list(np.mean(trials, axis=0)))
+    assert est.std_errors == pytest.approx(list(np.std(trials, axis=0, ddof=1) / np.sqrt(2)))
 
 
 def test_mc_spectrum_symmetric(l3, dema):

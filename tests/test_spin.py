@@ -91,6 +91,15 @@ def test_h22_hyperelliptic_component_needs_swapped_zeros():
         assert component(o) == comp
 
 
+def test_h33_without_involution_is_non_hyperelliptic():
+    # H(3,3) has a hyperelliptic and a non-hyperelliptic component and no
+    # spin split; this surface has no hyperelliptic involution at all
+    o = Origami(parse_cycles("(1,4,6,8)(2)(3)(5,7)"), parse_cycles("(1,2,5,8,3,4,6)(7)"))
+    assert str(stratum(o)) == "H(3,3)"
+    assert not is_hyperelliptic(o)
+    assert component(o) == "non-hyperelliptic"
+
+
 def test_torus_spin_trivial():
     torus = Origami(Permutation([1]), Permutation([1]))
     assert str(stratum(torus)) == "H()"
