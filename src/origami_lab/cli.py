@@ -27,7 +27,7 @@ from .covers import (
 from .galois import is_galois_pinching_sl2, is_galois_pinching_sp4
 from .homology import kz_matrix, restrict, tautological_split, Homology
 from .lyapunov import ekz_sum, mc_exponents, w_exponent_from_sum
-from .orbit import sl2z_orbit, veech_generators, veech_index
+from .orbit import sl2z_orbit, stabilizer_words
 from .origami import (
     automorphisms,
     genus,
@@ -82,8 +82,11 @@ def _cmd_orbit(args):
 
 def _cmd_veech(args):
     o = ingest_corpus(args.origami)
-    index = veech_index(o)
-    gens = veech_generators(o)
+    if not is_reduced(o):
+        raise ValueError("veech requires a reduced origami")
+    graph = sl2z_orbit(o)
+    index = len(graph.nodes)
+    gens = stabilizer_words(graph)
     payload = {"index": index, "generators": [str(w) for w in gens]}
     _emit(
         args,

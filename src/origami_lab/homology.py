@@ -160,7 +160,16 @@ class Homology:
         the identity, and with D the coordinates of the dual loops,
         J D = P gives J = D^-1."""
         n = self.origami.degree
-        p = [[sum(loop.get(k, 0) * c for k, c in dual.items()) for dual in duals] for loop in loops]
+        # P as a sparse product: the basis loops indexed by edge once
+        loops_on = {}
+        for a, loop in enumerate(loops):
+            for k, c in loop.items():
+                loops_on.setdefault(k, []).append((a, c))
+        p = la.zeros(self.rank, self.rank)
+        for b, dual in enumerate(duals):
+            for k, c in dual.items():
+                for a, ca in loops_on.get(k, ()):
+                    p[a][b] += ca * c
         if not la.mat_eq(p, la.identity_matrix(self.rank)):
             raise AssertionError("basis loops and dual loops do not cross once each")
         # a dual edge k run minus -> plus is an up step at square minus[k]

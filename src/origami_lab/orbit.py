@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .origami import Origami, canonical_form
-from .perm import compose
+from .origami import Origami, canonical_form, canonical_labelling, is_reduced
+from .perm import Permutation, compose
 
 GEN_MATRICES = {
     "T": ((1, 1), (0, 1)),
@@ -158,73 +158,111 @@ class OrbitGraph:
         }
 
 
+def _letter_images(h, v, letter):
+    """The raw image of the 0-based image lists (h, v) under one letter."""
+    if letter == "T":
+        hi = [0] * len(h)
+        for s, t in enumerate(h):
+            hi[t] = s
+        return h, [v[s] for s in hi]
+    if letter == "t":
+        return h, [v[s] for s in h]
+    if letter == "S":
+        vi = [0] * len(v)
+        for s, t in enumerate(v):
+            vi[t] = s
+        return [h[s] for s in vi], v
+    return [h[s] for s in v], v
+
+
 def sl2z_orbit(o):
     """Breadth-first closure under the four generator letters, with
     canonical-form deduplication.  Node ids follow discovery order with
     letter priority T, S, t, s; node 0 is the canonical form of the
-    input."""
-    base = canonical_form(o).origami
-    nodes = [base]
-    index = {base: 0}
+    input.  The search runs on 0-based image tuples; an ``Origami`` is
+    built once per node and a relabel ``Permutation`` once per edge."""
+
+    def one_based(images):
+        return Permutation([x + 1 for x in images])
+
+    h_table, v_table, _label = canonical_labelling(
+        [x - 1 for x in o.h.images], [x - 1 for x in o.v.images]
+    )
+    tables = [(h_table, v_table)]
+    index = {tables[0]: 0}
     edges = [{}]
     frontier = [0]
     while frontier:
         nxt = []
         for i in frontier:
-            src = nodes[i]
+            h, v = tables[i]
             for letter in ("T", "S", "t", "s"):
-                raw, canon, relabel = apply_letter(src, letter)
-                j = index.get(canon)
+                h_table, v_table, label = canonical_labelling(*_letter_images(h, v, letter))
+                key = (h_table, v_table)
+                j = index.get(key)
                 if j is None:
-                    j = len(nodes)
-                    index[canon] = j
-                    nodes.append(canon)
+                    j = index[key] = len(tables)
+                    tables.append(key)
                     edges.append({})
                     nxt.append(j)
-                edges[i][letter] = (j, relabel)
+                edges[i][letter] = (j, one_based(label))
         frontier = nxt
-    return OrbitGraph(nodes=nodes, edges=edges, basepoint=0, _index=index)
+    nodes = [Origami(one_based(h), one_based(v), o.label) for h, v in tables]
+    return OrbitGraph(
+        nodes=nodes, edges=edges, basepoint=0, _index={node: i for i, node in enumerate(nodes)}
+    )
 
 
 def veech_index(o):
     """Size of the SL(2,Z)-orbit = index of the Veech group in SL(2,Z)
     (for reduced origamis, where the Veech group sits inside SL(2,Z))."""
-    from .origami import is_reduced
-
     if not is_reduced(o):
         raise ValueError("veech_index requires a reduced origami")
     return len(sl2z_orbit(o).nodes)
 
 
 def veech_generators(o):
-    """Generators of the Veech group as words stabilizing the basepoint.
-
-    Spanning-tree construction on the orbit graph: every non-tree T/S edge
-    (n --g--> m) yields the loop word path(m)^-1 * g * path(n)."""
-    from .origami import is_reduced
-
+    """Generators of the Veech group as words stabilizing the basepoint of
+    the orbit of ``o`` (see ``stabilizer_words``)."""
     if not is_reduced(o):
         raise ValueError("veech_generators requires a reduced origami")
-    graph = sl2z_orbit(o)
-    n = len(graph.nodes)
-    # BFS tree: path_to[i] = letters applied in sequence from the basepoint
-    path_to = [None] * n
-    path_to[graph.basepoint] = []
+    return stabilizer_words(sl2z_orbit(o))
+
+
+def spanning_tree(graph, letters):
+    """Breadth-first spanning tree of an orbit graph from its basepoint,
+    over the edges of ``letters`` in that priority.  Returns, per node, the
+    letters applied in sequence from the basepoint along the tree (None for
+    a node the letters do not reach) and the set of tree edges
+    (node, letter)."""
+    path_to = [None] * len(graph.nodes)
+    path_to[graph.basepoint] = ()
     tree_edges = set()
     frontier = [graph.basepoint]
     while frontier:
         nxt = []
         for i in frontier:
-            for letter in ("T", "S"):
+            for letter in letters:
                 j = graph.edges[i][letter][0]
                 if path_to[j] is None:
-                    path_to[j] = path_to[i] + [letter]
+                    path_to[j] = path_to[i] + (letter,)
                     tree_edges.add((i, letter))
                     nxt.append(j)
         frontier = nxt
+    return path_to, tree_edges
+
+
+def stabilizer_words(graph):
+    """Words over T, S generating the stabilizer of the basepoint of an
+    orbit graph: the Veech group when the graph is the orbit of a reduced
+    origami.
+
+    Every non-tree T/S edge (n --g--> m) of the T/S spanning tree yields
+    the loop word path(m)^-1 * g * path(n)."""
+    path_to, tree_edges = spanning_tree(graph, ("T", "S"))
     assert all(p is not None for p in path_to), "orbit graph not T/S-connected"
     words = []
-    for i in range(n):
+    for i in range(len(graph.nodes)):
         for letter in ("T", "S"):
             if (i, letter) in tree_edges:
                 continue

@@ -244,34 +244,90 @@ def _xgcd(a, b):
     return old_r, old_p, old_q
 
 
+def propagate_square_map(target, pairs):
+    """The square map tau with tau(1) = target and tau(g(s)) = g'(tau(s))
+    for every pair (g, g') in ``pairs``, propagated from square 1; None
+    when the rules contradict each other or tau is not a bijection.  The
+    first members of the pairs must act transitively."""
+    n = pairs[0][0].degree
+    tau = [0] * (n + 1)
+    tau[1] = target
+    queue = [1]
+    while queue:
+        s = queue.pop()
+        for gen, image_gen in pairs:
+            t, image = gen(s), image_gen(tau[s])
+            if tau[t] == 0:
+                tau[t] = image
+                queue.append(t)
+            elif tau[t] != image:
+                return None
+    if 0 in tau[1:] or len(set(tau[1:])) != n:
+        return None
+    return Permutation(tau[1:])
+
+
 def automorphisms(o):
     """All deck transformations: permutations commuting with both h and v.
 
     Each candidate image of square 1 is propagated through the action;
     consistent bijective assignments form a group containing the identity.
     """
-    n = o.degree
     out = []
-    for target in range(1, n + 1):
-        tau = [0] * (n + 1)
-        tau[1] = target
-        queue = [1]
-        ok = True
-        while queue and ok:
-            s = queue.pop()
-            for gen in (o.h, o.v):
-                t, image = gen(s), gen(tau[s])
-                if tau[t] == 0:
-                    tau[t] = image
-                    queue.append(t)
-                elif tau[t] != image:
-                    ok = False
-                    break
-        if ok and 0 not in tau[1:] and len(set(tau[1:])) == n:
-            perm = Permutation(tau[1:])
-            if conjugate(o.h, perm) == o.h and conjugate(o.v, perm) == o.v:
-                out.append(perm)
+    for target in range(1, o.degree + 1):
+        perm = propagate_square_map(target, ((o.h, o.h), (o.v, o.v)))
+        if perm is not None and conjugate(o.h, perm) == o.h and conjugate(o.v, perm) == o.v:
+            out.append(perm)
     return out
+
+
+def canonical_labelling(h, v):
+    """The canonical labelling of a pair of 0-based image lists.
+
+    For each start square, squares are relabeled in breadth-first
+    discovery order with neighbor priority (h, v, h^-1, v^-1); the start
+    whose relabeled (h, v) image table is lexicographically smallest wins,
+    and among equal tables the first start wins.  The relabeled h-table is
+    compared with the best one entry by entry as the search produces it,
+    and a start is abandoned at its first larger entry; the v-table is
+    built only for a start whose h-table is smaller or equal.
+
+    Returns (h-table, v-table, label) with new square label[s] for old
+    square s, all 0-based.  Raises ValueError when the pair is not
+    transitive (the search from the first start misses a square).
+    """
+    n = len(h)
+    hi = [0] * n
+    vi = [0] * n
+    for s in range(n):
+        hi[h[s]] = s
+        vi[v[s]] = s
+    best_h = best_v = best_label = None
+    for start in range(n):
+        label = [-1] * n
+        label[start] = 0
+        order = [start]
+        h_row = []
+        smaller = best_h is None
+        for s in order:
+            for t in (h[s], v[s], hi[s], vi[s]):
+                if label[t] < 0:
+                    label[t] = len(order)
+                    order.append(t)
+            entry = label[h[s]]
+            if not smaller:
+                b = best_h[len(h_row)]
+                if entry > b:
+                    break
+                smaller = entry < b
+            h_row.append(entry)
+        else:
+            if len(order) < n:
+                raise ValueError("the pair (h, v) is not transitive: surface disconnected")
+            v_row = [label[v[s]] for s in order]
+            if smaller or v_row < best_v:
+                best_h, best_v, best_label = h_row, v_row, label
+    return tuple(best_h), tuple(best_v), best_label
 
 
 class CanonicalForm(NamedTuple):
@@ -281,40 +337,17 @@ class CanonicalForm(NamedTuple):
 
 def canonical_form(o):
     """Lexicographically minimal representative of the simultaneous
-    conjugacy class.
-
-    For each start square, squares are relabeled in breadth-first
-    discovery order with neighbor priority (h, v, h^-1, v^-1); the start
-    whose relabeled (h, v) image table is smallest wins.  Returns the
-    canonical origami and the relabeling used (new = relabel(old)).
-    """
-    n = o.degree
-    hi, vi = o.h.inverse(), o.v.inverse()
-    best = None
-    best_relabel = None
-    for start in range(1, n + 1):
-        new_label = [0] * (n + 1)
-        new_label[start] = 1
-        order = [start]
-        head = 0
-        while head < len(order):
-            s = order[head]
-            head += 1
-            for t in (o.h(s), o.v(s), hi(s), vi(s)):
-                if new_label[t] == 0:
-                    new_label[t] = len(order) + 1
-                    order.append(t)
-        h_images = [0] * n
-        v_images = [0] * n
-        for s in range(1, n + 1):
-            h_images[new_label[s] - 1] = new_label[o.h(s)]
-            v_images[new_label[s] - 1] = new_label[o.v(s)]
-        key = (tuple(h_images), tuple(v_images))
-        if best is None or key < best:
-            best = key
-            best_relabel = Permutation(new_label[1:])
-    canon = Origami(Permutation(best[0]), Permutation(best[1]), o.label)
-    return CanonicalForm(canon, best_relabel)
+    conjugacy class, from ``canonical_labelling``: of the starts with the
+    smallest relabeled (h, v) table, the first (lowest square) is used.
+    Returns the canonical origami and the relabeling used
+    (new = relabel(old))."""
+    h_table, v_table, label = canonical_labelling(
+        [x - 1 for x in o.h.images], [x - 1 for x in o.v.images]
+    )
+    canon = Origami(
+        Permutation([x + 1 for x in h_table]), Permutation([x + 1 for x in v_table]), o.label
+    )
+    return CanonicalForm(canon, Permutation([x + 1 for x in label]))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from . import intlinalg as la
 from .galois import is_galois_pinching_sp4
 from .homology import Homology, kz_context, restrict, tautological_split, walk_word
 from .origami import Origami, automorphisms, canonical_form, genus, is_reduced
-from .orbit import Sl2zWord, apply_letter_raw
+from .orbit import Sl2zWord, apply_letter_raw, spanning_tree
 
 _LETTER_ORDER = ("T", "S", "t", "s")
 _INVERSE = {"T": "t", "t": "T", "S": "s", "s": "S"}
@@ -211,20 +211,8 @@ def _cylinder_witness(ctx, g):
     """A direction (as a word reaching an orbit node) where the waist
     span E has 1 < dim E < g, if one exists."""
     graph = ctx.graph
-    n = len(graph.nodes)
-    path_to = [None] * n
-    path_to[graph.basepoint] = ()
-    frontier = [graph.basepoint]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for letter in _LETTER_ORDER:
-                j = graph.edges[i][letter][0]
-                if path_to[j] is None:
-                    path_to[j] = path_to[i] + (letter,)
-                    nxt.append(j)
-        frontier = nxt
-    for node in range(n):
+    path_to, _tree_edges = spanning_tree(graph, _LETTER_ORDER)
+    for node in range(len(graph.nodes)):
         classes = horizontal_cylinder_classes(graph.nodes[node], ctx.homology(node))
         dim_e = la.rank(classes)
         if 1 < dim_e < g:

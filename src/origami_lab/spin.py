@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import intlinalg as la
 from .homology import Homology
-from .origami import corner_permutation, genus, singularities, stratum
+from .origami import corner_permutation, genus, propagate_square_map, singularities, stratum
 from .paths import (
     generating_loops,
     path_class_chain,
@@ -243,30 +243,11 @@ def hyperelliptic_involution(o):
     vertex map).  Returns (rho, fixed point count) for the first rho whose
     count equals 2g + 2, else None.
     """
-    from .perm import Permutation
-
-    n = o.degree
     g = genus(o)
-    hi, vi = o.h.inverse(), o.v.inverse()
-    for target in range(1, n + 1):
-        rho = [0] * (n + 1)
-        rho[1] = target
-        queue = [1]
-        ok = True
-        while queue and ok:
-            s = queue.pop()
-            for gen, geninv in ((o.h, hi), (o.v, vi)):
-                t, image = gen(s), geninv(rho[s])
-                if rho[t] == 0:
-                    rho[t] = image
-                    queue.append(t)
-                elif rho[t] != image:
-                    ok = False
-                    break
-        if not ok or 0 in rho[1:] or len(set(rho[1:])) != n:
-            continue
-        perm = Permutation(rho[1:])
-        if not (perm * perm).is_identity():
+    pairs = ((o.h, o.h.inverse()), (o.v, o.v.inverse()))
+    for target in range(1, o.degree + 1):
+        perm = propagate_square_map(target, pairs)
+        if perm is None or not (perm * perm).is_identity():
             continue
         count = _rotation_fixed_points(o, perm)
         if count == 2 * g + 2:

@@ -46,6 +46,34 @@ def test_veech(capsys):
     assert payload["generators"]
 
 
+def test_veech_enumerates_the_orbit_once(capsys, monkeypatch):
+    import sys
+
+    from origami_lab import orbit
+
+    calls = []
+    original = orbit.sl2z_orbit
+
+    def counted(o):
+        calls.append(o)
+        return original(o)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("origami_lab") and getattr(module, "sl2z_orbit", None) is original:
+            monkeypatch.setattr(module, "sl2z_orbit", counted)
+    payload = run_json(capsys, ["veech", fixture_path("dema")])
+    assert payload["index"] == 3
+    assert len(calls) == 1
+
+
+def test_veech_rejects_non_reduced(capsys, tmp_path):
+    path = tmp_path / "double.txt"
+    path.write_text("h = (1,2)\nv = (1)(2)\n")
+    code, out, err = run(capsys, ["veech", str(path)])
+    assert code == 1
+    assert "error:" in err and "reduced" in err
+
+
 def test_spin(capsys):
     payload = run_json(capsys, ["spin", fixture_path("mstar")])
     assert payload["spin_parity"] == 1

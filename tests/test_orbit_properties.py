@@ -1,0 +1,165 @@
+"""The early-abort canonical labelling and the orbit search against
+reference implementations.
+
+The oracle for ``canonical_form`` is the full-key search: every start
+square builds both relabeled image tables, and the start with the
+lexicographically smallest (h-table, v-table) wins, ties keeping the
+first start.  The reference orbit is a breadth-first closure over
+``apply_letter``, with every canonical form checked against the oracle.
+"""
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from origami_lab.orbit import apply_letter, apply_letter_raw, sl2z_orbit
+from origami_lab.origami import Origami, canonical_form, canonical_labelling
+from origami_lab.perm import Permutation, is_transitive
+
+from conftest import fixture_origami
+
+# surfaces with nontrivial automorphisms, where several starts tie
+TIED_FIXTURES = ("ltilde", "mstar", "ew", "dema")
+
+
+def oracle_canonical_form(o):
+    n = o.degree
+    hi, vi = o.h.inverse(), o.v.inverse()
+    best = None
+    best_relabel = None
+    for start in range(1, n + 1):
+        new_label = [0] * (n + 1)
+        new_label[start] = 1
+        order = [start]
+        head = 0
+        while head < len(order):
+            s = order[head]
+            head += 1
+            for t in (o.h(s), o.v(s), hi(s), vi(s)):
+                if new_label[t] == 0:
+                    new_label[t] = len(order) + 1
+                    order.append(t)
+        h_images = [0] * n
+        v_images = [0] * n
+        for s in range(1, n + 1):
+            h_images[new_label[s] - 1] = new_label[o.h(s)]
+            v_images[new_label[s] - 1] = new_label[o.v(s)]
+        key = (tuple(h_images), tuple(v_images))
+        if best is None or key < best:
+            best = key
+            best_relabel = Permutation(new_label[1:])
+    return Origami(Permutation(best[0]), Permutation(best[1]), o.label), best_relabel
+
+
+def reference_orbit(o):
+    """(nodes, edges) of the orbit by breadth-first closure over
+    ``apply_letter``, with letter priority T, S, t, s."""
+    base = oracle_canonical_form(o)[0]
+    nodes = [base]
+    index = {base: 0}
+    edges = [{}]
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for letter in ("T", "S", "t", "s"):
+                raw, canon, relabel = apply_letter(nodes[i], letter)
+                assert (canon, relabel) == oracle_canonical_form(raw)
+                j = index.get(canon)
+                if j is None:
+                    j = index[canon] = len(nodes)
+                    nodes.append(canon)
+                    edges.append({})
+                    nxt.append(j)
+                edges[i][letter] = (j, relabel)
+        frontier = nxt
+    return nodes, edges
+
+
+@st.composite
+def transitive_pairs(draw, max_degree=10):
+    n = draw(st.integers(1, max_degree))
+    h = Permutation(draw(st.permutations(range(1, n + 1))))
+    v = Permutation(draw(st.permutations(range(1, n + 1))))
+    assume(is_transitive([h, v]))
+    return Origami(h, v)
+
+
+def relabelled(o, images):
+    return o.relabel(Permutation(images))
+
+
+def check_canonical_form(o):
+    canon, relabel = canonical_form(o)
+    want_canon, want_relabel = oracle_canonical_form(o)
+    assert canon == want_canon
+    assert relabel == want_relabel
+    assert o.relabel(relabel) == canon
+
+
+def check_orbit(o):
+    graph = sl2z_orbit(o)
+    nodes, edges = reference_orbit(o)
+    assert graph.nodes == nodes
+    assert graph.edges == edges
+    for i, node in enumerate(graph.nodes):
+        assert graph.index_of(node) == i
+        for letter in ("T", "S", "t", "s"):
+            target, relabel = graph.edges[i][letter]
+            assert apply_letter_raw(node, letter).relabel(relabel) == graph.nodes[target]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(transitive_pairs())
+def test_canonical_form_matches_oracle(o):
+    check_canonical_form(o)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(transitive_pairs(), st.randoms(use_true_random=False))
+def test_canonical_form_is_relabelling_invariant(o, rnd):
+    images = list(range(1, o.degree + 1))
+    rnd.shuffle(images)
+    assert canonical_form(relabelled(o, images)).origami == canonical_form(o).origami
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(transitive_pairs(max_degree=7))
+def test_orbit_matches_reference(o):
+    check_orbit(o)
+
+
+@pytest.mark.parametrize("name", TIED_FIXTURES)
+def test_fixtures_with_automorphisms(name):
+    o = fixture_origami(name)
+    check_canonical_form(o)
+    check_orbit(o)
+    # every cyclic relabelling reaches the same form
+    n = o.degree
+    for shift in range(1, n):
+        twin = relabelled(o, [(i + shift) % n + 1 for i in range(n)])
+        check_canonical_form(twin)
+        assert canonical_form(twin).origami == canonical_form(o).origami
+
+
+@pytest.mark.parametrize(
+    "h, v",
+    [
+        # all four starts have equal h-tables; start 4 has the smallest v-table
+        ((3, 4, 2, 1), (1, 3, 2, 4)),
+        # starts 1 and 3 have the smallest h-table; start 1 has the smaller v-table
+        ((2, 4, 1, 3), (4, 1, 2, 3)),
+        # every start gives the same tables: the first start wins
+        ((1, 2, 3, 4, 5), (2, 3, 4, 5, 1)),
+    ],
+)
+def test_tied_h_tables(h, v):
+    o = Origami(Permutation(h), Permutation(v))
+    check_canonical_form(o)
+    check_orbit(o)
+
+
+def test_disconnected_pair_raises():
+    # h = (1,2)(3,4), v = id, as 0-based image lists
+    with pytest.raises(ValueError, match="not transitive"):
+        canonical_labelling([1, 0, 3, 2], [0, 1, 2, 3])
