@@ -15,7 +15,6 @@ from .covers import (
     deck_transformation,
     ew_origami,
     group_cover,
-    ingest_corpus,
     l3_origami,
     ltilde_origami,
     mbar_star_origami,

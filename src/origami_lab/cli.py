@@ -11,6 +11,7 @@ T8SSTTSS means T^8 S^2 T^2 S^2.  Exit codes: 0 success, 1 domain error
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -18,7 +19,6 @@ from . import intlinalg as la
 from .covers import (
     EdgeCocycle,
     ew_origami,
-    ingest_corpus,
     ltilde_origami,
     mbar_star_origami,
     quaternion_group,
@@ -32,6 +32,7 @@ from .origami import (
     automorphisms,
     genus,
     is_reduced,
+    load_origami,
     render_origami_text,
     save_origami,
     stratum,
@@ -55,7 +56,7 @@ def _emit(args, payload, text_lines):
 
 
 def _cmd_info(args):
-    o = ingest_corpus(args.origami)
+    o = load_origami(args.origami)
     st = stratum(o)
     payload = {
         "label": o.label,
@@ -70,7 +71,7 @@ def _cmd_info(args):
 
 
 def _cmd_orbit(args):
-    o = ingest_corpus(args.origami)
+    o = load_origami(args.origami)
     graph = sl2z_orbit(o)
     payload = graph.to_json()
     lines = ["orbit size = %d" % len(graph.nodes)]
@@ -81,7 +82,7 @@ def _cmd_orbit(args):
 
 
 def _cmd_veech(args):
-    o = ingest_corpus(args.origami)
+    o = load_origami(args.origami)
     if not is_reduced(o):
         raise ValueError("veech requires a reduced origami")
     graph = sl2z_orbit(o)
@@ -97,14 +98,14 @@ def _cmd_veech(args):
 
 
 def _cmd_spin(args):
-    o = ingest_corpus(args.origami)
+    o = load_origami(args.origami)
     parity = spin_parity(o)
     _emit(args, {"spin_parity": parity}, ["spin parity = %d" % parity])
     return 0
 
 
 def _cmd_component(args):
-    o = ingest_corpus(args.origami)
+    o = load_origami(args.origami)
     comp = component(o)
     st = str(stratum(o))
     _emit(
@@ -116,7 +117,7 @@ def _cmd_component(args):
 
 
 def _cmd_kz(args):
-    o = ingest_corpus(args.origami)
+    o = load_origami(args.origami)
     cm = kz_matrix(o, args.word)
     mat = [list(r) for r in cm.matrix]
     if args.zero:
@@ -166,7 +167,7 @@ def _cmd_galois(args):
 
 
 def _cmd_simplicity(args):
-    o = ingest_corpus(args.origami)
+    o = load_origami(args.origami)
     result = certify_simplicity(o, search_depth=args.depth)
     if isinstance(result, NotFound):
         payload = {"found": False, "explored_depth": result.explored_depth}
@@ -185,7 +186,7 @@ def _cmd_simplicity(args):
 
 
 def _cmd_ekz(args):
-    o = ingest_corpus(args.origami)
+    o = load_origami(args.origami)
     report = ekz_sum(o)
     payload = report.to_json()
     lines = [
@@ -207,7 +208,7 @@ def _cmd_ekz(args):
 
 
 def _cmd_mc(args):
-    o = ingest_corpus(args.origami)
+    o = load_origami(args.origami)
     est = mc_exponents(
         o,
         subspace=args.subspace,
@@ -235,7 +236,7 @@ def _cmd_cover(args):
     else:  # custom
         if not args.base or not args.cocycle:
             raise ValueError("custom cover needs --base and --cocycle")
-        base = ingest_corpus(args.base)
+        base = load_origami(args.base)
         with open(args.cocycle, "r", encoding="utf-8") as fh:
             spec = json.load(fh)
         groups = {"quaternion": quaternion_group, "trivial": trivial_group}
@@ -287,7 +288,10 @@ def _cmd_verify(args):
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: no argument has a
+    mutable default, so parses do not leak into each other."""
     parser = argparse.ArgumentParser(
         prog="origami-lab",
         description="Exact computation on square-tiled surfaces",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .origami import Origami, genus, load_origami, stratum
+from .origami import Origami, genus, stratum
 from .perm import Permutation
 
 
@@ -286,23 +286,13 @@ def quaternionic_block_report():
     from . import intlinalg as la
     from .homology import isotypical_W, kz_context, restrict
     from .orbit import sl2z_word
-    from .origami import automorphisms
+    from .origami import central_involution
 
     lt = ltilde_origami()
     ctx = kz_context(lt)
     base = ctx.graph.basepoint
     hom = ctx.homology(base)
-    o0 = ctx.graph.nodes[base]
-
-    # central involution of the canonical form
-    taus = [
-        t
-        for t in automorphisms(o0)
-        if not t.is_identity() and (t * t).is_identity()
-    ]
-    central = [t for t in taus if all((t * u).images == (u * t).images for u in taus)]
-    tau = min(central, key=lambda t: t.images)
-    w_basis = isotypical_W(hom, tau)
+    w_basis = isotypical_W(hom, central_involution(ctx.graph.nodes[base]))
     report = {"dim_W": len(w_basis), "targets": [], "span_dim_1_eigenspaces": None, "diagnostics": []}
 
     aut_w = [la.identity_matrix(len(w_basis))]
@@ -364,9 +354,3 @@ def quaternionic_block_report():
     if one_eigenspaces:
         report["span_dim_1_eigenspaces"] = la.rank(one_eigenspaces)
     return report
-
-
-def ingest_corpus(path):
-    """Load and validate an origami from a text file (long cycle lists
-    spanning many lines are fine)."""
-    return load_origami(path)

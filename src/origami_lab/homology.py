@@ -30,6 +30,7 @@ from fractions import Fraction
 from . import intlinalg as la
 from .origami import automorphisms, canonical_form, corner_permutation, genus
 from .orbit import Sl2zWord, sl2z_orbit
+from .paths import CenterPath
 
 
 # ---------------------------------------------------------------------------
@@ -143,11 +144,53 @@ class Homology:
         loops = [_closed_path(vertex_paths, e, cx.tail[e], cx.head[e]) for e in self._leftover]
         duals = [_closed_path(square_paths, e, cx.minus[e], cx.plus[e]) for e in self._leftover]
         self.basis = [[loop.get(k, 0) for loop in loops] for k in range(2 * n)]
-        self.intersection = self._intersection_matrix(loops, duals)
+        # D (one column of coordinates per dual loop) and J = D^-1
+        self.dual_coords, self.intersection = self._intersection_matrix(loops, duals)
         if la.det(self.intersection) != 1:
             raise AssertionError("intersection form must be unimodular")
         self.taut_sigma = self.project([1] * n + [0] * n)
         self.taut_zeta = self.project([0] * n + [1] * n)
+        self._dual_loops = None
+
+    def dual_loops(self):
+        """The dual loops as closed center paths, in leftover-edge order.
+
+        The loop of e crosses e from square minus[e] to square plus[e] and
+        runs back through C; crossing a sigma edge is a U or D step, a
+        zeta edge an L or R step.  Each is a simple cycle of squares, so a
+        simple closed curve, and column b of ``dual_coords`` holds the
+        coordinates of loop b; they form a Z-basis of H_1 since
+        J = D^-1.  Built on first use."""
+        if self._dual_loops is None:
+            cx = self.complex
+            n = self.origami.degree
+            up, depth = {}, {0: 0}
+            for child, k, parent in self._cotree:
+                up[child] = (k, parent)
+                depth[child] = depth[parent] + 1
+
+            def cross(k, square):
+                if k < n:
+                    return "U" if square == cx.minus[k] else "D"
+                return "L" if square == cx.minus[k] else "R"
+
+            self._dual_loops = []
+            for e in self._leftover:
+                # climb from both ends of e* to their meeting point in C
+                a, b = cx.plus[e], cx.minus[e]
+                climb, descent = [], []
+                while a != b:
+                    if depth[a] >= depth[b]:
+                        k, a_next = up[a]
+                        climb.append(cross(k, a))
+                        a = a_next
+                    else:
+                        k, b_next = up[b]
+                        descent.append(cross(k, b_next))
+                        b = b_next
+                steps = cross(e, cx.minus[e]) + "".join(climb) + "".join(reversed(descent))
+                self._dual_loops.append(CenterPath(cx.minus[e] + 1, steps))
+        return self._dual_loops
 
     def _intersection_matrix(self, loops, duals):
         """Intersection form in basis coordinates.
@@ -158,7 +201,7 @@ class Homology:
         this is sum_i b_U(i) a_sigma(v(i)) - b_R(i) a_zeta(h(i)) in terms
         of the up and right steps of b.  P[a][b] = <loop a, dual b> must be
         the identity, and with D the coordinates of the dual loops,
-        J D = P gives J = D^-1."""
+        J D = P gives J = D^-1.  Returns (D, J)."""
         n = self.origami.degree
         # P as a sparse product: the basis loops indexed by edge once
         loops_on = {}
@@ -192,7 +235,7 @@ class Homology:
         j = la.to_int_matrix(j)
         if any(j[a][b] != -j[b][a] for a in range(self.rank) for b in range(self.rank)):
             raise AssertionError("intersection form must be skew")
-        return j
+        return d, j
 
     def project_many(self, chains):
         """Coordinates of edge cycles in the H_1 basis; columns in, columns

@@ -11,7 +11,8 @@ The determinant, the inverse and the characteristic polynomial run in
 integers: ``det`` and ``invert`` by Bareiss fraction-free elimination,
 whose divisions are all exact, after scaling rational rows to integers;
 ``charpoly`` by Berkowitz's division-free recursion, which serves int and
-Fraction input alike.  Rank, solves and spans use rational elimination.
+Fraction input alike.  Rank, solves and spans share one rational
+elimination, ``RationalSpan``.
 """
 
 from __future__ import annotations
@@ -83,28 +84,14 @@ def to_int_matrix(a):
 
 
 def _echelon(a):
-    """Row echelon form over Q.  Returns (rows, pivot column list)."""
-    rows = [[Fraction(x) for x in row] for row in a]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return rows, pivots
+    """Reduced row echelon form over Q: (nonzero rows, pivot columns),
+    ordered by pivot.  The rows of a are added to a ``RationalSpan``; the
+    reduced form is unique, so the order of addition does not matter."""
+    span = RationalSpan()
+    for row in a:
+        span.add(row)
+    order = sorted(range(span.dim), key=span.pivots.__getitem__)
+    return [span.rows[i] for i in order], [span.pivots[i] for i in order]
 
 
 def rank(a):
@@ -360,7 +347,7 @@ def is_reciprocal(coeffs):
 
 
 # ---------------------------------------------------------------------------
-# Incremental rational span (for Lie algebra closures etc.)
+# Incremental rational span (rank, solves and Lie algebra closures)
 
 
 class RationalSpan:

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import intlinalg as la
 from .homology import isotypical_W, kz_context, restrict, tautological_split
-from .origami import automorphisms, is_reduced, stratum
+from .origami import automorphisms, central_involution, is_reduced, stratum
 
 _LETTERS = ("T", "S", "t", "s")
 _QR_PERIOD = 20
@@ -115,21 +115,6 @@ class McEstimate:
         }
 
 
-def _central_involution(o):
-    """A deterministic choice of central involution among the deck
-    transformations (smallest image table wins)."""
-    auts = automorphisms(o)
-    candidates = []
-    for tau in auts:
-        if tau.is_identity() or not (tau * tau).is_identity():
-            continue
-        if all((tau * other).images == (other * tau).images for other in auts):
-            candidates.append(tau)
-    if not candidates:
-        raise ValueError("no central involution among the automorphisms")
-    return min(candidates, key=lambda t: t.images)
-
-
 def _subspace_steps(ctx, subspace):
     """Per-(node, letter) step matrices restricted to the chosen
     subspace, as numpy float arrays, plus the subspace dimension."""
@@ -145,7 +130,7 @@ def _subspace_steps(ctx, subspace):
         bases = {}
         for n in nodes:
             o = ctx.graph.nodes[n]
-            tau = _central_involution(o)
+            tau = central_involution(o)
             bases[n] = isotypical_W(ctx.homology(n), tau)
     else:
         raise ValueError("subspace must be one of: full, H1_zero, W")

@@ -281,6 +281,23 @@ def automorphisms(o):
     return out
 
 
+def central_involution(o):
+    """A deterministic choice of central involution among the deck
+    transformations: central in the whole automorphism group, smallest
+    image table wins."""
+    auts = automorphisms(o)
+    candidates = [
+        tau
+        for tau in auts
+        if not tau.is_identity()
+        and (tau * tau).is_identity()
+        and all((tau * other).images == (other * tau).images for other in auts)
+    ]
+    if not candidates:
+        raise ValueError("no central involution among the automorphisms")
+    return min(candidates, key=lambda t: t.images)
+
+
 def canonical_labelling(h, v):
     """The canonical labelling of a pair of 0-based image lists.
 

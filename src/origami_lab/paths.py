@@ -17,6 +17,10 @@ These paths also provide homology representatives: an R step at square i
 contributes the bottom edge sigma_i, a U step the left edge zeta_i (and
 L/D steps the corresponding negatives), via a homotopy pushing centers to
 bottom-left corners.
+
+The module serves the spin form phi (winding indices, self-crossings,
+the core loops of its consistency check) and the tests, which use signed
+crossings as the reference for the intersection form.
 """
 
 from __future__ import annotations
@@ -245,7 +249,7 @@ def self_crossings(o, path):
 
 
 # ---------------------------------------------------------------------------
-# Generating families of loops
+# Loop families
 
 
 def cycle_loops(o):
@@ -282,49 +286,3 @@ def pattern_loops(o, pattern):
     for cyc in w.cycles(include_fixed=True):
         loops.append(CenterPath(min(cyc), pattern * len(cyc)))
     return loops
-
-
-def _patterns(length):
-    """Non-backtracking step patterns of the given length, normalized to
-    start with R (rotation and reversal do not change the loop family up
-    to sign) and to be primitive (no shorter repeating block)."""
-    import itertools
-
-    out = []
-    for tail in itertools.product("RULD", repeat=length - 1):
-        pat = "R" + "".join(tail)
-        if any(b == _OPPOSITE[a] for a, b in zip(pat, pat[1:] + pat[0])):
-            continue
-        if any(
-            length % d == 0 and pat == pat[:d] * (length // d)
-            for d in range(1, length)
-        ):
-            continue
-        out.append(pat)
-    return out
-
-
-def generating_loops(o, rank_fn, target_rank, max_pattern=8):
-    """Grow a pool of loops (horizontal/vertical cycle loops, then loops
-    along step patterns of increasing length: staircases "RU", "RRU", ...
-    and mixed-direction patterns like "RURD") until ``rank_fn`` of their
-    homology classes reaches ``target_rank``.
-
-    ``rank_fn`` maps a list of edge chains to a rank (over Q or F2).
-    Returns the pool of CenterPaths.  Raises if the rank stalls.
-    """
-    pool = cycle_loops(o)
-    chains = [path_class_chain(o, p) for p in pool]
-    if rank_fn(chains) >= target_rank:
-        return pool
-    for length in range(2, max_pattern + 1):
-        for pat in _patterns(length):
-            for loop in pattern_loops(o, pat):
-                pool.append(loop)
-                chains.append(path_class_chain(o, loop))
-        if rank_fn(chains) >= target_rank:
-            return pool
-    raise AssertionError(
-        "loop families do not span homology (rank %d < %d)"
-        % (rank_fn(chains), target_rank)
-    )

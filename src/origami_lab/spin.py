@@ -13,6 +13,12 @@ ind is the winding index and D the number of transverse self-crossings
 under the deterministic perturbation of the crossing engine.  phi is a
 quadratic refinement of the mod-2 intersection pairing and its Arf
 invariant separates the even and odd spin components of a stratum.
+
+phi is evaluated on the 2g dual loops of the homology engine
+(``Homology.dual_loops``).  They are simple closed curves, so D = 0 and
+phi = ind + 1 (Johnson, J. London Math. Soc. 1980), and they form a
+Z-basis of H_1 whose mod-2 Gram matrix is read off the intersection
+form.
 """
 
 from __future__ import annotations
@@ -22,13 +28,7 @@ from dataclasses import dataclass
 from . import intlinalg as la
 from .homology import Homology
 from .origami import corner_permutation, genus, propagate_square_map, singularities, stratum
-from .paths import (
-    generating_loops,
-    path_class_chain,
-    reduce_path,
-    self_crossings,
-    winding_index,
-)
+from .paths import cycle_loops, path_class_chain, reduce_path, self_crossings, winding_index
 
 
 def phi_of_path(o, path):
@@ -37,22 +37,6 @@ def phi_of_path(o, path):
     if reduced is None:
         raise ValueError("path reduces to nothing")
     return (winding_index(o, reduced) + 1 + self_crossings(o, reduced)) % 2
-
-
-def f2_rank(vectors):
-    """Rank over F2 of a list of integer vectors."""
-    rows = [[x % 2 for x in v] for v in vectors]
-    pivots = []
-    rank_count = 0
-    for row in rows:
-        for p in pivots:
-            if row[p[0]]:
-                row = [(x + y) % 2 for x, y in zip(row, p[1])]
-        lead = next((i for i, x in enumerate(row) if x), None)
-        if lead is not None:
-            pivots.append((lead, row))
-            rank_count += 1
-    return rank_count
 
 
 @dataclass
@@ -136,89 +120,29 @@ def _quadratic_value(phi_basis, gram, support):
 
 
 def quadratic_form_data(o):
-    """Evaluate phi on a spanning loop family and package the result.
+    """phi on the dual loops of the homology engine, with their mod-2
+    intersection matrix.
 
-    The loop pool is grown until its classes span H_1 over F2; phi values
-    of the dependent loops are cross-checked against the quadratic
-    relation, so any representative-dependence of phi would be caught
-    here.
+    The dual loops are simple closed curves forming a Z-basis of H_1, so
+    phi = ind + 1 on each.  With D their coordinates and J = D^-1 the
+    intersection form, their Gram matrix is D^T J D = D^T.  As a check
+    that can fail, phi of every horizontal and vertical core loop must
+    equal the value the quadratic relation gives from its dual-loop
+    coordinates J x mod 2, x its basis coordinates.
     """
     orders = singularities(o)
     if any(k % 2 for k in orders):
         raise ValueError("spin structure requires all zero orders even")
     hom = Homology(o)
-    target = hom.rank
-
-    def rank_fn(chains):
-        return f2_rank(hom.project_many(chains))
-
-    pool = generating_loops(o, rank_fn, target)
-    coords = hom.project_many([path_class_chain(o, p) for p in pool])
-    phis = [phi_of_path(o, p) for p in pool]
-    # greedy F2-independent subset
-    chosen = []
-    rank_so_far = 0
-    for i in range(len(pool)):
-        if f2_rank([coords[j] for j in chosen] + [coords[i]]) > rank_so_far:
-            chosen.append(i)
-            rank_so_far += 1
-    if rank_so_far != target:
-        raise AssertionError("loop family does not span H_1 over F2")
-    basis = [coords[i] for i in chosen]
-    phi_basis = [phis[i] for i in chosen]
-    gram = [
-        [hom.pairing_in_basis(u, v) % 2 for v in basis]
-        for u in basis
-    ]
-    # consistency: dependent loops must satisfy the quadratic relation
-    b2 = [[x % 2 for x in v] for v in basis]
-    for i in range(len(pool)):
-        if i in chosen:
-            continue
-        sol = _solve_f2(b2, [x % 2 for x in coords[i]])
-        if sol is None:
-            raise AssertionError("basis extraction lost a class")
-        support = [j for j, c in enumerate(sol) if c]
-        if _quadratic_value(phi_basis, gram, support) != phis[i]:
-            raise AssertionError(
-                "phi is not well defined on homology classes (loop %d)" % i
-            )
-    return QuadraticFormData(
-        basis=basis, phi_values=phi_basis, intersection_mod2=gram
-    )
-
-
-def _solve_f2(basis_vectors, target):
-    """Express target as an F2 combination of basis_vectors (as columns);
-    returns the coefficient list or None."""
-    k = len(basis_vectors)
-    if k == 0:
-        return None
-    n = len(basis_vectors[0])
-    aug = [[basis_vectors[j][i] % 2 for j in range(k)] + [target[i] % 2] for i in range(n)]
-    pivots = []
-    r = 0
-    for c in range(k):
-        pr = next((i for i in range(r, n) if aug[i][c]), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        for i in range(n):
-            if i != r and aug[i][c]:
-                aug[i] = [(x + y) % 2 for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    sol = [0] * k
-    for row_idx, c in enumerate(pivots):
-        sol[c] = aug[row_idx][k]
-    for i in range(r, n):
-        if aug[i][k]:
-            return None
-    # verify
-    for i in range(n):
-        if sum(basis_vectors[j][i] * sol[j] for j in range(k)) % 2 != target[i] % 2:
-            return None
-    return sol
+    phis = [phi_of_path(o, p) for p in hom.dual_loops()]
+    basis = la.transpose(hom.dual_coords)
+    gram = [[x % 2 for x in row] for row in basis]
+    cores = cycle_loops(o)
+    for loop, x in zip(cores, hom.project_many([path_class_chain(o, p) for p in cores])):
+        support = [i for i, c in enumerate(la.mat_vec(hom.intersection, x)) if c % 2]
+        if _quadratic_value(phis, gram, support) != phi_of_path(o, loop):
+            raise AssertionError("phi is not well defined on homology classes (core loop %r)" % (loop,))
+    return QuadraticFormData(basis=basis, phi_values=phis, intersection_mod2=gram)
 
 
 def spin_parity(o):

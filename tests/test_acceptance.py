@@ -18,7 +18,7 @@ import pytest
 import sympy
 
 from origami_lab import intlinalg as la
-from origami_lab.covers import ingest_corpus, quaternionic_block_report
+from origami_lab.covers import quaternionic_block_report
 from origami_lab.galois import ReciprocalQuartic, is_irreducible, is_perfect_square
 from origami_lab.homology import (
     kz_context,
@@ -30,7 +30,7 @@ from origami_lab.homology import (
 )
 from origami_lab.lyapunov import ekz_sum, mc_exponents, w_exponent_from_sum
 from origami_lab.orbit import Sl2zWord, sl2z_orbit, sl2z_word, veech_generators
-from origami_lab.origami import Origami, canonical_form, genus, stratum
+from origami_lab.origami import Origami, canonical_form, genus, load_origami, stratum
 from origami_lab.perm import Permutation
 from origami_lab.simplicity import (
     NotFound,
@@ -72,7 +72,7 @@ def test_strata_and_genus_goldens():
         lt = fixture_origami("ltilde")
         assert str(stratum(lt)) == "H(5,5,5,5)"
         assert genus(lt) == 11
-        assert genus(ingest_corpus(fixture_path("z6_origami"))) == 147
+        assert genus(load_origami(fixture_path("z6_origami"))) == 147
 
 
 def test_spin_parities():
@@ -164,16 +164,14 @@ def test_lie_algebra_density():
 
 
 def test_quaternionic_isotypical_block():
-    # ambiguity in the deck action means mismatches are reported as
-    # diagnostics instead of failing the run
+    # the central involution and the deck lifts are chosen
+    # deterministically, so both targets must match every time
     report = quaternionic_block_report()
     assert report["dim_W"] == 12
-    if report["diagnostics"]:
-        for entry in report["diagnostics"]:
-            assert isinstance(entry, str) and entry
-    else:
-        assert all(t["ok"] for t in report["targets"])
-        assert report["span_dim_1_eigenspaces"] == 8
+    assert report["diagnostics"] == []
+    assert len(report["targets"]) == 2
+    assert all(t["ok"] for t in report["targets"])
+    assert report["span_dim_1_eigenspaces"] == 8
 
 
 def test_monte_carlo_zero_block_and_symmetry():

@@ -97,6 +97,19 @@ def test_kz_zero_charpoly(capsys):
     assert payload["subspace"] == "H1_zero"
 
 
+def test_consecutive_calls_share_one_parser(capsys):
+    # the parser is built once per process; the flags and subcommand of
+    # one call must not carry over into the next
+    assert cli.build_parser() is cli.build_parser()
+    zero = run_json(capsys, ["kz", fixture_path("dema"), "T8SSTTSS", "--zero"])
+    full = run_json(capsys, ["kz", fixture_path("dema"), "T8SSTTSS"])
+    assert zero["subspace"] == "H1_zero" and zero["charpoly"] == [1, -2, -30, -2, 1]
+    assert full["subspace"] == "full" and full["charpoly"] == [1, -108, 183, 3176, 183, -108, 1]
+    code, out, err = run(capsys, ["info", fixture_path("l3")])
+    assert code == 0 and "genus = 2" in out and not out.startswith("{")
+    assert run_json(capsys, ["spin", fixture_path("mstar")])["spin_parity"] == 1
+
+
 def test_kz_rejects_non_loop(capsys):
     code, out, err = run(capsys, ["kz", fixture_path("dema"), "T"])
     assert code == 1

@@ -10,7 +10,6 @@ from origami_lab.covers import (
     deck_transformation,
     ew_origami,
     group_cover,
-    ingest_corpus,
     l3_origami,
     ltilde_origami,
     mbar_star_origami,
@@ -25,6 +24,7 @@ from origami_lab.origami import (
     canonical_form,
     genus,
     is_reduced,
+    load_origami,
     stratum,
 )
 from origami_lab.perm import Permutation
@@ -140,7 +140,7 @@ def test_gauss_bonnet_consistency():
 
 
 def test_ingest_corpus_z6():
-    o = ingest_corpus(fixture_path("z6_origami"))
+    o = load_origami(fixture_path("z6_origami"))
     assert o.degree == 576
     assert genus(o) == 147
 
@@ -149,8 +149,8 @@ def test_ingest_corpus_errors(tmp_path):
     empty = tmp_path / "empty.txt"
     empty.write_text("")
     with pytest.raises(ValueError):
-        ingest_corpus(str(empty))
+        load_origami(str(empty))
     dup = tmp_path / "dup.txt"
     dup.write_text("h = (1,2)(2,3)\nv = (1,2,3)\n")
     with pytest.raises(ValueError, match="2"):
-        ingest_corpus(str(dup))
+        load_origami(str(dup))

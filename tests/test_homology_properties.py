@@ -10,7 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from origami_lab import intlinalg as la
-from origami_lab.homology import Homology
+from origami_lab.homology import Homology, KzContext
+from origami_lab.orbit import Sl2zWord
 from origami_lab.origami import Origami, genus
 from origami_lab.paths import cycle_loops, path_class_chain, pattern_loops, signed_crossings
 from origami_lab.perm import Permutation, is_transitive
@@ -60,3 +61,22 @@ def test_engine_on_random_origamis(o):
 @pytest.mark.parametrize("name", ("ltilde", "mbar_star_3"))
 def test_engine_on_covers(name):
     check_engine(fixture_origami(name))
+
+
+words = st.lists(st.sampled_from(("T", "S", "t", "s")), max_size=6)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(transitive_pairs(max_degree=7), words, words, st.integers(0, 10**6))
+def test_composition_law_on_random_orbits(o, u, v, start):
+    # word_matrix(uv) = word_matrix(u) word_matrix(v), with u applied at
+    # the node where v ends; the product is symplectic between the ends
+    ctx = KzContext(o)
+    node = start % len(ctx.graph.nodes)
+    middle, m_v = ctx.word_matrix(Sl2zWord(v), node)
+    end, m_u = ctx.word_matrix(Sl2zWord(u), middle)
+    end_uv, m_uv = ctx.word_matrix(Sl2zWord(u + v), node)
+    assert end_uv == end
+    assert la.mat_eq(m_uv, la.mat_mul(m_u, m_v))
+    j_end = ctx.homology(end).intersection
+    assert la.mat_eq(la.mat_mul(la.transpose(m_uv), la.mat_mul(j_end, m_uv)), ctx.homology(node).intersection)

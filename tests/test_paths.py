@@ -5,7 +5,6 @@ from origami_lab.paths import (
     CenterPath,
     cycle_loops,
     follow,
-    generating_loops,
     path_class_chain,
     pattern_loops,
     reduce_path,
@@ -14,8 +13,6 @@ from origami_lab.paths import (
     winding_index,
 )
 from origami_lab.perm import Permutation
-
-from conftest import fixture_origami
 
 
 def torus():
@@ -81,24 +78,3 @@ def test_pattern_loops_rejects_garbage(l3):
         pattern_loops(l3, "")
     with pytest.raises(ValueError):
         pattern_loops(l3, "RX")
-
-
-def test_generating_loops_span_homology():
-    for name in ("l3", "dema", "ew", "ltilde"):
-        o = fixture_origami(name)
-        from origami_lab.homology import Homology
-
-        hom = Homology(o)
-
-        def q_rank(chains):
-            from origami_lab import intlinalg as la
-
-            return la.rank(hom.project_many(chains)) if chains else 0
-
-        pool = generating_loops(o, q_rank, hom.rank)
-        assert q_rank([path_class_chain(o, p) for p in pool]) == hom.rank
-
-
-def test_generating_loops_raises_on_unreachable_rank(l3):
-    with pytest.raises(AssertionError):
-        generating_loops(l3, lambda chains: 0, 1, max_pattern=3)

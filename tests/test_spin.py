@@ -1,18 +1,148 @@
-import pytest
+"""Spin parity, hyperelliptic involutions and stratum components.
 
+The oracle for ``spin_parity`` is the loop-pool pipeline: phi is
+evaluated on a pool of loops grown until their classes span H_1 over F2
+(the horizontal and vertical core loops, then the loops along every
+non-backtracking step pattern of increasing length), an F2-independent
+subset is chosen greedily, phi of every other loop in the pool is checked
+against the quadratic relation, and the Arf invariant is taken on the
+chosen subset.
+"""
+
+import itertools
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from origami_lab import intlinalg as la
+from origami_lab import spin
+from origami_lab.homology import Homology
 from origami_lab.orbit import sl2z_orbit
 from origami_lab.origami import Origami, stratum
-from origami_lab.perm import Permutation, parse_cycles
+from origami_lab.paths import (
+    cycle_loops,
+    follow,
+    path_class_chain,
+    pattern_loops,
+    reduce_path,
+    self_crossings,
+    signed_crossings,
+)
+from origami_lab.perm import Permutation, is_transitive, parse_cycles
 from origami_lab.spin import (
+    QuadraticFormData,
     arf_from_data,
     component,
     hyperelliptic_involution,
     is_hyperelliptic,
+    phi_of_path,
     quadratic_form_data,
     spin_parity,
 )
 
 from conftest import fixture_origami
+
+ALL_EVEN_FIXTURES = (
+    "l3",
+    "mstar",
+    "mstarstar",
+    "mbar_star",
+    "mbar_star_3",
+    "mbar_star_5",
+    "mbar_star_7",
+    "dema",
+)
+
+
+# ---------------------------------------------------------------------------
+# The loop-pool oracle
+
+
+def step_patterns(length):
+    """Non-backtracking step patterns of the given length that start with
+    R and are primitive (no shorter repeating block)."""
+    opposite = {"R": "L", "L": "R", "U": "D", "D": "U"}
+    out = []
+    for tail in itertools.product("RULD", repeat=length - 1):
+        pat = "R" + "".join(tail)
+        if any(b == opposite[a] for a, b in zip(pat, pat[1:] + pat[0])):
+            continue
+        if any(length % d == 0 and pat == pat[:d] * (length // d) for d in range(1, length)):
+            continue
+        out.append(pat)
+    return out
+
+
+def f2_rank(vectors):
+    pivots = []
+    for v in vectors:
+        row = [x % 2 for x in v]
+        for lead, p in pivots:
+            if row[lead]:
+                row = [(x + y) % 2 for x, y in zip(row, p)]
+        lead = next((i for i, x in enumerate(row) if x), None)
+        if lead is not None:
+            pivots.append((lead, row))
+    return len(pivots)
+
+
+def solve_f2(columns, target):
+    """F2 coefficients expressing target in the given columns, or None."""
+    k, n = len(columns), len(target)
+    aug = [[columns[j][i] % 2 for j in range(k)] + [target[i] % 2] for i in range(n)]
+    pivots = []
+    r = 0
+    for c in range(k):
+        pr = next((i for i in range(r, n) if aug[i][c]), None)
+        if pr is None:
+            continue
+        aug[r], aug[pr] = aug[pr], aug[r]
+        for i in range(n):
+            if i != r and aug[i][c]:
+                aug[i] = [(x + y) % 2 for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+    if any(aug[i][k] for i in range(r, n)):
+        return None
+    sol = [0] * k
+    for row, c in enumerate(pivots):
+        sol[c] = aug[row][k]
+    return sol
+
+
+def oracle_quadratic_form_data(o, max_pattern=8):
+    hom = Homology(o)
+    pool = cycle_loops(o)
+    length = 1
+    while f2_rank(hom.project_many([path_class_chain(o, p) for p in pool])) < hom.rank:
+        length += 1
+        if length > max_pattern:
+            raise AssertionError("loop pool does not span H_1 over F2")
+        for pat in step_patterns(length):
+            pool.extend(pattern_loops(o, pat))
+    coords = hom.project_many([path_class_chain(o, p) for p in pool])
+    phis = [phi_of_path(o, p) for p in pool]
+    chosen = []
+    for i, c in enumerate(coords):
+        if f2_rank([coords[j] for j in chosen] + [c]) > len(chosen):
+            chosen.append(i)
+    basis = [coords[i] for i in chosen]
+    gram = [[hom.pairing_in_basis(u, v) % 2 for v in basis] for u in basis]
+    for i in range(len(pool)):
+        if i in chosen:
+            continue
+        sol = solve_f2(basis, coords[i])
+        assert sol is not None, "basis extraction lost a class"
+        support = [j for j, c in enumerate(sol) if c]
+        value = sum(phis[chosen[j]] for j in support)
+        value += sum(gram[a][b] for a, b in itertools.combinations(support, 2))
+        assert value % 2 == phis[i], "phi is not well defined on loop %d" % i
+    return QuadraticFormData(basis, [phis[i] for i in chosen], gram)
+
+
+def oracle_spin_parity(o):
+    return arf_from_data(oracle_quadratic_form_data(o))
 
 
 def test_spin_parity_goldens():
@@ -104,3 +234,79 @@ def test_torus_spin_trivial():
     torus = Origami(Permutation([1]), Permutation([1]))
     assert str(stratum(torus)) == "H()"
     assert spin_parity(torus) in (0, 1)
+
+
+# ---------------------------------------------------------------------------
+# Spin parity from the dual loops against the oracle
+
+
+@st.composite
+def even_genus_2_3_surfaces(draw):
+    """Random origamis in H(2), H(4) or H(2,2)."""
+    n = draw(st.integers(3, 7))
+    h = Permutation(draw(st.permutations(range(1, n + 1))))
+    v = Permutation(draw(st.permutations(range(1, n + 1))))
+    assume(is_transitive([h, v]))
+    o = Origami(h, v)
+    assume(str(stratum(o)) in ("H(2)", "H(4)", "H(2,2)"))
+    return o
+
+
+@pytest.mark.parametrize("name", ALL_EVEN_FIXTURES)
+def test_spin_parity_matches_pool_oracle_on_fixtures(name):
+    o = fixture_origami(name)
+    assert spin_parity(o) == oracle_spin_parity(o)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(even_genus_2_3_surfaces())
+def test_spin_parity_matches_pool_oracle_on_random(o):
+    assert spin_parity(o) == oracle_spin_parity(o)
+
+
+def check_dual_loops(o):
+    hom = Homology(o)
+    loops = hom.dual_loops()
+    assert len(loops) == hom.rank
+    for loop in loops:
+        follow(o, loop)  # raises unless closed
+        assert reduce_path(loop) == loop
+        assert self_crossings(o, loop) == 0
+    coords = hom.project_many([path_class_chain(o, p) for p in loops])
+    assert la.transpose(coords) == hom.dual_coords
+    assert la.det(coords) in (1, -1)
+    # the Gram matrix of the dual loops is D^T, by the crossing engine
+    for a, loop_a in enumerate(loops):
+        for b, loop_b in enumerate(loops):
+            assert signed_crossings(o, loop_a, loop_b) == hom.dual_coords[b][a]
+
+
+@pytest.mark.parametrize("name", ("l3", "dema", "ew", "mstar", "mbar_star_3"))
+def test_dual_loops_are_a_simple_basis(name):
+    check_dual_loops(fixture_origami(name))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(even_genus_2_3_surfaces())
+def test_dual_loops_on_random(o):
+    check_dual_loops(o)
+
+
+def test_quadratic_form_check_catches_a_wrong_phi(monkeypatch):
+    # flip phi on one dual loop that some core loop's class involves: the
+    # quadratic relation on that core loop must then fail
+    o = fixture_origami("mstar")
+    hom = Homology(o)
+    cores = cycle_loops(o)
+    core_coords = hom.project_many([path_class_chain(o, p) for p in cores])
+    involved = {
+        i
+        for x in core_coords
+        for i, c in enumerate(la.mat_vec(hom.intersection, x))
+        if c % 2
+    }
+    wrong = hom.dual_loops()[min(involved)]
+    real_phi = spin.phi_of_path
+    monkeypatch.setattr(spin, "phi_of_path", lambda o, p: real_phi(o, p) ^ (p == wrong))
+    with pytest.raises(AssertionError, match="not well defined"):
+        quadratic_form_data(o)
