@@ -25,7 +25,7 @@ from .covers import (
     trivial_group,
 )
 from .galois import is_galois_pinching_sl2, is_galois_pinching_sp4
-from .homology import kz_matrix, restrict, tautological_split, Homology
+from .homology import kz_matrix
 from .lyapunov import ekz_sum, mc_exponents, w_exponent_from_sum
 from .orbit import sl2z_orbit, stabilizer_words
 from .origami import (
@@ -118,26 +118,25 @@ def _cmd_component(args):
 
 def _cmd_kz(args):
     o = load_origami(args.origami)
-    cm = kz_matrix(o, args.word)
+    subspace = "H1_zero" if args.zero else "full"
+    cm = kz_matrix(o, args.word, subspace)
     mat = [list(r) for r in cm.matrix]
-    if args.zero:
-        _taut, zero = tautological_split(Homology(cm.source))
-        mat = restrict(mat, zero, zero)
     cp = la.charpoly(mat)
     payload = {
         "word": str(cm.word),
-        "subspace": "H1_zero" if args.zero else "full",
+        "subspace": subspace,
         "matrix": mat,
         "charpoly": cp,
-        "ambiguous": len(cm.ambiguity) > 1,
+        "ambiguous": bool(cm.ambiguity),
     }
     lines = ["word = %s" % cm.word]
     lines += ["  ".join("%6d" % x for x in row) for row in mat]
     lines.append("charpoly = %s" % cp)
-    if len(cm.ambiguity) > 1:
+    if cm.ambiguity:
+        # the ambiguity matrices leave out the identity
         lines.append(
             "note: %d deck transformations; matrix defined up to their action"
-            % len(cm.ambiguity)
+            % (len(cm.ambiguity) + 1)
         )
     _emit(args, payload, lines)
     return 0

@@ -284,20 +284,15 @@ def quaternionic_block_report():
     failures are reported in the diagnostics rather than raised.
     """
     from . import intlinalg as la
-    from .homology import isotypical_W, kz_context, restrict
+    from .homology import kz_context
     from .orbit import sl2z_word
-    from .origami import central_involution
 
     lt = ltilde_origami()
     ctx = kz_context(lt)
     base = ctx.graph.basepoint
-    hom = ctx.homology(base)
-    w_basis = isotypical_W(hom, central_involution(ctx.graph.nodes[base]))
-    report = {"dim_W": len(w_basis), "targets": [], "span_dim_1_eigenspaces": None, "diagnostics": []}
-
-    aut_w = [la.identity_matrix(len(w_basis))]
-    for m in ctx.aut_matrices(base):
-        aut_w.append(restrict([list(r) for r in m], w_basis))
+    dim_w = len(ctx.basis(base, "W"))
+    report = {"dim_W": dim_w, "targets": [], "span_dim_1_eigenspaces": None, "diagnostics": []}
+    aut_w = [la.identity_matrix(dim_w)] + list(ctx.aut_matrices(base, "W"))
 
     def poly_mul(p, q):
         out = [0] * (len(p) + len(q) - 1)
@@ -319,14 +314,13 @@ def quaternionic_block_report():
     for mat2, want in expected.items():
         entry = {"linear_part": [list(r) for r in mat2], "ok": False}
         word = sl2z_word(mat2)
-        end, total = ctx.word_matrix(word)
+        end, mw = ctx.word_matrix(word, subspace="W")
         if end != base:
             report["diagnostics"].append(
                 "linear part %r does not stabilize the surface" % (mat2,)
             )
             report["targets"].append(entry)
             continue
-        mw = restrict(total, w_basis)
         matched = None
         tried = []
         for g in aut_w:

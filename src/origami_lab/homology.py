@@ -17,8 +17,12 @@ e* + (C-path) through square centers.  Coordinates of a cycle are read off
 the leftover edges after peeling squares along C; the intersection form
 follows from the crossings of basis loops with dual loops.
 
-All arithmetic in this module is exact (integers and fractions); no
-floating point anywhere.
+Cocycle matrices are restricted to an invariant sublattice (the
+zero-holonomy part, or the isotypical block W of a central involution) by
+an integer left inverse of its basis, with exact divisibility checks;
+``KzContext`` holds these bases per orbit node.  All arithmetic in this
+module is exact (integers, and fractions only for unipotent logarithms and
+Lie closures); no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import intlinalg as la
-from .origami import automorphisms, canonical_form, corner_permutation, genus
+from .origami import automorphisms, canonical_form, central_involution, corner_permutation, genus
 from .orbit import Sl2zWord, sl2z_orbit
 from .paths import CenterPath
 
@@ -229,10 +233,10 @@ class Homology:
             chains.append(chain)
         coords = self.project_many(chains)
         d = [[coords[b][r] for b in range(self.rank)] for r in range(self.rank)]
-        j = la.invert(d)
-        if not la.is_integral(j):
+        num, den = la.int_inverse(d)
+        if any(x % den for row in num for x in row):
             raise AssertionError("intersection form came out non-integral")
-        j = la.to_int_matrix(j)
+        j = [[x // den for x in row] for row in num]
         if any(j[a][b] != -j[b][a] for a in range(self.rank) for b in range(self.rank)):
             raise AssertionError("intersection form must be skew")
         return d, j
@@ -313,7 +317,7 @@ class CocycleMatrix:
     source: object  # canonical Origami
     target: object
     word: Sl2zWord
-    ambiguity: tuple = ()  # automorphism action matrices when Aut nontrivial
+    ambiguity: tuple = ()  # nontrivial deck matrices, on the matrix's subspace
 
     def to_json(self):
         return {
@@ -365,13 +369,23 @@ def _edge_map(o, letter, relabel, n):
     return f, cell
 
 
+_SUBSPACES = ("full", "H1_zero", "W")
+
+
 class KzContext:
-    """Cached orbit graph, per-node homology and per-edge step matrices for
-    one SL(2,Z)-orbit."""
+    """Cached orbit graph, per-node homology, subspace bases and per-edge
+    step matrices for one SL(2,Z)-orbit.
+
+    A ``subspace`` is one of "full" (H_1 itself), "H1_zero" (the
+    zero-holonomy part, from ``tautological_split``) or "W" (the
+    (-1)-eigenspace of the node's central involution, from
+    ``isotypical_W``); matrices on it are in the basis ``basis`` returns
+    at each end."""
 
     def __init__(self, o):
         self.graph = sl2z_orbit(o)
         self._homology = {}
+        self._bases = {}
         self._steps = {}
         self._aut_matrices = {}
 
@@ -380,11 +394,50 @@ class KzContext:
             self._homology[node] = Homology(self.graph.nodes[node])
         return self._homology[node]
 
-    def step(self, node, letter):
+    def basis(self, node, subspace):
+        """Integral basis of a subspace at a node, as columns of H_1
+        coordinates."""
+        return self._lattice(node, subspace)[0]
+
+    def _lattice(self, node, subspace):
+        """(basis columns, Z, N, d): Z has the basis as columns and N / d is
+        its left inverse; computed once per node and subspace."""
+        if subspace not in _SUBSPACES:
+            raise ValueError("subspace must be one of: %s" % ", ".join(_SUBSPACES))
+        key = (node, subspace)
+        if key not in self._bases:
+            hom = self.homology(node)
+            if subspace == "full":
+                cols = la.identity_matrix(hom.rank)
+            elif subspace == "H1_zero":
+                cols = tautological_split(hom)[1]
+            else:
+                cols = isotypical_W(hom, central_involution(self.graph.nodes[node]))
+            self._bases[key] = (cols, *_left_inverse(cols, hom.rank))
+        return self._bases[key]
+
+    def _on_subspace(self, m, source, target, subspace):
+        """A matrix H1(source) -> H1(target) on the subspace at both ends."""
+        if subspace == "full":
+            return m
+        z_source = self._lattice(source, subspace)[1]
+        _cols, z_target, n, d = self._lattice(target, subspace)
+        return _restrict(m, z_source, z_target, n, d)
+
+    def step(self, node, letter, subspace="full"):
+        """(target node, integer matrix of the letter from node to target
+        on the subspace), cached per (node, letter, subspace)."""
+        key = (node, letter, subspace)
+        if key not in self._steps:
+            if subspace == "full":
+                self._steps[key] = self._homology_step(node, letter)
+            else:
+                target, m = self.step(node, letter)
+                self._steps[key] = (target, self._on_subspace(m, node, target, subspace))
+        return self._steps[key]
+
+    def _homology_step(self, node, letter):
         """(target node, integer matrix H1(node) -> H1(target))."""
-        key = (node, letter)
-        if key in self._steps:
-            return self._steps[key]
         src = self.graph.nodes[node]
         target_node, relabel = self.graph.edges[node][letter]
         n = src.degree
@@ -410,36 +463,36 @@ class KzContext:
         mt = la.transpose(m)
         if not la.mat_eq(la.mat_mul(mt, la.mat_mul(ht.intersection, m)), hs.intersection):
             raise AssertionError("step matrix is not symplectic")
-        self._steps[key] = (target_node, m)
-        return self._steps[key]
+        return target_node, m
 
-    def aut_matrices(self, node):
-        """H_1 action matrices of the deck transformations of a node."""
-        if node not in self._aut_matrices:
-            hom = self.homology(node)
-            self._aut_matrices[node] = tuple(
-                tuple(tuple(row) for row in hom.action_matrix(tau))
-                for tau in automorphisms(self.graph.nodes[node])
-                if not tau.is_identity()
-            )
-        return self._aut_matrices[node]
+    def aut_matrices(self, node, subspace="full"):
+        """Action matrices of the nontrivial deck transformations of a
+        node on the subspace."""
+        key = (node, subspace)
+        if key not in self._aut_matrices:
+            if subspace == "full":
+                hom = self.homology(node)
+                mats = [
+                    hom.action_matrix(tau)
+                    for tau in automorphisms(self.graph.nodes[node])
+                    if not tau.is_identity()
+                ]
+            else:
+                mats = [self._on_subspace(m, node, node, subspace) for m in self.aut_matrices(node)]
+            self._aut_matrices[key] = tuple(tuple(tuple(row) for row in m) for m in mats)
+        return self._aut_matrices[key]
 
-    def word_matrix(self, word, start=None):
-        """(end node, accumulated H1 matrix) for a word applied at a node;
-        letters act right to left."""
-        node = self.graph.basepoint if start is None else start
-        return walk_word(self.step, node, word, self.homology(node).rank)
-
-
-def walk_word(step, node, word, dim):
-    """(end node, product of the step matrices) for a word applied at a
-    node; letters act right to left, ``step(node, letter)`` returns
-    (target node, dim x dim matrix)."""
-    total = la.identity_matrix(dim)
-    for letter in reversed(word.letters):
-        node, m = step(node, letter)
-        total = la.mat_mul(m, total)
-    return node, total
+    def word_matrix(self, word, start=None, subspace="full"):
+        """(end node, matrix of the word on the subspace) for a word applied
+        at a node; letters act right to left.  The product is formed on H_1
+        and restricted once, between the subspaces at its two ends."""
+        start = self.graph.basepoint if start is None else start
+        node = start
+        total = la.identity_matrix(self.homology(start).rank)
+        for letter in reversed(word.letters):
+            node, m = self.step(node, letter)
+            total = la.mat_mul(m, total)
+        return node, self._on_subspace(total, start, node, subspace)
 
 
 _context_cache = {}
@@ -452,18 +505,18 @@ def kz_context(o):
     return _context_cache[canon]
 
 
-def kz_matrix(o, word):
+def kz_matrix(o, word, subspace="full"):
     """The Kontsevich-Zorich cocycle matrix of a word stabilizing the
-    canonical form of ``o``.
+    canonical form of ``o``, on a subspace ("full", "H1_zero" or "W").
 
     If the origami has nontrivial deck transformations the matrix is only
     well-defined up to left composition with the listed ambiguity
-    matrices.
+    matrices, given on the same subspace.
     """
     if not isinstance(word, Sl2zWord):
         word = Sl2zWord.parse(word)
     ctx = kz_context(o)
-    end, total = ctx.word_matrix(word)
+    end, total = ctx.word_matrix(word, subspace=subspace)
     if end != ctx.graph.basepoint:
         raise ValueError("word %s does not return to the basepoint" % word)
     return CocycleMatrix(
@@ -471,8 +524,29 @@ def kz_matrix(o, word):
         source=ctx.graph.nodes[ctx.graph.basepoint],
         target=ctx.graph.nodes[end],
         word=word,
-        ambiguity=ctx.aut_matrices(ctx.graph.basepoint),
+        ambiguity=ctx.aut_matrices(ctx.graph.basepoint, subspace),
     )
+
+
+def _left_inverse(cols, dim):
+    """(Z, N, d) for basis columns of length ``dim``: Z is the dim x k
+    matrix with those columns and N / d = (Z^T Z)^-1 Z^T, N integral."""
+    z = [[col[i] for col in cols] for i in range(dim)]
+    num, d = la.int_inverse(la.mat_mul(cols, z))
+    return z, la.mat_mul(num, cols), d
+
+
+def _restrict(m, z_source, z_target, n, d):
+    """R with M Z_s = Z_t R, as N M Z_s / d for the left inverse N / d of
+    Z_t, after checking that Z_t (N M Z_s) = d M Z_s (M Z_s lies in the
+    span of Z_t) and that d divides N M Z_s (R is integral)."""
+    img = la.mat_mul(m, z_source)
+    x = la.mat_mul(n, img)
+    if not la.mat_eq(la.mat_mul(z_target, x), la.mat_scale(d, img)):
+        raise ValueError("subspace is not invariant under the map")
+    if any(v % d for row in x for v in row):
+        raise ValueError("restriction is not integral on the given lattice basis")
+    return [[v // d for v in row] for row in x]
 
 
 def restrict(m, sub_source, sub_target=None):
@@ -483,18 +557,9 @@ def restrict(m, sub_source, sub_target=None):
     @ R and must be integral."""
     if sub_target is None:
         sub_target = sub_source
-    mat = [list(r) for r in (m.matrix if isinstance(m, CocycleMatrix) else m)]
-    src = [[col[i] for col in sub_source] for i in range(len(mat[0]))]
-    tgt = [[col[i] for col in sub_target] for i in range(len(mat))]
-    img = la.mat_mul(mat, src)
-    sol = la.solve_right(tgt, img)
-    if sol is None:
-        raise ValueError("subspace is not invariant under the map")
-    if not la.mat_eq(la.mat_mul(tgt, sol), img):
-        raise ValueError("subspace is not invariant under the map")
-    if not la.is_integral(sol):
-        raise ValueError("restriction is not integral on the given lattice basis")
-    return la.to_int_matrix(sol)
+    mat = m.matrix if isinstance(m, CocycleMatrix) else m
+    z_source = [[col[i] for col in sub_source] for i in range(len(mat[0]))]
+    return _restrict(mat, z_source, *_left_inverse(sub_target, len(mat)))
 
 
 def isotypical_W(o, tau):

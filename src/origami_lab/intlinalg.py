@@ -4,15 +4,16 @@ Exact integer and rational linear algebra.
 Matrices are lists of lists (row major) over ``int`` or
 ``fractions.Fraction``; nothing here ever touches floating point.  This is
 the substrate for integral homology (Smith normal form, saturated kernels)
-and for the exact cocycle computations (rational solves, characteristic
+and for the exact cocycle computations (integer inverses, characteristic
 polynomials, Lie brackets).
 
 The determinant, the inverse and the characteristic polynomial run in
-integers: ``det`` and ``invert`` by Bareiss fraction-free elimination,
-whose divisions are all exact, after scaling rational rows to integers;
+integers: ``det`` and ``int_inverse`` by Bareiss fraction-free
+elimination, whose divisions are all exact, after scaling rational rows to
+integers; ``invert`` is the ``Fraction`` form of ``int_inverse``;
 ``charpoly`` by Berkowitz's division-free recursion, which serves int and
-Fraction input alike.  Rank, solves and spans share one rational
-elimination, ``RationalSpan``.
+Fraction input alike.  There is no rational solve: rank and spans share one
+rational elimination, ``RationalSpan``.
 """
 
 from __future__ import annotations
@@ -69,58 +70,16 @@ def bracket(a, b):
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
-def is_integral(a):
-    return all(Fraction(x).denominator == 1 for row in a for x in row)
-
-
-def to_int_matrix(a):
-    if not is_integral(a):
-        raise ValueError("matrix is not integral")
-    return [[int(x) for x in row] for row in a]
-
-
 # ---------------------------------------------------------------------------
-# Gaussian elimination over the rationals
-
-
-def _echelon(a):
-    """Reduced row echelon form over Q: (nonzero rows, pivot columns),
-    ordered by pivot.  The rows of a are added to a ``RationalSpan``; the
-    reduced form is unique, so the order of addition does not matter."""
-    span = RationalSpan()
-    for row in a:
-        span.add(row)
-    order = sorted(range(span.dim), key=span.pivots.__getitem__)
-    return [span.rows[i] for i in order], [span.pivots[i] for i in order]
+# Rank over the rationals
 
 
 def rank(a):
-    if not a or not a[0]:
-        return 0
-    return len(_echelon(a)[1])
-
-
-def solve_right(a, b):
-    """Solve a @ x = b over Q for each column of b.
-
-    ``b`` may be a vector or a matrix of columns.  Returns the solution
-    (particular, via the pivot columns) or None if inconsistent.
-    """
-    vector_input = b and not isinstance(b[0], (list, tuple))
-    bm = [[x] for x in b] if vector_input else b
-    m = len(a)
-    n = len(a[0]) if m else 0
-    k = len(bm[0])
-    aug = [list(a[i]) + list(bm[i]) for i in range(m)]
-    rows, pivots = _echelon(aug)
-    pivots_a = [c for c in pivots if c < n]
-    if len(pivots_a) != len(pivots):
-        return None  # a pivot in the augmented part: inconsistent
-    x = [[Fraction(0)] * k for _ in range(n)]
-    for r, c in enumerate(pivots_a):
-        for j in range(k):
-            x[c][j] = rows[r][n + j]
-    return [row[0] for row in x] if vector_input else x
+    """Rank over Q: the dimension of the ``RationalSpan`` of the rows."""
+    span = RationalSpan()
+    for row in a:
+        span.add(row)
+    return span.dim
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +229,9 @@ def _bareiss_step(rows, k, prev):
     return out
 
 
-def invert(a):
-    """Exact inverse as a matrix of Fractions.
+def int_inverse(a):
+    """Exact inverse as integers: (numerators, d) with a^-1 = numerators / d
+    and d a nonzero int.
 
     Fraction-free Gauss-Jordan on [B | I] with B = diag(s) a integral:
     after n Bareiss steps the right half is d B^-1 with d the last pivot,
@@ -287,7 +247,13 @@ def invert(a):
             raise ValueError("matrix is singular")
         rows[k], rows[pr] = rows[pr], rows[k]
         prev, rows = rows[k][0], _bareiss_step(rows, k, prev)
-    return [[Fraction(x * s, prev) for x, s in zip(row, scales)] for row in rows]
+    return [[x * s for x, s in zip(row, scales)] for row in rows], prev
+
+
+def invert(a):
+    """Exact inverse as a matrix of Fractions."""
+    num, d = int_inverse(a)
+    return [[Fraction(x, d) for x in row] for row in num]
 
 
 def det(a):
@@ -347,7 +313,7 @@ def is_reciprocal(coeffs):
 
 
 # ---------------------------------------------------------------------------
-# Incremental rational span (rank, solves and Lie algebra closures)
+# Incremental rational span (rank and Lie algebra closures)
 
 
 class RationalSpan:

@@ -28,9 +28,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import intlinalg as la
-from .homology import isotypical_W, kz_context, restrict, tautological_split
-from .origami import automorphisms, central_involution, is_reduced, stratum
+from .homology import kz_context
+from .origami import automorphisms, is_reduced, stratum
 
 _LETTERS = ("T", "S", "t", "s")
 _QR_PERIOD = 20
@@ -116,37 +115,14 @@ class McEstimate:
 
 
 def _subspace_steps(ctx, subspace):
-    """Per-(node, letter) step matrices restricted to the chosen
-    subspace, as numpy float arrays, plus the subspace dimension."""
-    nodes = range(len(ctx.graph.nodes))
-    if subspace == "full":
-        bases = {n: None for n in nodes}
-    elif subspace == "H1_zero":
-        bases = {}
-        for n in nodes:
-            _st, zero = tautological_split(ctx.homology(n))
-            bases[n] = zero
-    elif subspace == "W":
-        bases = {}
-        for n in nodes:
-            o = ctx.graph.nodes[n]
-            tau = central_involution(o)
-            bases[n] = isotypical_W(ctx.homology(n), tau)
-    else:
-        raise ValueError("subspace must be one of: full, H1_zero, W")
+    """Per-(node, letter) step matrices on the chosen subspace, as numpy
+    float arrays, plus the subspace dimension."""
     steps = {}
-    dim = None
-    for n in nodes:
+    for n in range(len(ctx.graph.nodes)):
         for letter in _LETTERS:
-            target, m = ctx.step(n, letter)
-            if bases[n] is None:
-                r = [list(row) for row in m]
-            else:
-                r = restrict(m, bases[n], bases[target])
-            if dim is None:
-                dim = len(r)
-            steps[(n, letter)] = (target, np.array(r, dtype=float))
-    return steps, dim
+            target, m = ctx.step(n, letter, subspace)
+            steps[(n, letter)] = (target, np.array(m, dtype=float))
+    return steps, len(steps[(ctx.graph.basepoint, "T")][1])
 
 
 def mc_exponents(o, subspace="full", steps=10000, trials=10, seed=None):

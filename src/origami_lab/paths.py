@@ -6,12 +6,14 @@ A CenterPath walks from square center to square center with steps R
 paths avoid the singular points, so winding indices and transverse
 crossing counts are well defined once the strands are put in general
 position.  The perturbation scheme is deterministic: every edge crossing
-event gets a distinct coordinate along its edge, ordered by traversal
+event gets a distinct integer rank along its edge, ordered by traversal
 time (earlier events sit closer to the bottom / left end), and within
-each square a traversal becomes a chord of the boundary circle
-parametrized counterclockwise as bottom [0,1), right [1,2), top [2,3),
-left [3,4).  Chords cross iff their endpoints interleave; the sign is the
-orientation of the tangent frame at the crossing.
+each square a traversal becomes a chord of the boundary circle, whose four
+sides of integer length L (more than any edge's event count) run
+counterclockwise as bottom [0,L), right [L,2L), top [2L,3L), left
+[3L,4L).  Chords cross iff their endpoints interleave; the sign is the
+orientation of the tangent frame at the crossing.  Every coordinate is an
+integer, so the crossing counts are exact.
 
 These paths also provide homology representatives: an R step at square i
 contributes the bottom edge sigma_i, a U step the left edge zeta_i (and
@@ -136,11 +138,11 @@ def winding_index(o, path):
 def _chords(o, paths):
     """All square traversals of the given paths as boundary-circle chords.
 
-    Returns {square: [(entry coord, exit coord, path index)]}.  Circle
-    coordinates: bottom side [0,1) left to right, right side [1,2) bottom
-    to top, top side [2,3) right to left, left side [3,4) top to bottom.
+    Returns {square: [(entry coord, exit coord, path index)]}.  Integer
+    circle coordinates, with L the side length: bottom side [0,L) left to
+    right, right side [L,2L) bottom to top, top side [2L,3L) right to left,
+    left side [3L,4L) top to bottom.
     """
-    hi = {}
     events = {}  # edge key -> list of (path index, step index)
     per_path = []
     for pi, path in enumerate(paths):
@@ -156,12 +158,14 @@ def _chords(o, paths):
             else:  # D
                 key = ("sigma", sq)
             events.setdefault(key, []).append((pi, j))
-    # distinct coordinates along each edge, earlier events nearer 0
+    # distinct coordinates 1..len(evs) along each edge, earlier events
+    # nearer 0, all below the side length
     coord = {}
     for key, evs in events.items():
         evs.sort()
         for rank, ev in enumerate(evs):
-            coord[(key, ev)] = (rank + 1) / (len(evs) + 1)
+            coord[(key, ev)] = rank + 1
+    side = 1 + max(map(len, events.values()), default=0)
     chords = {}
     for pi, path in enumerate(paths):
         squares = per_path[pi]
@@ -176,25 +180,25 @@ def _chords(o, paths):
             # boundary of this square
             if st_in == "R":  # entered through the left side
                 y = coord[(("zeta", sq), ev_in)]
-                a = 4 - y
+                a = 4 * side - y
             elif st_in == "L":  # entered through the right side
                 y = coord[(("zeta", o.h(sq)), ev_in)]
-                a = 1 + y
+                a = side + y
             elif st_in == "U":  # entered through the bottom
                 x = coord[(("sigma", sq), ev_in)]
                 a = x
             else:  # st_in == "D": entered through the top
                 x = coord[(("sigma", o.v(sq)), ev_in)]
-                a = 3 - x
+                a = 3 * side - x
             if st_out == "R":  # exits through the right side
                 y = coord[(("zeta", o.h(sq)), ev_out)]
-                b = 1 + y
+                b = side + y
             elif st_out == "L":
                 y = coord[(("zeta", sq), ev_out)]
-                b = 4 - y
+                b = 4 * side - y
             elif st_out == "U":  # exits through the top
                 x = coord[(("sigma", o.v(sq)), ev_out)]
-                b = 3 - x
+                b = 3 * side - x
             else:  # D: exits through the bottom
                 x = coord[(("sigma", sq), ev_out)]
                 b = x

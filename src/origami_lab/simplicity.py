@@ -25,7 +25,7 @@ from typing import Optional
 
 from . import intlinalg as la
 from .galois import is_galois_pinching_sp4
-from .homology import Homology, kz_context, restrict, tautological_split, walk_word
+from .homology import Homology, kz_context
 from .origami import Origami, automorphisms, canonical_form, genus, is_reduced
 from .orbit import Sl2zWord, apply_letter_raw, spanning_tree
 
@@ -77,32 +77,12 @@ def parabolic_word(o, direction="horizontal"):
             raise AssertionError("parabolic never returned to the basepoint")
 
 
-def _zero_context(ctx):
-    """Per-node zero-holonomy bases and per-edge restricted step
-    matrices for an orbit context."""
-    zero = {}
-    for node in range(len(ctx.graph.nodes)):
-        _st, z = tautological_split(ctx.homology(node))
-        zero[node] = z
-    steps = {}
-    for node in range(len(ctx.graph.nodes)):
-        for letter in _LETTER_ORDER:
-            target, m = ctx.step(node, letter)
-            steps[(node, letter)] = (target, restrict(m, zero[node], zero[target]))
-    return zero, steps
-
-
-def _zero_form(hom, zero):
-    """Intersection form restricted to the zero-holonomy basis."""
-    j = hom.intersection
-    k = len(zero)
-    return [
-        [
-            sum(zero[a][r] * j[r][s] * zero[b][s] for r in range(hom.rank) for s in range(hom.rank))
-            for b in range(k)
-        ]
-        for a in range(k)
-    ]
+def _zero_form(ctx):
+    """Intersection form Z J Z^T on the zero-holonomy basis Z (one basis
+    vector per row) at the basepoint."""
+    base = ctx.graph.basepoint
+    zero = ctx.basis(base, "H1_zero")
+    return la.mat_mul(zero, la.mat_mul(ctx.homology(base).intersection, la.transpose(zero)))
 
 
 @dataclass
@@ -177,9 +157,7 @@ def find_pinching_word(o, search_depth):
     """
     ctx = kz_context(o)
     base = ctx.graph.basepoint
-    _zero, steps = _zero_context(ctx)
-    dim = len(steps[(base, "T")][1])
-    ident = la.identity_matrix(dim)
+    ident = la.identity_matrix(len(ctx.basis(base, "H1_zero")))
 
     for depth in range(1, search_depth + 1):
         stack = [(base, ident, ())]
@@ -198,7 +176,7 @@ def find_pinching_word(o, search_depth):
             for letter in reversed(_LETTER_ORDER):
                 if letters and _INVERSE[letters[-1]] == letter:
                     continue
-                target, step = steps[(node, letter)]
+                target, step = ctx.step(node, letter, "H1_zero")
                 # letters act right to left: appending a letter means
                 # multiplying on the left by the new step applied last;
                 # enumerate words whose application order is left to
@@ -241,11 +219,10 @@ def _image_is_lagrangian(b, form, g):
 
 def _unipotent_witness(ctx, g):
     base = ctx.graph.basepoint
-    zero, steps = _zero_context(ctx)
-    form = _zero_form(ctx.homology(base), zero[base])
+    form = _zero_form(ctx)
     for direction in ("horizontal", "vertical"):
         word = parabolic_word(ctx.graph.nodes[base], direction)
-        node, mat = walk_word(lambda n, l: steps[n, l], base, word, len(zero[base]))
+        node, mat = ctx.word_matrix(word, subspace="H1_zero")
         if node != base:
             raise AssertionError("parabolic word did not close up")
         if la.mat_eq(mat, la.identity_matrix(len(mat))):
@@ -315,12 +292,7 @@ def verify_certificate(cert):
         canon = canonical_form(o).origami
         ctx = kz_context(canon)
         base = ctx.graph.basepoint
-        zero, steps = _zero_context(ctx)
-
-        def word_zero_matrix(word):
-            return walk_word(lambda n, l: steps[n, l], base, word, len(zero[base]))
-
-        node, mat = word_zero_matrix(cert.pinching_word)
+        node, mat = ctx.word_matrix(cert.pinching_word, subspace="H1_zero")
         if node != base:
             return False
         report = is_galois_pinching_sp4(mat)
@@ -343,11 +315,10 @@ def verify_certificate(cert):
             dim_e = cylinder_span_dim(canon, w.direction if len(w.direction) else None)
             return dim_e == w.dim_e and 1 < dim_e < g
         if isinstance(w, UnipotentWitness):
-            node, mat = word_zero_matrix(w.word)
+            node, mat = ctx.word_matrix(w.word, subspace="H1_zero")
             if node != base or la.mat_eq(mat, la.identity_matrix(len(mat))):
                 return False
-            form = _zero_form(ctx.homology(base), zero[base])
-            rank, isotropic, lagrangian = _image_is_lagrangian(mat, form, g)
+            rank, isotropic, lagrangian = _image_is_lagrangian(mat, _zero_form(ctx), g)
             if rank != w.rank_b_minus_id or isotropic != w.isotropic:
                 return False
             return not lagrangian

@@ -110,6 +110,25 @@ def test_consecutive_calls_share_one_parser(capsys):
     assert run_json(capsys, ["spin", fixture_path("mstar")])["spin_parity"] == 1
 
 
+def test_kz_reports_a_single_nontrivial_deck_transformation(capsys, tmp_path):
+    # Aut = {id, (1,3)(2,4)}: one nontrivial deck transformation is
+    # already an ambiguity, and the note counts the identity too
+    f = tmp_path / "two.txt"
+    f.write_text("n = 4\nh = (1,2)(3,4)\nv = (2,3)\n")
+    assert run_json(capsys, ["info", str(f)])["automorphisms"] == 2
+    for zero in ([], ["--zero"]):
+        payload = run_json(capsys, ["kz", str(f), "TT"] + zero)
+        assert payload["ambiguous"] is True
+        code, out, err = run(capsys, ["kz", str(f), "TT"] + zero)
+        assert code == 0
+        assert "note: 2 deck transformations" in out
+    assert run_json(capsys, ["info", fixture_path("ltilde")])["automorphisms"] == 8
+    code, out, err = run(capsys, ["kz", fixture_path("ltilde"), "sTTS", "--zero"])
+    assert code == 0 and "note: 8 deck transformations" in out
+    code, out, err = run(capsys, ["kz", fixture_path("dema"), "T8SSTTSS"])
+    assert code == 0 and "note:" not in out
+
+
 def test_kz_rejects_non_loop(capsys):
     code, out, err = run(capsys, ["kz", fixture_path("dema"), "T"])
     assert code == 1

@@ -11,6 +11,7 @@ from origami_lab import intlinalg as la
 from origami_lab.homology import Homology
 
 from conftest import fixture_origami
+from restrict_oracle import solve_right
 
 
 def random_int_matrix(rng, n, m, lo=-5, hi=5):
@@ -63,16 +64,21 @@ def test_kernel_basis():
 
 
 def test_solve_right_and_invert():
+    # solve_right is the rational solve of the restriction oracle
     a = [[2, 1], [1, 1]]
     inv = la.invert(a)
+    assert all(type(x) is Fraction for row in inv for x in row)
     assert la.mat_eq(la.mat_mul(a, inv), la.identity_matrix(2))
+    num, d = la.int_inverse([[2, 0], [1, 3]])
+    assert all(type(x) is int for row in num for x in row) and type(d) is int
+    assert la.mat_eq(la.mat_mul([[2, 0], [1, 3]], num), la.mat_scale(d, la.identity_matrix(2)))
     b = [[1], [0]]
-    x = la.solve_right(a, b)
+    x = solve_right(a, b)
     assert la.mat_eq(la.mat_mul(a, x), [[Fraction(1)], [Fraction(0)]])
 
 
 def test_solve_right_inconsistent():
-    assert la.solve_right([[1, 2], [2, 4]], [[1], [0]]) is None
+    assert solve_right([[1, 2], [2, 4]], [[1], [0]]) is None
 
 
 def test_rational_span():
@@ -123,8 +129,11 @@ def check_against_sympy(a):
     else:
         inv = la.invert(a)
         want_inv = m.inv()
-        assert all(isinstance(x, Fraction) for row in inv for x in row)
+        assert all(type(x) is Fraction for row in inv for x in row)
         assert inv == [[to_fraction(want_inv[i, j]) for j in range(n)] for i in range(n)]
+        num, d = la.int_inverse(a)
+        assert all(type(x) is int for row in num for x in row) and type(d) is int and d != 0
+        assert [[Fraction(x, d) for x in row] for row in num] == inv
 
 
 def square_matrices(elements):
