@@ -122,17 +122,21 @@ def _cmd_kz(args):
     cm = kz_matrix(o, args.word, subspace)
     mat = [list(r) for r in cm.matrix]
     cp = la.charpoly(mat)
+    # a deck transformation acting as the identity on the subspace leaves
+    # the matrix well defined
+    identity = la.identity_matrix(len(mat))
+    ambiguous = any(not la.mat_eq(m, identity) for m in cm.ambiguity)
     payload = {
         "word": str(cm.word),
         "subspace": subspace,
         "matrix": mat,
         "charpoly": cp,
-        "ambiguous": bool(cm.ambiguity),
+        "ambiguous": ambiguous,
     }
     lines = ["word = %s" % cm.word]
     lines += ["  ".join("%6d" % x for x in row) for row in mat]
     lines.append("charpoly = %s" % cp)
-    if cm.ambiguity:
+    if ambiguous:
         # the ambiguity matrices leave out the identity
         lines.append(
             "note: %d deck transformations; matrix defined up to their action"
@@ -145,8 +149,10 @@ def _cmd_kz(args):
 def _cmd_galois(args):
     with open(args.matrix, "r", encoding="utf-8") as fh:
         m = json.load(fh)
-    if not isinstance(m, list):
-        raise ValueError("matrix file must hold a JSON list of rows")
+    if not isinstance(m, list) or not all(
+        isinstance(row, list) and all(type(x) is int for x in row) for row in m
+    ):
+        raise ValueError("matrix file must hold a JSON list of rows of integers")
     if len(m) == 2:
         pinching = is_galois_pinching_sl2(m)
         payload = {"size": 2, "pinching": pinching}
@@ -238,8 +244,10 @@ def _cmd_cover(args):
         base = load_origami(args.base)
         with open(args.cocycle, "r", encoding="utf-8") as fh:
             spec = json.load(fh)
+        if not isinstance(spec, dict) or any(k not in spec for k in ("group", "wh", "wv")):
+            raise ValueError('cocycle file must hold a JSON object with "group", "wh" and "wv"')
         groups = {"quaternion": quaternion_group, "trivial": trivial_group}
-        if spec.get("group") not in groups:
+        if spec["group"] not in groups:
             raise ValueError("cocycle group must be one of: %s" % ", ".join(groups))
         grp = groups[spec["group"]]()
         from .covers import group_cover

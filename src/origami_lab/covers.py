@@ -65,12 +65,14 @@ def trivial_group():
     return FiniteGroupTable(order=1, table=((0,),), identity=0, names=("1",))
 
 
+Q_ONE, Q_MINUS_ONE, Q_I, Q_J, Q_K = 0, 1, 2, 4, 6
+
+
 def quaternion_group():
     """The eight-element quaternion group {1, -1, i, -i, j, -j, k, -k}
     with i^2 = j^2 = k^2 = -1, ij = k, jk = i, ki = j."""
     names = ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
     # represent each element as (sign, unit) with unit in {1, i, j, k}
-    units = {"1": 0, "i": 1, "j": 2, "k": 3}
     decode = [(1, 0), (-1, 0), (1, 1), (-1, 1), (1, 2), (-1, 2), (1, 3), (-1, 3)]
 
     def unit_mul(u, v):
@@ -100,11 +102,8 @@ def quaternion_group():
             row.append(encode(sa * sb * s, u))
         table.append(tuple(row))
     group = FiniteGroupTable(order=8, table=tuple(table), identity=0, names=names)
-    assert group.mul(units["i"] * 0 + 2, 4) == 6  # i * j = k
+    assert group.mul(Q_I, Q_J) == Q_K
     return group
-
-
-Q_ONE, Q_MINUS_ONE, Q_I, Q_J, Q_K = 0, 1, 2, 4, 6
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,11 @@ e* + (C-path) through square centers.  Coordinates of a cycle are read off
 the leftover edges after peeling squares along C; the intersection form
 follows from the crossings of basis loops with dual loops.
 
+The complex is kept as incidences only.  A generator letter and a deck
+transformation both act through one path: a sparse edge map and a square
+map, the chain-map law checked per square, the sparse basis loops pushed
+through and projected, and M^T J' M = J checked.
+
 Cocycle matrices are restricted to an invariant sublattice (the
 zero-holonomy part, or the isotypical block W of a central involution) by
 an integer left inverse of its basis, with exact divisibility checks;
@@ -35,6 +40,7 @@ from . import intlinalg as la
 from .origami import automorphisms, canonical_form, central_involution, corner_permutation, genus
 from .orbit import Sl2zWord, sl2z_orbit
 from .paths import CenterPath
+from .perm import conjugate
 
 
 # ---------------------------------------------------------------------------
@@ -43,13 +49,13 @@ from .paths import CenterPath
 
 @dataclass(frozen=True)
 class ChainComplexData:
-    """Boundary maps plus the incidences they are built from: edge k runs
-    from vertex tail[k] to vertex head[k], with square plus[k] (0-based) on
-    its left and square minus[k] on its right, so it enters the boundary
-    of plus[k] with sign +1 and that of minus[k] with sign -1."""
+    """The incidences of the cell complex on ``vertices`` vertex classes:
+    edge k runs from vertex tail[k] to vertex head[k], with square plus[k]
+    (0-based) on its left and square minus[k] on its right, so it enters
+    the boundary of plus[k] with sign +1 and that of minus[k] with sign
+    -1."""
 
-    boundary1: list  # V x 2N
-    boundary2: list  # 2N x N
+    vertices: int
     tail: list
     head: list
     plus: list
@@ -72,16 +78,8 @@ def chain_complex(o):
     plus = [i - 1 for i in squares] + [hi(i) - 1 for i in squares]
     minus = [vi(i) - 1 for i in squares] + [i - 1 for i in squares]
 
-    b1 = la.zeros(max(vertex_of) + 1, 2 * n)
-    b2 = la.zeros(2 * n, n)
-    for k in range(2 * n):
-        b1[head[k]][k] += 1
-        b1[tail[k]][k] -= 1
-        b2[k][plus[k]] += 1
-        b2[k][minus[k]] -= 1
-
-    # boundary1(boundary2(square)) from the incidences: the entry of the
-    # product at (vertex, square), without forming the V x N product
+    # d1(d2(square)) from the incidences: the entry of the product at
+    # (vertex, square), without forming the V x N product
     composed = Counter()
     for k in range(2 * n):
         for square, sign in ((plus[k], 1), (minus[k], -1)):
@@ -89,7 +87,7 @@ def chain_complex(o):
             composed[square, tail[k]] -= sign
     if any(composed.values()):
         raise AssertionError("boundary maps do not compose to zero")
-    return ChainComplexData(b1, b2, tail, head, plus, minus)
+    return ChainComplexData(max(vertex_of) + 1, tail, head, plus, minus)
 
 
 def _spanning_tree(count, ends, edges):
@@ -116,23 +114,25 @@ def _spanning_tree(count, ends, edges):
 
 def _closed_path(paths, e, start, end):
     """The edge e from ``start`` to ``end`` closed up through the tree:
-    e + path(start) - path(end), as {edge: coefficient}."""
+    e + path(start) - path(end), as {edge: coefficient} without zeros (the
+    two tree paths cancel on their common prefix)."""
     out = dict(paths[start])
     out[e] = 1
     for k, c in paths[end].items():
         out[k] = out.get(k, 0) - c
-    return out
+    return {k: c for k, c in out.items() if c}
 
 
 class Homology:
     """H_1(X; Z) with a fixed integral basis, intersection matrix and
-    tautological data, for one origami."""
+    tautological data, for one origami.  ``loops[a]`` is basis loop a as
+    a sparse edge cycle {edge: coefficient}."""
 
     def __init__(self, o):
         self.origami = o
         n = o.degree
         cx = self.complex = chain_complex(o)
-        tree, vertex_paths = _spanning_tree(len(cx.boundary1), (cx.tail, cx.head), range(2 * n))
+        tree, vertex_paths = _spanning_tree(cx.vertices, (cx.tail, cx.head), range(2 * n))
         in_tree = {k for _child, k, _parent in tree}
         self._cotree, square_paths = _spanning_tree(
             n, (cx.minus, cx.plus), [k for k in range(2 * n) if k not in in_tree]
@@ -145,11 +145,10 @@ class Homology:
         # per leftover edge e: the basis loop e + (T-path back to its tail)
         # and the dual loop e* + (C-path back to square minus[e]), where e*
         # crosses e from square minus[e] to square plus[e]
-        loops = [_closed_path(vertex_paths, e, cx.tail[e], cx.head[e]) for e in self._leftover]
+        self.loops = [_closed_path(vertex_paths, e, cx.tail[e], cx.head[e]) for e in self._leftover]
         duals = [_closed_path(square_paths, e, cx.minus[e], cx.plus[e]) for e in self._leftover]
-        self.basis = [[loop.get(k, 0) for loop in loops] for k in range(2 * n)]
         # D (one column of coordinates per dual loop) and J = D^-1
-        self.dual_coords, self.intersection = self._intersection_matrix(loops, duals)
+        self.dual_coords, self.intersection = self._intersection_matrix(self.loops, duals)
         if la.det(self.intersection) != 1:
             raise AssertionError("intersection form must be unimodular")
         self.taut_sigma = self.project([1] * n + [0] * n)
@@ -244,12 +243,12 @@ class Homology:
     def project_many(self, chains):
         """Coordinates of edge cycles in the H_1 basis; columns in, columns
         out.  Square coefficients s are peeled from the root of C so that
-        chain - boundary2(s) vanishes on C; what is left on the leftover
+        chain - d2(s) vanishes on C; what is left on the leftover
         edges are the coordinates."""
         cx = self.complex
         out = []
         for chain in chains:
-            boundary = [0] * len(cx.boundary1)
+            boundary = [0] * cx.vertices
             for k, c in enumerate(chain):
                 boundary[cx.head[k]] += c
                 boundary[cx.tail[k]] -= c
@@ -276,18 +275,16 @@ class Homology:
         )
 
     def action_matrix(self, tau):
-        """Matrix on H_1 (basis coordinates) of the square permutation tau,
-        which must be a deck transformation."""
-        n = self.origami.degree
-        images = []
-        for j in range(self.rank):
-            img = [0] * (2 * n)
-            for i in range(1, n + 1):
-                img[tau(i) - 1] += self.basis[i - 1][j]
-                img[n + tau(i) - 1] += self.basis[n + i - 1][j]
-            images.append(img)
-        cols = self.project_many(images)
-        return [[cols[j][i] for j in range(self.rank)] for i in range(self.rank)]
+        """Matrix on H_1 (basis coordinates) of a deck transformation tau,
+        the chain map sigma_i -> sigma_tau(i), zeta_i -> zeta_tau(i) on
+        edges and tau on squares."""
+        o = self.origami
+        if conjugate(o.h, tau) != o.h or conjugate(o.v, tau) != o.v:
+            raise ValueError("tau is not a deck transformation of the origami")
+        n = o.degree
+        cell = [tau(i) - 1 for i in range(1, n + 1)]
+        edges = [[(j, 1)] for j in cell] + [[(n + j, 1)] for j in cell]
+        return _homology_map(self, self, edges, cell)
 
 
 def tautological_split(o_or_hom):
@@ -298,8 +295,8 @@ def tautological_split(o_or_hom):
     st = [hom.taut_sigma, hom.taut_zeta]
     n = hom.origami.degree
     hol_rows = [
-        [sum(hom.basis[i][j] for i in range(n)) for j in range(hom.rank)],
-        [sum(hom.basis[n + i][j] for i in range(n)) for j in range(hom.rank)],
+        [sum(c for k, c in loop.items() if k < n) for loop in hom.loops],
+        [sum(c for k, c in loop.items() if k >= n) for loop in hom.loops],
     ]
     zero = la.kernel_basis(hol_rows)
     if len(zero) != hom.rank - 2:
@@ -329,44 +326,72 @@ class CocycleMatrix:
         }
 
 
-# edge-level chain maps for each generator letter: for each source square i
-# return (list of (edge index in target, coefficient) for sigma_i,
-#         same for zeta_i, target 2-cell of i)
-
-
-def _edge_map(o, letter, relabel, n):
-    """Edge chain map as a 2N x 2N integer matrix plus the 2-cell map."""
-    h, v = o.h, o.v
+def _edge_map(o, letter, relabel):
+    """Chain map of a generator letter from o to its image relabelled by
+    ``relabel``: per source edge (sigma_i at i-1, zeta_i at N+i-1) its image
+    as a list of (target edge, coefficient) pairs, and per source square
+    (0-based) its target square."""
+    n = o.degree
+    h, v, r = o.h, o.v, relabel
     hi, vi = h.inverse(), v.inverse()
-    f = la.zeros(2 * n, 2 * n)
-    cell = [0] * (n + 1)
-    r = relabel
+    edges = [None] * (2 * n)
+    cell = [0] * n
     for i in range(1, n + 1):
+        sigma, zeta = i - 1, n + i - 1
         if letter == "T":
             # sigma_i -> sigma'_{r(i)}; zeta_i -> sigma'_{r(i)} + zeta'_{r(h(i))}
-            f[r(i) - 1][i - 1] += 1
-            f[r(i) - 1][n + i - 1] += 1
-            f[n + r(h(i)) - 1][n + i - 1] += 1
-            cell[i] = r(h(i))
+            edges[sigma] = [(r(i) - 1, 1)]
+            edges[zeta] = [(r(i) - 1, 1), (n + r(h(i)) - 1, 1)]
+            cell[i - 1] = r(h(i)) - 1
         elif letter == "t":
-            f[r(i) - 1][i - 1] += 1
-            f[n + r(hi(i)) - 1][n + i - 1] += 1
-            f[r(hi(i)) - 1][n + i - 1] -= 1
-            cell[i] = r(hi(i))
+            edges[sigma] = [(r(i) - 1, 1)]
+            edges[zeta] = [(n + r(hi(i)) - 1, 1), (r(hi(i)) - 1, -1)]
+            cell[i - 1] = r(hi(i)) - 1
         elif letter == "S":
             # zeta_i -> zeta'_{r(i)}; sigma_i -> zeta'_{r(i)} + sigma'_{r(v(i))}
-            f[n + r(i) - 1][n + i - 1] += 1
-            f[n + r(i) - 1][i - 1] += 1
-            f[r(v(i)) - 1][i - 1] += 1
-            cell[i] = r(v(i))
+            edges[zeta] = [(n + r(i) - 1, 1)]
+            edges[sigma] = [(n + r(i) - 1, 1), (r(v(i)) - 1, 1)]
+            cell[i - 1] = r(v(i)) - 1
         elif letter == "s":
-            f[n + r(i) - 1][n + i - 1] += 1
-            f[r(vi(i)) - 1][i - 1] += 1
-            f[n + r(vi(i)) - 1][i - 1] -= 1
-            cell[i] = r(vi(i))
+            edges[zeta] = [(n + r(i) - 1, 1)]
+            edges[sigma] = [(r(vi(i)) - 1, 1), (n + r(vi(i)) - 1, -1)]
+            cell[i - 1] = r(vi(i)) - 1
         else:
             raise ValueError("unknown letter %r" % letter)
-    return f, cell
+    return edges, cell
+
+
+def _homology_map(hs, ht, edges, cell):
+    """Matrix H1(source) -> H1(target), in the bases of hs and ht, of the
+    chain map f taking source edge k to sum c * (target edge e) over (e, c)
+    in edges[k] and source square i to target square cell[i] (0-based, a
+    bijection).  Checks f(d2(i)) = d2(cell[i]) on the incidences and
+    M^T J_t M = J_s."""
+    cs, ct = hs.complex, ht.complex
+    # f(d2(i)) - d2(cell[i]) as (target square, target edge) entries
+    law = Counter()
+    for k, image in enumerate(edges):
+        for square, sign in ((cs.plus[k], 1), (cs.minus[k], -1)):
+            for e, c in image:
+                law[cell[square], e] += sign * c
+    for e in range(len(ct.plus)):
+        law[ct.plus[e], e] -= 1
+        law[ct.minus[e], e] += 1
+    if any(law.values()):
+        raise AssertionError("edge map is not a chain map")
+    images = []
+    for loop in hs.loops:
+        image = [0] * len(ct.plus)
+        for k, c in loop.items():
+            for e, ce in edges[k]:
+                image[e] += c * ce
+        images.append(image)
+    cols = ht.project_many(images)
+    m = la.transpose(cols)
+    # symplecticity: M^T J_t M = J_s, with M^T = cols
+    if not la.mat_eq(la.mat_mul(cols, la.mat_mul(ht.intersection, m)), hs.intersection):
+        raise AssertionError("map on H_1 is not symplectic")
+    return m
 
 
 _SUBSPACES = ("full", "H1_zero", "W")
@@ -438,32 +463,9 @@ class KzContext:
 
     def _homology_step(self, node, letter):
         """(target node, integer matrix H1(node) -> H1(target))."""
-        src = self.graph.nodes[node]
-        target_node, relabel = self.graph.edges[node][letter]
-        n = src.degree
-        f, cell = _edge_map(src, letter, relabel, n)
-        hs = self.homology(node)
-        ht = self.homology(target_node)
-        # chain-map law against the target complex
-        b2s = hs.complex.boundary2
-        b2t = ht.complex.boundary2
-        fb2 = la.mat_mul(f, b2s)
-        for i in range(1, n + 1):
-            img = [fb2[e][i - 1] for e in range(2 * n)]
-            tgt = [b2t[e][cell[i] - 1] for e in range(2 * n)]
-            if img != tgt:
-                raise AssertionError("chain-map law violated for letter %r" % letter)
-        images = [
-            la.mat_vec(f, [hs.basis[e][j] for e in range(2 * n)])
-            for j in range(hs.rank)
-        ]
-        cols = ht.project_many(images)
-        m = [[cols[j][i] for j in range(hs.rank)] for i in range(ht.rank)]
-        # symplecticity: M^T J_t M = J_s
-        mt = la.transpose(m)
-        if not la.mat_eq(la.mat_mul(mt, la.mat_mul(ht.intersection, m)), hs.intersection):
-            raise AssertionError("step matrix is not symplectic")
-        return target_node, m
+        target, relabel = self.graph.edges[node][letter]
+        edges, cell = _edge_map(self.graph.nodes[node], letter, relabel)
+        return target, _homology_map(self.homology(node), self.homology(target), edges, cell)
 
     def aut_matrices(self, node, subspace="full"):
         """Action matrices of the nontrivial deck transformations of a
@@ -565,12 +567,7 @@ def restrict(m, sub_source, sub_target=None):
 def isotypical_W(o, tau):
     """Saturated integral basis (in Homology basis coordinates) of the
     (-1)-eigenspace of a central involution tau acting on H_1."""
-    from .perm import conjugate
-
     hom = o if isinstance(o, Homology) else Homology(o)
-    surface = hom.origami
-    if conjugate(surface.h, tau) != surface.h or conjugate(surface.v, tau) != surface.v:
-        raise ValueError("tau is not an automorphism of the origami")
     if not (tau * tau).is_identity():
         raise ValueError("tau must be an involution")
     plus_id = la.mat_add(hom.action_matrix(tau), la.identity_matrix(hom.rank))

@@ -134,6 +134,8 @@ def mc_exponents(o, subspace="full", steps=10000, trials=10, seed=None):
     """
     if seed is None:
         raise ValueError("a seed is required for reproducible estimates")
+    if steps < 1 or trials < 1:
+        raise ValueError("steps and trials must be at least 1")
     if not is_reduced(o):
         raise ValueError("the random walk estimator requires a reduced origami")
     ctx = kz_context(o)

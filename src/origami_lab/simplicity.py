@@ -254,11 +254,29 @@ def certify_simplicity(o, search_depth=12):
     )
 
 
+def _require(obj, keys, what):
+    """``obj`` after checking that it is a JSON object with every key."""
+    if not isinstance(obj, dict):
+        raise ValueError("%s must be a JSON object" % what)
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise ValueError("%s lacks %s" % (what, ", ".join(missing)))
+    return obj
+
+
+_WITNESS_KEYS = {
+    "unipotent": ("word", "rank_b_minus_id", "isotropic"),
+    "cylinder": ("direction", "dim_e", "genus"),
+}
+
+
 def certificate_from_json(obj):
     from .galois import ReciprocalQuartic
 
-    origami = Origami.from_json(obj["origami"])
+    _require(obj, ("origami", "pinching_word", "quartic", "witness"), "certificate")
+    origami = Origami.from_json(_require(obj["origami"], ("h_images", "v_images"), "origami"))
     word = Sl2zWord.parse(obj["pinching_word"])
+    _require(obj["quartic"], ("a", "b"), "quartic")
     quartic = ReciprocalQuartic(a=obj["quartic"]["a"], b=obj["quartic"]["b"])
     for key, value in (
         ("delta1", quartic.delta1),
@@ -267,7 +285,10 @@ def certificate_from_json(obj):
     ):
         if key in obj["quartic"] and obj["quartic"][key] != value:
             raise ValueError("certificate %s does not match (a, b)" % key)
-    w = obj["witness"]
+    w = _require(obj["witness"], ("kind",), "witness")
+    if w["kind"] not in _WITNESS_KEYS:
+        raise ValueError("unknown witness kind %r" % w["kind"])
+    _require(w, _WITNESS_KEYS[w["kind"]], "%s witness" % w["kind"])
     if w["kind"] == "unipotent":
         witness = UnipotentWitness(
             word=Sl2zWord.parse(w["word"]),
@@ -277,8 +298,6 @@ def certificate_from_json(obj):
     elif w["kind"] == "cylinder":
         direction = Sl2zWord.parse(w["direction"]) if w["direction"] else Sl2zWord(())
         witness = CylinderWitness(direction=direction, dim_e=w["dim_e"], genus=w["genus"])
-    else:
-        raise ValueError("unknown witness kind %r" % w["kind"])
     return SimplicityCertificate(
         origami=origami, pinching_word=word, quartic=quartic, witness=witness
     )

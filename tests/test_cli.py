@@ -129,6 +129,18 @@ def test_kz_reports_a_single_nontrivial_deck_transformation(capsys, tmp_path):
     assert code == 0 and "note:" not in out
 
 
+def test_kz_deck_transformation_acting_as_identity_is_not_ambiguous(capsys, tmp_path):
+    # Aut = {id, (1,2)} acts as the identity on H_1 of this torus, and
+    # H1_zero is empty, so the matrix is well defined on both subspaces
+    f = tmp_path / "torus.txt"
+    f.write_text("h = (1,2)\nv = (1)(2)\n")
+    assert run_json(capsys, ["info", str(f)])["automorphisms"] == 2
+    for zero in ([], ["--zero"]):
+        assert run_json(capsys, ["kz", str(f), "TT"] + zero)["ambiguous"] is False
+        code, out, err = run(capsys, ["kz", str(f), "TT"] + zero)
+        assert code == 0 and "note:" not in out
+
+
 def test_kz_rejects_non_loop(capsys):
     code, out, err = run(capsys, ["kz", fixture_path("dema"), "T"])
     assert code == 1
@@ -265,3 +277,33 @@ def test_buser(capsys):
 def test_buser_bad_trace(capsys):
     code, out, err = run(capsys, ["buser", "--trace", "2"])
     assert code == 1
+
+
+def _write(tmp_path, name, payload):
+    f = tmp_path / name
+    f.write_text(json.dumps(payload))
+    return str(f)
+
+
+def _cover_without_wv(tmp_path):
+    torus = tmp_path / "torus.txt"
+    torus.write_text("h = (1)\nv = (1)\n")
+    cocycle = _write(tmp_path, "cocycle.json", {"group": "quaternion", "wh": [2]})
+    return ["cover", "custom", "--base", str(torus), "--cocycle", cocycle]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda tmp: ["galois", _write(tmp, "m.json", [[1, "a"], [0, 1]])],
+        _cover_without_wv,
+        lambda tmp: ["verify", _write(tmp, "cert.json", {"origami": {}})],
+        lambda tmp: ["mc", fixture_path("l3"), "--trials", "0", "--seed", "1"],
+        lambda tmp: ["mc", fixture_path("l3"), "--steps", "0", "--seed", "1"],
+    ],
+    ids=["galois-non-integer", "cover-without-wv", "verify-empty-origami", "mc-zero-trials", "mc-zero-steps"],
+)
+def test_bad_input_is_a_domain_error(capsys, tmp_path, argv):
+    code, out, err = run(capsys, argv(tmp_path))
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err

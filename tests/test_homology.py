@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from origami_lab import homology
 from origami_lab import intlinalg as la
 from origami_lab.homology import (
     Homology,
@@ -18,6 +19,7 @@ from origami_lab.homology import (
 )
 from origami_lab.orbit import Sl2zWord, veech_generators
 from origami_lab.origami import automorphisms, genus
+from origami_lab.perm import Permutation
 
 from conftest import fixture_origami
 
@@ -28,7 +30,11 @@ SMALL_FIXTURES = ("l3", "mstar", "dema", "ew")
 def test_chain_complex_is_a_complex(name):
     o = fixture_origami(name)
     cc = chain_complex(o)
-    prod = la.mat_mul(cc.boundary1, cc.boundary2)
+    edges = range(2 * o.degree)
+    # the dense boundary maps, built here from the incidences
+    d1 = [[(cc.head[k] == x) - (cc.tail[k] == x) for k in edges] for x in range(cc.vertices)]
+    d2 = [[(cc.plus[k] == i) - (cc.minus[k] == i) for i in range(o.degree)] for k in edges]
+    prod = la.mat_mul(d1, d2)
     assert all(x == 0 for row in prod for x in row)
 
 
@@ -133,3 +139,25 @@ def test_isotypical_w_requires_automorphism(ew, dema):
     assert len(w) > 0
     with pytest.raises(ValueError):
         isotypical_W(dema, tau)
+
+
+def test_action_matrix_rejects_a_non_deck_permutation(dema):
+    hom = Homology(dema)
+    swap = Permutation([2, 1] + list(range(3, dema.degree + 1)))
+    with pytest.raises(ValueError, match="not a deck transformation"):
+        hom.action_matrix(swap)
+
+
+@pytest.mark.parametrize("letter", "TSts")
+def test_chain_map_check_rejects_a_flipped_coefficient(dema, letter):
+    ctx = kz_context(dema)
+    target, relabel = ctx.graph.edges[0][letter]
+    edges, cell = homology._edge_map(ctx.graph.nodes[0], letter, relabel)
+    hs, ht = ctx.homology(0), ctx.homology(target)
+    assert homology._homology_map(hs, ht, edges, cell) == ctx.step(0, letter)[1]
+    # the first edge whose image has two terms: sigma_1 for S/s, zeta_1 for T/t
+    k = next(k for k, image in enumerate(edges) if len(image) == 2)
+    (e, c), other = edges[k]
+    edges[k] = [(e, -c), other]
+    with pytest.raises(AssertionError, match="not a chain map"):
+        homology._homology_map(hs, ht, edges, cell)

@@ -10,9 +10,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from origami_lab import intlinalg as la
+from origami_lab.covers import EdgeCocycle, FiniteGroupTable, group_cover, quaternion_group
 from origami_lab.homology import Homology, KzContext
 from origami_lab.orbit import Sl2zWord
-from origami_lab.origami import Origami, genus
+from origami_lab.origami import Origami, automorphisms, genus
 from origami_lab.paths import cycle_loops, path_class_chain, pattern_loops, signed_crossings
 from origami_lab.perm import Permutation, is_transitive
 
@@ -36,7 +37,7 @@ def check_engine(o):
     assert la.det(j) == 1
     for col in range(hom.rank):
         unit = [int(i == col) for i in range(hom.rank)]
-        assert hom.project([row[col] for row in hom.basis]) == unit
+        assert hom.project([hom.loops[col].get(k, 0) for k in range(2 * o.degree)]) == unit
     assert hom.pairing_in_basis(hom.taut_sigma, hom.taut_zeta) == o.degree
     # a single edge between two different vertices is not a cycle
     cx = hom.complex
@@ -80,3 +81,38 @@ def test_composition_law_on_random_orbits(o, u, v, start):
     assert la.mat_eq(m_uv, la.mat_mul(m_u, m_v))
     j_end = ctx.homology(end).intersection
     assert la.mat_eq(la.mat_mul(la.transpose(m_uv), la.mat_mul(j_end, m_uv)), ctx.homology(node).intersection)
+
+
+def cyclic_group(m):
+    return FiniteGroupTable(order=m, table=[[(a + b) % m for b in range(m)] for a in range(m)], identity=0)
+
+
+@st.composite
+def group_covers(draw):
+    # a cover of a small origami with cocycle values in Z/2, Z/3 or the
+    # quaternion group, which acts on it by deck transformations
+    base = draw(transitive_pairs(max_degree=3))
+    grp = draw(st.sampled_from((cyclic_group(2), cyclic_group(3), quaternion_group())))
+    labels = st.lists(st.integers(0, grp.order - 1), min_size=base.degree, max_size=base.degree)
+    cocycle = EdgeCocycle(group=grp, wh=draw(labels), wv=draw(labels))
+    try:
+        return group_cover(base, cocycle)
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(group_covers())
+def test_deck_matrices_are_symplectic_and_compose(o):
+    hom = Homology(o)
+    j = hom.intersection
+    auts = automorphisms(o)
+    assert len(auts) > 1
+    mats = {tau: hom.action_matrix(tau) for tau in auts}
+    for tau, m in mats.items():
+        assert la.mat_eq(la.mat_mul(la.transpose(m), la.mat_mul(j, m)), j)
+        if tau.is_identity():
+            assert la.mat_eq(m, la.identity_matrix(hom.rank))
+    for sigma in auts:
+        for tau in auts:
+            assert la.mat_eq(mats[sigma * tau], la.mat_mul(mats[sigma], mats[tau]))
