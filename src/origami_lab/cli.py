@@ -11,6 +11,7 @@ T8SSTTSS means T^8 S^2 T^2 S^2.  Exit codes: 0 success, 1 domain error
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -175,15 +176,19 @@ def _cmd_simplicity(args):
     o = load_origami(args.origami)
     result = certify_simplicity(o, search_depth=args.depth)
     if isinstance(result, NotFound):
-        payload = {"found": False, "explored_depth": result.explored_depth}
-        _emit(
-            args,
-            payload,
-            [
+        payload = {"found": False, **dataclasses.asdict(result)}
+        if result.exhausted:
+            line = (
+                "word search exhausted after %d states: no loop word of any length is "
+                "pinching, so this method cannot certify the surface; this does not "
+                "disprove simplicity" % result.states
+            )
+        else:
+            line = (
                 "no certificate found up to depth %d (inconclusive, not a disproof)"
                 % result.explored_depth
-            ],
-        )
+            )
+        _emit(args, payload, [line])
         return 0
     payload = result.to_json()
     _emit(args, payload, [result.dumps()])

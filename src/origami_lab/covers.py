@@ -122,6 +122,8 @@ class EdgeCocycle:
         if len(wh) != len(wv):
             raise ValueError("wh and wv must label the same squares")
         for x in wh + wv:
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise ValueError("cocycle value %r is not an integer" % (x,))
             if not 0 <= x < self.group.order:
                 raise ValueError("cocycle value %r outside the group" % (x,))
 

@@ -136,7 +136,19 @@ class SimplicityCertificate:
 
 @dataclass
 class NotFound:
+    """No certificate up to ``explored_depth``; not a disproof.
+
+    ``exhausted`` means the word search reached every state of the
+    cocycle, so no loop word of any length is pinching and this method
+    cannot certify the surface.  ``words`` counts the matrix products
+    the search formed and ``states`` the distinct (node, matrix, last
+    letter) states it kept.
+    """
+
     explored_depth: int
+    exhausted: bool = False
+    words: int = 0
+    states: int = 0
 
 
 def _check_preconditions(o):
@@ -148,41 +160,81 @@ def _check_preconditions(o):
         raise ValueError("simplicity certification is implemented for genus 3 only")
 
 
-def find_pinching_word(o, search_depth):
-    """Shortest loop word at the canonical form whose zero-holonomy
-    matrix is pinching; words are enumerated by length and then in the
-    letter order T, S, T^-1, S^-1, skipping immediate backtracks.
+def _search_pinching_word(o, search_depth):
+    """Breadth-first search behind find_pinching_word.
 
-    Returns (word, Sp4PinchingReport) or None.
+    Returns (found, stats): found is (word, Sp4PinchingReport) or None,
+    stats the ``exhausted``, ``words`` and ``states`` fields of NotFound.
     """
     ctx = kz_context(o)
     base = ctx.graph.basepoint
-    ident = la.identity_matrix(len(ctx.basis(base, "H1_zero")))
-
-    for depth in range(1, search_depth + 1):
-        stack = [(base, ident, ())]
-        while stack:
-            node, mat, letters = stack.pop()
-            if len(letters) == depth:
-                if node == base:
-                    report = is_galois_pinching_sp4(mat)
-                    if report.pinching:
-                        # the path applies letters left to right, so the
-                        # word (whose leftmost letter acts last) is the
-                        # reversed letter sequence
-                        return Sl2zWord(tuple(reversed(letters))), report
-                continue
-            # push children in reverse so they pop in T, S, t, s order
-            for letter in reversed(_LETTER_ORDER):
+    ident = tuple(map(tuple, la.identity_matrix(len(ctx.basis(base, "H1_zero")))))
+    frontier = [(base, ident, ())]
+    seen = set()
+    rejected = set()  # closed matrices already found not pinching
+    words = 0
+    found, exhausted = None, False
+    for _length in range(search_depth):
+        level = []
+        for node, mat, letters in frontier:
+            for letter in _LETTER_ORDER:
                 if letters and _INVERSE[letters[-1]] == letter:
                     continue
+                # the path applies letters left to right, so each new
+                # step multiplies on the left
                 target, step = ctx.step(node, letter, "H1_zero")
-                # letters act right to left: appending a letter means
-                # multiplying on the left by the new step applied last;
-                # enumerate words whose application order is left to
-                # right along the path, i.e. build the word reversed
-                stack.append((target, la.mat_mul(step, mat), letters + (letter,)))
-    return None
+                product = tuple(map(tuple, la.mat_mul(step, mat)))
+                words += 1
+                key = (target, product, letter)
+                if key not in seen:
+                    seen.add(key)
+                    level.append((target, product, letters + (letter,)))
+        if not level:
+            exhausted = True
+            break
+        for node, mat, letters in level:
+            if node != base or mat in rejected:
+                continue
+            report = is_galois_pinching_sp4(mat)
+            if report.pinching:
+                # the word's leftmost letter acts last: reverse the path
+                found = Sl2zWord(tuple(reversed(letters))), report
+                break
+            rejected.add(mat)
+        if found is not None:
+            break
+        frontier = level
+    return found, {"exhausted": exhausted, "words": words, "states": len(seen)}
+
+
+def find_pinching_word(o, search_depth):
+    """Shortest loop word at the canonical form whose zero-holonomy
+    matrix is pinching, and among those the first whose path (letters
+    in the order they act) comes first in the letter order T, S, T^-1,
+    S^-1; paths never take a letter right after its inverse.
+
+    The search runs breadth first over states (node, H1_zero matrix,
+    last letter), expanding them in the order they were first reached
+    and each one's children in letter order.  A child whose state was
+    already reached, at this length or a shorter one, is dropped: both
+    prefixes allow the same suffixes, and each suffix gives the same end
+    node and matrix from both, so every pinching word through the
+    dropped prefix has a counterpart that is shorter, or as long and
+    earlier in letter order, and that one is found first.  The result
+    is therefore the same as testing every closed word by length and
+    letter order.  When a length adds no new state the search is
+    exhausted: every state of the cocycle has been tested, and no loop
+    word of any length is pinching.
+
+    Memory is one state per distinct (node, matrix, last letter).  On
+    Zariski-dense orbits such as ``dema`` the new states grow about 2x
+    per length (8,064 at length 10), so about 64k states by the CLI
+    default depth 12; on ``ew``, whose cocycle acts through a finite
+    group, 384 states exhaust the search at length 9.
+
+    Returns (word, Sp4PinchingReport) or None.
+    """
+    return _search_pinching_word(o, search_depth)[0]
 
 
 def _cylinder_witness(ctx, g):
@@ -235,12 +287,13 @@ def _unipotent_witness(ctx, g):
 
 def certify_simplicity(o, search_depth=12):
     """Search for a complete simplicity certificate; NotFound (which is
-    not a disproof) when the word search is exhausted."""
+    not a disproof) when no pinching word of length up to
+    ``search_depth`` or no witness is found."""
     _check_preconditions(o)
     canon = canonical_form(o).origami
-    found = find_pinching_word(canon, search_depth)
+    found, stats = _search_pinching_word(canon, search_depth)
     if found is None:
-        return NotFound(explored_depth=search_depth)
+        return NotFound(explored_depth=search_depth, **stats)
     word, report = found
     ctx = kz_context(canon)
     g = genus(canon)
@@ -248,7 +301,7 @@ def certify_simplicity(o, search_depth=12):
     if witness is None:
         witness = _unipotent_witness(ctx, g)
     if witness is None:
-        return NotFound(explored_depth=search_depth)
+        return NotFound(explored_depth=search_depth, **stats)
     return SimplicityCertificate(
         origami=canon, pinching_word=word, quartic=report.quartic, witness=witness
     )
@@ -264,6 +317,13 @@ def _require(obj, keys, what):
     return obj
 
 
+def _integer(value, what):
+    """``value`` after checking that it is an integer (a bool is not)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError("%s must be an integer, not %r" % (what, value))
+    return value
+
+
 _WITNESS_KEYS = {
     "unipotent": ("word", "rank_b_minus_id", "isotropic"),
     "cylinder": ("direction", "dim_e", "genus"),
@@ -277,7 +337,9 @@ def certificate_from_json(obj):
     origami = Origami.from_json(_require(obj["origami"], ("h_images", "v_images"), "origami"))
     word = Sl2zWord.parse(obj["pinching_word"])
     _require(obj["quartic"], ("a", "b"), "quartic")
-    quartic = ReciprocalQuartic(a=obj["quartic"]["a"], b=obj["quartic"]["b"])
+    quartic = ReciprocalQuartic(
+        a=_integer(obj["quartic"]["a"], "quartic a"), b=_integer(obj["quartic"]["b"], "quartic b")
+    )
     for key, value in (
         ("delta1", quartic.delta1),
         ("delta2", quartic.delta2),
@@ -290,14 +352,20 @@ def certificate_from_json(obj):
         raise ValueError("unknown witness kind %r" % w["kind"])
     _require(w, _WITNESS_KEYS[w["kind"]], "%s witness" % w["kind"])
     if w["kind"] == "unipotent":
+        if not isinstance(w["isotropic"], bool):
+            raise ValueError("witness isotropic must be a bool, not %r" % (w["isotropic"],))
         witness = UnipotentWitness(
             word=Sl2zWord.parse(w["word"]),
-            rank_b_minus_id=w["rank_b_minus_id"],
+            rank_b_minus_id=_integer(w["rank_b_minus_id"], "witness rank_b_minus_id"),
             isotropic=w["isotropic"],
         )
     elif w["kind"] == "cylinder":
         direction = Sl2zWord.parse(w["direction"]) if w["direction"] else Sl2zWord(())
-        witness = CylinderWitness(direction=direction, dim_e=w["dim_e"], genus=w["genus"])
+        witness = CylinderWitness(
+            direction=direction,
+            dim_e=_integer(w["dim_e"], "witness dim_e"),
+            genus=_integer(w["genus"], "witness genus"),
+        )
     return SimplicityCertificate(
         origami=origami, pinching_word=word, quartic=quartic, witness=witness
     )

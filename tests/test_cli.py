@@ -4,8 +4,9 @@ import pytest
 
 from origami_lab import cli
 from origami_lab.origami import load_origami
+from origami_lab.simplicity import NotFound, certify_simplicity
 
-from conftest import fixture_path
+from conftest import fixture_origami, fixture_path
 
 
 def run(capsys, argv):
@@ -182,6 +183,28 @@ def test_simplicity_and_verify(capsys, tmp_path):
     assert code == 1
 
 
+def test_simplicity_not_found_reports_the_search(capsys):
+    payload = run_json(capsys, ["simplicity", fixture_path("dema"), "--depth", "2"])
+    assert payload["found"] is False and payload["explored_depth"] == 2
+    assert payload["exhausted"] is False
+    assert payload["states"] > 0 and payload["words"] >= payload["states"]
+    code, out, err = run(capsys, ["simplicity", fixture_path("dema"), "--depth", "2"])
+    assert code == 0 and "inconclusive" in out
+
+
+def test_simplicity_exhausted_search_is_reported(capsys, monkeypatch):
+    result = NotFound(explored_depth=9, exhausted=True, words=1156, states=384)
+    monkeypatch.setattr(cli, "certify_simplicity", lambda o, search_depth: result)
+    code, out, err = run(capsys, ["simplicity", fixture_path("dema"), "--depth", "9"])
+    assert code == 0
+    assert "no loop word of any length is pinching" in out
+    assert "does not disprove simplicity" in out and "inconclusive" not in out
+    payload = run_json(capsys, ["simplicity", fixture_path("dema"), "--depth", "9"])
+    assert payload == {
+        "found": False, "explored_depth": 9, "exhausted": True, "words": 1156, "states": 384
+    }
+
+
 def test_ekz(capsys):
     payload = run_json(capsys, ["ekz", fixture_path("l3")])
     assert payload["total"] == {"num": 4, "den": 3}
@@ -285,23 +308,41 @@ def _write(tmp_path, name, payload):
     return str(f)
 
 
-def _cover_without_wv(tmp_path):
+def _cover(tmp_path, cocycle):
     torus = tmp_path / "torus.txt"
     torus.write_text("h = (1)\nv = (1)\n")
-    cocycle = _write(tmp_path, "cocycle.json", {"group": "quaternion", "wh": [2]})
-    return ["cover", "custom", "--base", str(torus), "--cocycle", cocycle]
+    cocycle_file = _write(tmp_path, "cocycle.json", cocycle)
+    return ["cover", "custom", "--base", str(torus), "--cocycle", cocycle_file]
+
+
+def _verify_edited(tmp_path, section, key, value):
+    cert = certify_simplicity(fixture_origami("dema"), search_depth=8).to_json()
+    cert[section][key] = value
+    return ["verify", _write(tmp_path, "cert.json", cert)]
 
 
 @pytest.mark.parametrize(
     "argv",
     [
         lambda tmp: ["galois", _write(tmp, "m.json", [[1, "a"], [0, 1]])],
-        _cover_without_wv,
+        lambda tmp: _cover(tmp, {"group": "quaternion", "wh": [2]}),
+        lambda tmp: _cover(tmp, {"group": "quaternion", "wh": ["x"], "wv": [4]}),
         lambda tmp: ["verify", _write(tmp, "cert.json", {"origami": {}})],
+        lambda tmp: _verify_edited(tmp, "quartic", "a", "x"),
+        lambda tmp: _verify_edited(tmp, "witness", "dim_e", True),
         lambda tmp: ["mc", fixture_path("l3"), "--trials", "0", "--seed", "1"],
         lambda tmp: ["mc", fixture_path("l3"), "--steps", "0", "--seed", "1"],
     ],
-    ids=["galois-non-integer", "cover-without-wv", "verify-empty-origami", "mc-zero-trials", "mc-zero-steps"],
+    ids=[
+        "galois-non-integer",
+        "cover-without-wv",
+        "cover-string-cocycle-value",
+        "verify-empty-origami",
+        "verify-string-quartic",
+        "verify-bool-dim-e",
+        "mc-zero-trials",
+        "mc-zero-steps",
+    ],
 )
 def test_bad_input_is_a_domain_error(capsys, tmp_path, argv):
     code, out, err = run(capsys, argv(tmp_path))

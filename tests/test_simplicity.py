@@ -1,21 +1,69 @@
 import json
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from origami_lab.origami import Origami
-from origami_lab.perm import Permutation
+from origami_lab import intlinalg as la
+from origami_lab.galois import is_galois_pinching_sp4
+from origami_lab.homology import kz_context
+from origami_lab.origami import Origami, automorphisms, genus, is_reduced, parse_origami_text
+from origami_lab.perm import Permutation, is_transitive
 from origami_lab.simplicity import (
     CylinderWitness,
     NotFound,
+    _search_pinching_word,
     certificate_from_json,
     certify_simplicity,
     cylinder_span_dim,
+    find_pinching_word,
     parabolic_word,
     verify_certificate,
 )
-from origami_lab.orbit import sl2z_orbit
+from origami_lab.orbit import Sl2zWord, sl2z_orbit
 
 from conftest import fixture_origami
+
+_INVERSE = {"T": "t", "t": "T", "S": "s", "s": "S"}
+
+
+def _dfs_pinching_word(o, search_depth):
+    """Reference search: an iterative-deepening DFS that forms every
+    path of each length and tests every closed one, by length and then
+    in the letter order T, S, t, s, skipping immediate backtracks."""
+    ctx = kz_context(o)
+    base = ctx.graph.basepoint
+    ident = la.identity_matrix(len(ctx.basis(base, "H1_zero")))
+    for depth in range(1, search_depth + 1):
+        stack = [(base, ident, ())]
+        while stack:
+            node, mat, letters = stack.pop()
+            if len(letters) == depth:
+                if node == base:
+                    report = is_galois_pinching_sp4(mat)
+                    if report.pinching:
+                        return Sl2zWord(tuple(reversed(letters))), report
+                continue
+            # push children in reverse so they pop in T, S, t, s order
+            for letter in "sStT":
+                if letters and _INVERSE[letters[-1]] == letter:
+                    continue
+                target, step = ctx.step(node, letter, "H1_zero")
+                stack.append((target, la.mat_mul(step, mat), letters + (letter,)))
+    return None
+
+
+@st.composite
+def trivial_genus_3_surfaces(draw):
+    """Random reduced genus-3 origamis of degree 5-7 with trivial
+    automorphisms."""
+    n = draw(st.integers(5, 7))
+    h = Permutation(draw(st.permutations(range(1, n + 1))))
+    v = Permutation(draw(st.permutations(range(1, n + 1))))
+    assume(is_transitive([h, v]))
+    o = Origami(h, v)
+    assume(genus(o) == 3 and is_reduced(o) and len(automorphisms(o)) == 1)
+    return o
 
 
 @pytest.fixture(scope="module")
@@ -90,3 +138,52 @@ def test_deterministic(dema):
     b = certify_simplicity(dema, search_depth=8)
     assert a.pinching_word == b.pinching_word
     assert a.dumps() == b.dumps()
+
+
+# The breadth-first word search against the DFS it replaced
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(trivial_genus_3_surfaces())
+def test_word_search_matches_dfs_on_random_surfaces(o):
+    assert find_pinching_word(o, 6) == _dfs_pinching_word(o, 6)
+
+
+@pytest.mark.parametrize("name,depth", [("dema", 7), ("dema", 8), ("ew", 7)])
+def test_word_search_matches_dfs_on_fixtures(name, depth):
+    o = fixture_origami(name)
+    assert find_pinching_word(o, depth) == _dfs_pinching_word(o, depth)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["h = (1,4,5,2)(3)\nv = (1,4,3,5)(2)\n", "h = (1)(2,5)(3,4)\nv = (1,2,5,3)(4)\n"],
+)
+def test_word_search_matches_dfs_through_tied_states(text):
+    # the first pinching word (length 7) runs through a state that two
+    # paths of the same length reach: the search must keep the earlier
+    o = parse_origami_text(text)
+    want = _dfs_pinching_word(o, 7)
+    assert want is not None and find_pinching_word(o, 7) == want
+
+
+def test_word_search_exhausts_ew(ew):
+    # ew's cocycle acts through a finite group: its 384 states are all
+    # reached by length 8, and length 9 adds none
+    found, stats = _search_pinching_word(ew, 8)
+    assert found is None and stats["exhausted"] is False
+    found, at_9 = _search_pinching_word(ew, 9)
+    assert found is None and at_9["exhausted"] is True
+    found, at_20 = _search_pinching_word(ew, 20)
+    assert found is None and at_20 == at_9
+    assert at_9["states"] == 384
+    assert find_pinching_word(ew, 20) is None
+
+
+def test_not_found_carries_the_search_counters(dema):
+    result = certify_simplicity(dema, search_depth=3)
+    found, stats = _search_pinching_word(dema, 3)
+    assert found is None
+    assert result == NotFound(explored_depth=3, **stats)
+    assert stats["exhausted"] is False
+    assert stats["words"] == 4 + 12 + 36 and stats["states"] == 4 + 12 + 36
