@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import sys
 
@@ -75,9 +76,11 @@ def _cmd_orbit(args):
     o = load_origami(args.origami)
     graph = sl2z_orbit(o)
     payload = graph.to_json()
-    lines = ["orbit size = %d" % len(graph.nodes)]
-    for i, node in enumerate(graph.nodes):
-        lines.append("node %d: h = %s, v = %s" % (i, node.h, node.v))
+    # a generator, so that --json builds no node Origami
+    lines = itertools.chain(
+        ["orbit size = %d" % len(graph)],
+        ("node %d: h = %s, v = %s" % (i, node.h, node.v) for i, node in enumerate(graph.nodes)),
+    )
     _emit(args, payload, lines)
     return 0
 
@@ -87,7 +90,7 @@ def _cmd_veech(args):
     if not is_reduced(o):
         raise ValueError("veech requires a reduced origami")
     graph = sl2z_orbit(o)
-    index = len(graph.nodes)
+    index = len(graph)
     gens = stabilizer_words(graph)
     payload = {"index": index, "generators": [str(w) for w in gens]}
     _emit(

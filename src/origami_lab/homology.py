@@ -399,7 +399,8 @@ _SUBSPACES = ("full", "H1_zero", "W")
 
 class KzContext:
     """Cached orbit graph, per-node homology, subspace bases and per-edge
-    step matrices for one SL(2,Z)-orbit.
+    step matrices for one SL(2,Z)-orbit.  A node's ``Origami`` is built
+    with its ``Homology``, so a walk builds one per node it visits.
 
     A ``subspace`` is one of "full" (H_1 itself), "H1_zero" (the
     zero-holonomy part, from ``tautological_split``) or "W" (the
@@ -463,9 +464,10 @@ class KzContext:
 
     def _homology_step(self, node, letter):
         """(target node, integer matrix H1(node) -> H1(target))."""
-        target, relabel = self.graph.edges[node][letter]
+        target, relabel = self.graph.step(node, letter)
+        hs, ht = self.homology(node), self.homology(target)
         edges, cell = _edge_map(self.graph.nodes[node], letter, relabel)
-        return target, _homology_map(self.homology(node), self.homology(target), edges, cell)
+        return target, _homology_map(hs, ht, edges, cell)
 
     def aut_matrices(self, node, subspace="full"):
         """Action matrices of the nontrivial deck transformations of a

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -63,19 +64,33 @@ def combinatorial_term(st):
     )
 
 
+def _cycle_lengths(images):
+    """The cycle lengths of a 0-based image table, fixed points included."""
+    seen = bytearray(len(images))
+    for start in range(len(images)):
+        length = 0
+        s = start
+        while not seen[s]:
+            seen[s] = 1
+            s = images[s]
+            length += 1
+        if length:
+            yield length
+
+
 def ekz_sum(o):
     """Exact sum of the non-negative homology Lyapunov exponents."""
     if not is_reduced(o):
         raise ValueError("the sum formula requires a reduced origami")
     st = stratum(o)
     comb = combinatorial_term(st)
-    ctx = kz_context(o)
-    cyl = Fraction(0)
-    for node in ctx.graph.nodes:
-        for cyc in node.h.cycles(include_fixed=True):
-            cyl += Fraction(1, len(cyc))
-    orbit_size = len(ctx.graph.nodes)
-    cyl = cyl / orbit_size
+    graph = kz_context(o).graph
+    orbit_size = len(graph)
+    # the horizontal cycles of the orbit, counted by length
+    counts = Counter(
+        length for node in range(orbit_size) for length in _cycle_lengths(graph.tables(node)[0])
+    )
+    cyl = sum((Fraction(c, length) for length, c in counts.items()), Fraction(0)) / orbit_size
     total = comb + cyl
     if total < 1:
         raise AssertionError("exponent sum below the tautological contribution")
@@ -118,7 +133,7 @@ def _subspace_steps(ctx, subspace):
     """Per-(node, letter) step matrices on the chosen subspace, as numpy
     float arrays, plus the subspace dimension."""
     steps = {}
-    for n in range(len(ctx.graph.nodes)):
+    for n in range(len(ctx.graph)):
         for letter in _LETTERS:
             target, m = ctx.step(n, letter, subspace)
             steps[(n, letter)] = (target, np.array(m, dtype=float))

@@ -7,14 +7,25 @@ acting by
     T(h, v) = (h, v h^-1)        S(h, v) = (h v^-1, v),
 
 with composition (p q)(i) = p(q(i)).  Orbits are enumerated up to
-simultaneous conjugation via canonical forms.  Words over {T, S, T^-1,
-S^-1} are written as strings over {T, S, t, s} (lowercase = inverse); the
-letters multiply left to right, so the leftmost letter acts last.
+simultaneous conjugation via canonical forms, as in Schmithuesen's
+Veech-group algorithm (Exp. Math. 13, 2004).  An ``OrbitGraph`` keeps
+each node as its packed canonical tables and each edge as a target in one
+array and a relabel in one flat buffer; a node's ``Origami`` and an
+edge's relabel ``Permutation`` are built only when asked for, so the
+Veech group index, the Veech group and the cylinder term of the sum
+formula read the orbit without building either.
+
+Words over {T, S, T^-1, S^-1} are written as strings over {T, S, t, s}
+(lowercase = inverse); the letters multiply left to right, so the
+leftmost letter acts last.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from array import array
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 from .origami import Origami, canonical_form, canonical_labelling, is_reduced
 from .perm import Permutation, compose
@@ -27,6 +38,10 @@ GEN_MATRICES = {
 }
 
 _INVERSE_LETTER = {"T": "t", "t": "T", "S": "s", "s": "S"}
+_LETTERS = ("T", "S", "t", "s")
+_SLOT = {letter: slot for slot, letter in enumerate(_LETTERS)}
+# the largest degree whose labels fit in one byte each
+_BYTE_DEGREE = 256
 
 
 def mat2_mul(a, b):
@@ -75,6 +90,8 @@ class Sl2zWord:
     def parse(text):
         """Parse a word string; a letter may be followed by a decimal
         repeat count, e.g. ``"T8SSTTSS"`` or ``"T2 s3"``."""
+        if not isinstance(text, str):
+            raise ValueError("a word must be a string, not %r" % (text,))
         letters = []
         i = 0
         text = "".join(text.split())
@@ -113,49 +130,130 @@ def apply_letter(o, letter):
     return raw, canon, relabel
 
 
-@dataclass
 class OrbitGraph:
-    """SL(2,Z)-orbit of canonical forms.
+    """SL(2,Z)-orbit of canonical forms, stored packed.
 
-    ``edges[i]`` maps each letter in {T, S, t, s} to ``(target index,
-    relabel)`` where relabel carries the raw image of node i to the
-    canonical form at the target index.
+    Node i is one key: its canonical 0-based h-table followed by its
+    v-table, as ``bytes`` while the degree is at most 256 and as the bytes
+    of an ``array('H')`` above that.  A dict maps each key to its node id.
+    The edge targets are one ``array('l')`` with 4 entries per node, for
+    the letters T, S, t, s in that order, and the edge relabels are one
+    flat buffer of N 0-based labels per edge: the relabel of an edge
+    carries the raw image of its source to the canonical form at its
+    target.  ``nodes`` builds a node's ``Origami`` on first access, and
+    ``step`` builds a relabel ``Permutation`` only when asked.
     """
 
-    nodes: list
-    edges: list
-    basepoint: int = 0
-    _index: dict = field(default_factory=dict, repr=False)
+    basepoint = 0
+
+    def __init__(self, degree, label, keys, index, targets, labels):
+        self.degree = degree
+        self.label = label
+        self._keys = keys
+        self._index = index
+        self._targets = targets
+        self._labels = labels
+        self.nodes = OrbitNodes(self)
+
+    def __len__(self):
+        return len(self._keys)
+
+    def tables(self, node):
+        """The (h, v) image tables of a node, 0-based."""
+        key = self._keys[node]
+        if self.degree > _BYTE_DEGREE:
+            key = array("H", key)
+        return key[: self.degree], key[self.degree :]
 
     def index_of(self, o):
         """Node index of an origami (canonicalized first); None if absent."""
-        canon = canonical_form(o).origami
-        return self._index.get(canon)
+        h, v, _label, _ties = canonical_labelling(
+            [x - 1 for x in o.h.images], [x - 1 for x in o.v.images]
+        )
+        return self._index.get(_pack(h + v))
+
+    def target(self, node, letter):
+        """The node a letter takes a node to."""
+        return self._targets[4 * node + _SLOT[letter]]
 
     def step(self, node, letter):
-        return self.edges[node][letter]
+        """(target node, relabel) for a letter applied at a node."""
+        edge = 4 * node + _SLOT[letter]
+        return self._targets[edge], Permutation([x + 1 for x in self._relabel(edge)])
+
+    def _relabel(self, edge):
+        """The 0-based relabel of edge slot 4 node + letter."""
+        n = self.degree
+        return self._labels[edge * n : (edge + 1) * n]
 
     def trace(self, node, word):
         """Apply a word to a node: letters act right to left."""
         for l in reversed(word.letters):
-            node = self.edges[node][l][0]
+            node = self.target(node, l)
         return node
 
     def to_json(self):
+        nodes = []
+        for i in range(len(self)):
+            h, v = self.tables(i)
+            nodes.append(
+                {
+                    "degree": self.degree,
+                    "h_images": [x + 1 for x in h],
+                    "v_images": [x + 1 for x in v],
+                    "label": self.label,
+                }
+            )
         return {
             "basepoint": self.basepoint,
-            "nodes": [o.to_json() for o in self.nodes],
+            "nodes": nodes,
             "edges": [
                 {
                     "from": i,
                     "gen": l,
-                    "to": self.edges[i][l][0],
-                    "relabel_images": list(self.edges[i][l][1].images),
+                    "to": self._targets[edge],
+                    "relabel_images": [x + 1 for x in self._relabel(edge)],
                 }
-                for i in range(len(self.nodes))
-                for l in ("T", "S")
+                for i in range(len(self))
+                for l, edge in (("T", 4 * i), ("S", 4 * i + 1))
             ],
         }
+
+
+class OrbitNodes(Sequence):
+    """The nodes of an orbit graph as ``Origami``s, each built on first
+    access and kept."""
+
+    def __init__(self, graph):
+        self._graph = graph
+        self._built = {}
+
+    def __len__(self):
+        return len(self._graph)
+
+    def __getitem__(self, i):
+        i = operator.index(i)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("orbit node index out of range")
+        o = self._built.get(i)
+        if o is None:
+            h, v = self._graph.tables(i)
+            o = self._built[i] = Origami(
+                Permutation([x + 1 for x in h]),
+                Permutation([x + 1 for x in v]),
+                self._graph.label,
+            )
+        return o
+
+
+def _pack(entries):
+    """The packed key of a node's 2N table entries (0-based labels below
+    N): one byte each while N is at most ``_BYTE_DEGREE``, else two."""
+    if len(entries) <= 2 * _BYTE_DEGREE:
+        return bytes(entries)
+    return array("H", entries).tobytes()
 
 
 def _letter_images(h, v, letter):
@@ -179,38 +277,56 @@ def sl2z_orbit(o):
     """Breadth-first closure under the four generator letters, with
     canonical-form deduplication.  Node ids follow discovery order with
     letter priority T, S, t, s; node 0 is the canonical form of the
-    input.  The search runs on 0-based image tuples; an ``Origami`` is
-    built once per node and a relabel ``Permutation`` once per edge."""
+    input.  The search runs on packed 0-based tables (see ``OrbitGraph``)
+    and builds no ``Origami`` and no ``Permutation``.
 
-    def one_based(images):
-        return Permutation([x + 1 for x in images])
-
-    h_table, v_table, _label = canonical_labelling(
+    Inverse letters give inverse edges: if T takes node i to node j with
+    relabel r, then t takes j back to i, and r^-1 carries the raw t-image
+    of j to i.  The canonical relabel differs from r^-1 by an automorphism
+    of i, so when i has none but the identity (one tied start in its
+    canonical labelling) the relabel of the t-edge is r^-1 and no
+    labelling runs.  The same holds for S and s, and for an inverse letter
+    seen first."""
+    n = o.degree
+    h, v, _label, ties = canonical_labelling(
         [x - 1 for x in o.h.images], [x - 1 for x in o.v.images]
     )
-    tables = [(h_table, v_table)]
-    index = {tables[0]: 0}
-    edges = [{}]
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            h, v = tables[i]
-            for letter in ("T", "S", "t", "s"):
-                h_table, v_table, label = canonical_labelling(*_letter_images(h, v, letter))
-                key = (h_table, v_table)
+    keys = [_pack(h + v)]
+    index = {keys[0]: 0}
+    rigid = bytearray([ties == 1])
+    targets = array("l")
+    labels = bytearray() if n <= _BYTE_DEGREE else array("H")
+    graph = OrbitGraph(n, o.label, keys, index, targets, labels)
+    # slot 4 j + letter of an edge still to come -> slot of the computed
+    # edge into j that it inverts
+    inverse_of = {}
+    i = 0
+    while i < len(keys):
+        h, v = graph.tables(i)
+        for slot, letter in enumerate(_LETTERS):
+            edge = 4 * i + slot
+            source = inverse_of.pop(edge, None)
+            if source is not None:
+                j = source // 4
+                label = [0] * n
+                for old, new in enumerate(graph._relabel(source)):
+                    label[new] = old
+            else:
+                h_table, v_table, label, ties = canonical_labelling(*_letter_images(h, v, letter))
+                key = _pack(h_table + v_table)
                 j = index.get(key)
                 if j is None:
-                    j = index[key] = len(tables)
-                    tables.append(key)
-                    edges.append({})
-                    nxt.append(j)
-                edges[i][letter] = (j, one_based(label))
-        frontier = nxt
-    nodes = [Origami(one_based(h), one_based(v), o.label) for h, v in tables]
-    return OrbitGraph(
-        nodes=nodes, edges=edges, basepoint=0, _index={node: i for i, node in enumerate(nodes)}
-    )
+                    j = index[key] = len(keys)
+                    keys.append(key)
+                    rigid.append(ties == 1)
+                # the inverse edge from j is still to come: later node,
+                # or a later letter at this node
+                if rigid[i] and (j > i or (j == i and slot < 2)):
+                    inverse_of[4 * j + _SLOT[_INVERSE_LETTER[letter]]] = edge
+            targets.append(j)
+            labels.extend(label)
+        i += 1
+    return graph
 
 
 def veech_index(o):
@@ -218,7 +334,7 @@ def veech_index(o):
     (for reduced origamis, where the Veech group sits inside SL(2,Z))."""
     if not is_reduced(o):
         raise ValueError("veech_index requires a reduced origami")
-    return len(sl2z_orbit(o).nodes)
+    return len(sl2z_orbit(o))
 
 
 def veech_generators(o):
@@ -235,7 +351,7 @@ def spanning_tree(graph, letters):
     letters applied in sequence from the basepoint along the tree (None for
     a node the letters do not reach) and the set of tree edges
     (node, letter)."""
-    path_to = [None] * len(graph.nodes)
+    path_to = [None] * len(graph)
     path_to[graph.basepoint] = ()
     tree_edges = set()
     frontier = [graph.basepoint]
@@ -243,7 +359,7 @@ def spanning_tree(graph, letters):
         nxt = []
         for i in frontier:
             for letter in letters:
-                j = graph.edges[i][letter][0]
+                j = graph.target(i, letter)
                 if path_to[j] is None:
                     path_to[j] = path_to[i] + (letter,)
                     tree_edges.add((i, letter))
@@ -262,11 +378,11 @@ def stabilizer_words(graph):
     path_to, tree_edges = spanning_tree(graph, ("T", "S"))
     assert all(p is not None for p in path_to), "orbit graph not T/S-connected"
     words = []
-    for i in range(len(graph.nodes)):
+    for i in range(len(graph)):
         for letter in ("T", "S"):
             if (i, letter) in tree_edges:
                 continue
-            j = graph.edges[i][letter][0]
+            j = graph.target(i, letter)
             letters = (
                 [_INVERSE_LETTER[l] for l in path_to[j]]
                 + [letter]

@@ -81,6 +81,12 @@ class Origami:
 
     @staticmethod
     def from_json(obj):
+        if not isinstance(obj, dict):
+            raise ValueError("an origami must be a JSON object, not %r" % (obj,))
+        for key in ("h_images", "v_images"):
+            images = obj.get(key)
+            if not isinstance(images, list) or any(type(x) is not int for x in images):
+                raise ValueError("origami %s must be a list of integers, not %r" % (key, images))
         return Origami(
             Permutation(obj["h_images"]),
             Permutation(obj["v_images"]),
@@ -309,9 +315,11 @@ def canonical_labelling(h, v):
     and a start is abandoned at its first larger entry; the v-table is
     built only for a start whose h-table is smaller or equal.
 
-    Returns (h-table, v-table, label) with new square label[s] for old
-    square s, all 0-based.  Raises ValueError when the pair is not
-    transitive (the search from the first start misses a square).
+    Returns (h-table, v-table, label, ties) with new square label[s] for
+    old square s, all 0-based; ``ties`` counts the starts that give the
+    smallest tables, which is the order of the automorphism group.
+    Raises ValueError when the pair is not transitive (the search from
+    the first start misses a square).
     """
     n = len(h)
     hi = [0] * n
@@ -319,19 +327,24 @@ def canonical_labelling(h, v):
     for s in range(n):
         hi[h[s]] = s
         vi[v[s]] = s
-    best_h = best_v = best_label = None
+    neighbors = list(zip(h, v, hi, vi))
+    best_h = best_v = best_order = None
+    # one label buffer serves every start: from the start with base
+    # start * n, square t is labelled iff mark[t] >= base, with label
+    # mark[t] - base
+    mark = [-1] * n
     for start in range(n):
-        label = [-1] * n
-        label[start] = 0
+        base = start * n
+        mark[start] = base
         order = [start]
         h_row = []
         smaller = best_h is None
         for s in order:
-            for t in (h[s], v[s], hi[s], vi[s]):
-                if label[t] < 0:
-                    label[t] = len(order)
+            for t in neighbors[s]:
+                if mark[t] < base:
+                    mark[t] = base + len(order)
                     order.append(t)
-            entry = label[h[s]]
+            entry = mark[h[s]] - base
             if not smaller:
                 b = best_h[len(h_row)]
                 if entry > b:
@@ -341,10 +354,16 @@ def canonical_labelling(h, v):
         else:
             if len(order) < n:
                 raise ValueError("the pair (h, v) is not transitive: surface disconnected")
-            v_row = [label[v[s]] for s in order]
+            v_row = [mark[v[s]] - base for s in order]
             if smaller or v_row < best_v:
-                best_h, best_v, best_label = h_row, v_row, label
-    return tuple(best_h), tuple(best_v), best_label
+                best_h, best_v, best_order = h_row, v_row, order
+                ties = 1
+            elif v_row == best_v:
+                ties += 1
+    label = [0] * n
+    for new, old in enumerate(best_order):
+        label[old] = new
+    return tuple(best_h), tuple(best_v), label, ties
 
 
 class CanonicalForm(NamedTuple):
@@ -358,7 +377,7 @@ def canonical_form(o):
     smallest relabeled (h, v) table, the first (lowest square) is used.
     Returns the canonical origami and the relabeling used
     (new = relabel(old))."""
-    h_table, v_table, label = canonical_labelling(
+    h_table, v_table, label, _ties = canonical_labelling(
         [x - 1 for x in o.h.images], [x - 1 for x in o.v.images]
     )
     canon = Origami(

@@ -11,6 +11,8 @@ permutation, T/S action on origamis, chain maps) depends on this choice.
 
 from __future__ import annotations
 
+import operator
+
 
 class Permutation:
     """An immutable bijection of {1, .., N}.
@@ -21,7 +23,10 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images):
-        images = tuple(int(x) for x in images)
+        try:
+            images = tuple(map(operator.index, images))
+        except TypeError:
+            raise ValueError("images %r are not a sequence of integers" % (images,)) from None
         n = len(images)
         if n == 0:
             raise ValueError("a permutation needs degree at least 1")

@@ -69,11 +69,11 @@ def parabolic_word(o, direction="horizontal"):
     node = ctx.graph.basepoint
     k = 0
     while True:
-        node = ctx.graph.edges[node][letter][0]
+        node = ctx.graph.target(node, letter)
         k += 1
         if node == ctx.graph.basepoint:
             return Sl2zWord((letter,) * k)
-        if k > len(ctx.graph.nodes):
+        if k > len(ctx.graph):
             raise AssertionError("parabolic never returned to the basepoint")
 
 
@@ -242,7 +242,7 @@ def _cylinder_witness(ctx, g):
     span E has 1 < dim E < g, if one exists."""
     graph = ctx.graph
     path_to, _tree_edges = spanning_tree(graph, _LETTER_ORDER)
-    for node in range(len(graph.nodes)):
+    for node in range(len(graph)):
         classes = horizontal_cylinder_classes(graph.nodes[node], ctx.homology(node))
         dim_e = la.rank(classes)
         if 1 < dim_e < g:

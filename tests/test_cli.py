@@ -75,6 +75,51 @@ def test_veech_rejects_non_reduced(capsys, tmp_path):
     assert "error:" in err and "reduced" in err
 
 
+@pytest.fixture
+def origami_builds(monkeypatch):
+    """The (h, v) images of every ``Origami`` built from here on, with an
+    empty KZ context cache so that orbits are enumerated afresh."""
+    from origami_lab import homology
+    from origami_lab.origami import Origami
+
+    built = []
+    original = Origami.__init__
+
+    def counted(self, h, v, label=None):
+        built.append((h.images, v.images))
+        original(self, h, v, label)
+
+    monkeypatch.setattr(Origami, "__init__", counted)
+    monkeypatch.setattr(homology, "_context_cache", {})
+    return built
+
+
+@pytest.mark.parametrize("command", ["veech", "ekz"])
+def test_orbit_jobs_build_no_origami_per_node(capsys, origami_builds, command):
+    payload = run_json(capsys, [command, fixture_path("mstar")])
+    assert payload["index" if command == "veech" else "orbit"] == 120
+    # the loaded surface and, for ekz, its canonical form: none of the
+    # 120 orbit nodes
+    assert len(origami_builds) <= 2
+
+
+def test_kz_builds_one_origami_per_visited_node(capsys, origami_builds):
+    from origami_lab.orbit import Sl2zWord, sl2z_orbit
+
+    graph = sl2z_orbit(fixture_origami("dema"))
+    node = graph.basepoint
+    visited = {node}
+    for letter in reversed(Sl2zWord.parse("T8SSTTSS").letters):
+        node = graph.target(node, letter)
+        visited.add(node)
+    del origami_builds[:]
+    code, out, err = run(capsys, ["kz", fixture_path("dema"), "T8SSTTSS"])
+    assert code == 0, err
+    # the loaded surface and its canonical form, then each visited node
+    # once, with its homology
+    assert len(origami_builds) <= len(visited) + 2
+
+
 def test_spin(capsys):
     payload = run_json(capsys, ["spin", fixture_path("mstar")])
     assert payload["spin_parity"] == 1
@@ -316,8 +361,10 @@ def _cover(tmp_path, cocycle):
 
 
 def _verify_edited(tmp_path, section, key, value):
+    """``verify`` on the ``dema`` certificate with one value replaced; the
+    section None stands for the top level."""
     cert = certify_simplicity(fixture_origami("dema"), search_depth=8).to_json()
-    cert[section][key] = value
+    (cert if section is None else cert[section])[key] = value
     return ["verify", _write(tmp_path, "cert.json", cert)]
 
 
@@ -330,6 +377,9 @@ def _verify_edited(tmp_path, section, key, value):
         lambda tmp: ["verify", _write(tmp, "cert.json", {"origami": {}})],
         lambda tmp: _verify_edited(tmp, "quartic", "a", "x"),
         lambda tmp: _verify_edited(tmp, "witness", "dim_e", True),
+        lambda tmp: _verify_edited(tmp, None, "pinching_word", 5),
+        lambda tmp: _verify_edited(tmp, "witness", "direction", 5),
+        lambda tmp: _verify_edited(tmp, "origami", "h_images", 5),
         lambda tmp: ["mc", fixture_path("l3"), "--trials", "0", "--seed", "1"],
         lambda tmp: ["mc", fixture_path("l3"), "--steps", "0", "--seed", "1"],
     ],
@@ -340,6 +390,9 @@ def _verify_edited(tmp_path, section, key, value):
         "verify-empty-origami",
         "verify-string-quartic",
         "verify-bool-dim-e",
+        "verify-number-pinching-word",
+        "verify-number-direction",
+        "verify-number-h-images",
         "mc-zero-trials",
         "mc-zero-steps",
     ],

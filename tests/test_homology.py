@@ -151,7 +151,7 @@ def test_action_matrix_rejects_a_non_deck_permutation(dema):
 @pytest.mark.parametrize("letter", "TSts")
 def test_chain_map_check_rejects_a_flipped_coefficient(dema, letter):
     ctx = kz_context(dema)
-    target, relabel = ctx.graph.edges[0][letter]
+    target, relabel = ctx.graph.step(0, letter)
     edges, cell = homology._edge_map(ctx.graph.nodes[0], letter, relabel)
     hs, ht = ctx.homology(0), ctx.homology(target)
     assert homology._homology_map(hs, ht, edges, cell) == ctx.step(0, letter)[1]

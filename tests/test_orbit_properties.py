@@ -4,16 +4,29 @@ reference implementations.
 The oracle for ``canonical_form`` is the full-key search: every start
 square builds both relabeled image tables, and the start with the
 lexicographically smallest (h-table, v-table) wins, ties keeping the
-first start.  The reference orbit is a breadth-first closure over
+first start; the number of tied starts must be the number of
+automorphisms.  The reference orbit is a breadth-first closure over
 ``apply_letter``, with every canonical form checked against the oracle.
+The packed orbit graph must give its nodes, every ``step`` and its JSON,
+and ``ekz_sum``'s cylinder term must equal the one summed over its nodes.
 """
+
+import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from origami_lab.lyapunov import ekz_sum
 from origami_lab.orbit import apply_letter, apply_letter_raw, sl2z_orbit
-from origami_lab.origami import Origami, canonical_form, canonical_labelling
+from origami_lab.origami import (
+    Origami,
+    automorphisms,
+    canonical_form,
+    canonical_labelling,
+    is_reduced,
+)
 from origami_lab.perm import Permutation, is_transitive
 
 from conftest import fixture_origami
@@ -95,18 +108,44 @@ def check_canonical_form(o):
     assert canon == want_canon
     assert relabel == want_relabel
     assert o.relabel(relabel) == canon
+    ties = canonical_labelling([x - 1 for x in o.h.images], [x - 1 for x in o.v.images])[3]
+    assert ties == len(automorphisms(o))
+
+
+def reference_json(nodes, edges):
+    """The orbit JSON of the reference graph, built from its objects."""
+    return {
+        "basepoint": 0,
+        "nodes": [node.to_json() for node in nodes],
+        "edges": [
+            {"from": i, "gen": l, "to": edges[i][l][0], "relabel_images": list(edges[i][l][1].images)}
+            for i in range(len(nodes))
+            for l in ("T", "S")
+        ],
+    }
 
 
 def check_orbit(o):
     graph = sl2z_orbit(o)
     nodes, edges = reference_orbit(o)
-    assert graph.nodes == nodes
-    assert graph.edges == edges
+    assert len(graph) == len(graph.nodes) == len(nodes)
+    assert list(graph.nodes) == nodes
+    assert [{l: graph.step(i, l) for l in "TSts"} for i in range(len(graph))] == edges
+    assert json.dumps(graph.to_json(), indent=2, sort_keys=True) == json.dumps(
+        reference_json(nodes, edges), indent=2, sort_keys=True
+    )
     for i, node in enumerate(graph.nodes):
         assert graph.index_of(node) == i
         for letter in ("T", "S", "t", "s"):
-            target, relabel = graph.edges[i][letter]
+            target, relabel = graph.step(i, letter)
+            assert graph.target(i, letter) == target
             assert apply_letter_raw(node, letter).relabel(relabel) == graph.nodes[target]
+    if is_reduced(o):
+        # the cylinder term of the sum formula over the reference nodes
+        cylinder = sum(
+            Fraction(1, len(c)) for node in nodes for c in node.h.cycles(include_fixed=True)
+        )
+        assert ekz_sum(o).cylinder == cylinder / len(nodes)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -157,6 +196,17 @@ def test_tied_h_tables(h, v):
     o = Origami(Permutation(h), Permutation(v))
     check_canonical_form(o)
     check_orbit(o)
+
+
+def test_wide_packing_on_the_17x17_torus():
+    # h and v translate Z/17 x Z/17 by (1, 0) and (0, 1); square (x, y)
+    # is 17 y + x + 1, so labels reach 289 and keys take two bytes each
+    h = Permutation([17 * y + (x + 1) % 17 + 1 for y in range(17) for x in range(17)])
+    v = Permutation([17 * ((y + 1) % 17) + x + 1 for y in range(17) for x in range(17)])
+    torus = Origami(h, v)
+    graph = sl2z_orbit(torus)
+    assert graph.degree == 289 and len(graph) == 1
+    check_orbit(torus)
 
 
 def test_disconnected_pair_raises():

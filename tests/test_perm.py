@@ -64,6 +64,12 @@ def test_parse_rejects_bad_symbols():
         parse_cycles("(1,x)", 2)
 
 
+@pytest.mark.parametrize("images", [5, [1.0, 2], ["1", "2"], [None]])
+def test_images_of_the_wrong_type_are_rejected(images):
+    with pytest.raises(ValueError, match="not a sequence of integers"):
+        Permutation(images)
+
+
 def test_transitivity():
     h = parse_cycles("(1,2)", 4)
     v = parse_cycles("(3,4)", 4)
