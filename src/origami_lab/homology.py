@@ -147,10 +147,10 @@ class Homology:
         # crosses e from square minus[e] to square plus[e]
         self.loops = [_closed_path(vertex_paths, e, cx.tail[e], cx.head[e]) for e in self._leftover]
         duals = [_closed_path(square_paths, e, cx.minus[e], cx.plus[e]) for e in self._leftover]
-        # D (one column of coordinates per dual loop) and J = D^-1
+        # D (one column of coordinates per dual loop) and J = D^-1, checked
+        # integral and skew there: det J det D = 1 in integers gives
+        # det J = +-1, and det J = Pf(J)^2, so J is unimodular
         self.dual_coords, self.intersection = self._intersection_matrix(self.loops, duals)
-        if la.det(self.intersection) != 1:
-            raise AssertionError("intersection form must be unimodular")
         self.taut_sigma = self.project([1] * n + [0] * n)
         self.taut_zeta = self.project([0] * n + [1] * n)
         self._dual_loops = None
@@ -399,8 +399,10 @@ _SUBSPACES = ("full", "H1_zero", "W")
 
 class KzContext:
     """Cached orbit graph, per-node homology, subspace bases and per-edge
-    step matrices for one SL(2,Z)-orbit.  A node's ``Origami`` is built
-    with its ``Homology``, so a walk builds one per node it visits.
+    step matrices for one SL(2,Z)-orbit.  The graph grows as words walk
+    it, and a node's ``Origami`` is built with its ``Homology``, so a walk
+    canonicalizes each edge it takes and builds one of each per node it
+    visits.
 
     A ``subspace`` is one of "full" (H_1 itself), "H1_zero" (the
     zero-holonomy part, from ``tautological_split``) or "W" (the

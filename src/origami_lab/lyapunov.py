@@ -30,6 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .homology import kz_context
+from .orbit import _cycle_lengths
 from .origami import automorphisms, is_reduced, stratum
 
 _LETTERS = ("T", "S", "t", "s")
@@ -62,20 +63,6 @@ def combinatorial_term(st):
     return Fraction(1, 12) * sum(
         (Fraction(k * (k + 2), k + 1) for k in st.orders), Fraction(0)
     )
-
-
-def _cycle_lengths(images):
-    """The cycle lengths of a 0-based image table, fixed points included."""
-    seen = bytearray(len(images))
-    for start in range(len(images)):
-        length = 0
-        s = start
-        while not seen[s]:
-            seen[s] = 1
-            s = images[s]
-            length += 1
-        if length:
-            yield length
 
 
 def ekz_sum(o):
@@ -129,17 +116,6 @@ class McEstimate:
         }
 
 
-def _subspace_steps(ctx, subspace):
-    """Per-(node, letter) step matrices on the chosen subspace, as numpy
-    float arrays, plus the subspace dimension."""
-    steps = {}
-    for n in range(len(ctx.graph)):
-        for letter in _LETTERS:
-            target, m = ctx.step(n, letter, subspace)
-            steps[(n, letter)] = (target, np.array(m, dtype=float))
-    return steps, len(steps[(ctx.graph.basepoint, "T")][1])
-
-
 def mc_exponents(o, subspace="full", steps=10000, trials=10, seed=None):
     """Monte Carlo Lyapunov exponents of the uniform generator walk.
 
@@ -154,7 +130,9 @@ def mc_exponents(o, subspace="full", steps=10000, trials=10, seed=None):
     if not is_reduced(o):
         raise ValueError("the random walk estimator requires a reduced origami")
     ctx = kz_context(o)
-    step_mats, dim = _subspace_steps(ctx, subspace)
+    dim = len(ctx.basis(ctx.graph.basepoint, subspace))
+    # (target, float step matrix) per (node, letter), as the walk reaches it
+    step_mats = {}
     note = ""
     if len(automorphisms(ctx.graph.nodes[ctx.graph.basepoint])) > 1:
         note = (
@@ -168,8 +146,12 @@ def mc_exponents(o, subspace="full", steps=10000, trials=10, seed=None):
         q = np.eye(dim)
         sums = np.zeros(dim)
         for step_index in range(1, steps + 1):
-            letter = _LETTERS[rng.randrange(4)]
-            node, m = step_mats[(node, letter)]
+            key = (node, _LETTERS[rng.randrange(4)])
+            step = step_mats.get(key)
+            if step is None:
+                target, m = ctx.step(*key, subspace)
+                step = step_mats[key] = (target, np.array(m, dtype=float))
+            node, m = step
             q = m @ q
             if step_index % _QR_PERIOD == 0 or step_index == steps:
                 q, r = np.linalg.qr(q)

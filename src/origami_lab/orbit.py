@@ -10,10 +10,12 @@ with composition (p q)(i) = p(q(i)).  Orbits are enumerated up to
 simultaneous conjugation via canonical forms, as in Schmithuesen's
 Veech-group algorithm (Exp. Math. 13, 2004).  An ``OrbitGraph`` keeps
 each node as its packed canonical tables and each edge as a target in one
-array and a relabel in one flat buffer; a node's ``Origami`` and an
-edge's relabel ``Permutation`` are built only when asked for, so the
-Veech group index, the Veech group and the cylinder term of the sum
-formula read the orbit without building either.
+array and a relabel in one flat buffer; it canonicalizes an edge the
+first time a walk reads it, so a cocycle word pays only for the nodes it
+visits.  A node's ``Origami`` and an edge's relabel ``Permutation`` are
+built only when asked for, so the Veech group index, the Veech group and
+the cylinder term of the sum formula read the closed orbit without
+building either.
 
 Words over {T, S, T^-1, S^-1} are written as strings over {T, S, t, s}
 (lowercase = inverse); the letters multiply left to right, so the
@@ -28,7 +30,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .origami import Origami, canonical_form, canonical_labelling, is_reduced
-from .perm import Permutation, compose
+from .perm import Permutation
 
 GEN_MATRICES = {
     "T": ((1, 1), (0, 1)),
@@ -88,8 +90,8 @@ class Sl2zWord:
 
     @staticmethod
     def parse(text):
-        """Parse a word string; a letter may be followed by a decimal
-        repeat count, e.g. ``"T8SSTTSS"`` or ``"T2 s3"``."""
+        """Parse a word string; a letter may be followed by a positive
+        decimal repeat count, e.g. ``"T8SSTTSS"`` or ``"T2 s3"``."""
         if not isinstance(text, str):
             raise ValueError("a word must be a string, not %r" % (text,))
         letters = []
@@ -100,63 +102,115 @@ class Sl2zWord:
             if l not in GEN_MATRICES:
                 raise ValueError("bad word letter %r (use T, S, t, s)" % l)
             i += 1
-            count = 0
+            digits = i
             while i < len(text) and text[i].isdigit():
-                count = 10 * count + int(text[i])
                 i += 1
-            letters.extend([l] * (count if count else 1))
+            count = int(text[digits:i]) if i > digits else 1
+            if count == 0:
+                raise ValueError("repeat count of %r must be positive" % l)
+            letters.extend([l] * count)
         return Sl2zWord(tuple(letters))
-
-
-def apply_letter_raw(o, letter):
-    """The raw image (no canonicalization) of an origami under one
-    generator letter."""
-    h, v = o.h, o.v
-    if letter == "T":
-        return Origami(h, compose(v, h.inverse()), o.label)
-    if letter == "t":
-        return Origami(h, compose(v, h), o.label)
-    if letter == "S":
-        return Origami(compose(h, v.inverse()), v, o.label)
-    if letter == "s":
-        return Origami(compose(h, v), v, o.label)
-    raise ValueError("unknown letter %r" % letter)
 
 
 def apply_letter(o, letter):
     """Returns (raw, canonical, relabel) for one generator letter."""
-    raw = apply_letter_raw(o, letter)
+    h, v = _letter_images([x - 1 for x in o.h.images], [x - 1 for x in o.v.images], letter)
+    raw = Origami(Permutation([x + 1 for x in h]), Permutation([x + 1 for x in v]), o.label)
     canon, relabel = canonical_form(raw)
     return raw, canon, relabel
 
 
 class OrbitGraph:
-    """SL(2,Z)-orbit of canonical forms, stored packed.
+    """SL(2,Z)-orbit of canonical forms, stored packed and grown on demand
+    (see ``sl2z_orbit``).
 
     Node i is one key: its canonical 0-based h-table followed by its
     v-table, as ``bytes`` while the degree is at most 256 and as the bytes
     of an ``array('H')`` above that.  A dict maps each key to its node id.
     The edge targets are one ``array('l')`` with 4 entries per node, for
-    the letters T, S, t, s in that order, and the edge relabels are one
-    flat buffer of N 0-based labels per edge: the relabel of an edge
-    carries the raw image of its source to the canonical form at its
-    target.  ``nodes`` builds a node's ``Origami`` on first access, and
-    ``step`` builds a relabel ``Permutation`` only when asked.
+    the letters T, S, t, s in that order, -1 while an edge is open.  The
+    edge relabels are one flat buffer of N 0-based labels per edge: the
+    relabel of an edge carries the raw image of its source to the
+    canonical form at its target.  ``nodes`` builds a node's ``Origami``
+    on first access, and ``step`` builds a relabel ``Permutation`` only
+    when asked.
     """
 
     basepoint = 0
 
-    def __init__(self, degree, label, keys, index, targets, labels):
-        self.degree = degree
-        self.label = label
-        self._keys = keys
-        self._index = index
-        self._targets = targets
-        self._labels = labels
+    def __init__(self, o):
+        n = self.degree = o.degree
+        self.label = o.label
+        h, v, _label, ties = canonical_labelling(
+            [x - 1 for x in o.h.images], [x - 1 for x in o.v.images]
+        )
+        self._keys = []
+        self._index = {}
+        self._rigid = bytearray()
+        self._targets = array("l")
+        self._labels = bytearray() if n <= _BYTE_DEGREE else array("H")
+        self._blank = bytes(4 * n)
+        # every node below this id has all four edges
+        self._closed = 0
+        self._add(_pack(h + v), ties)
         self.nodes = OrbitNodes(self)
 
     def __len__(self):
+        self._close()
         return len(self._keys)
+
+    def _add(self, key, ties):
+        """Give a new canonical key the next node id, with open edges."""
+        j = self._index[key] = len(self._keys)
+        self._keys.append(key)
+        self._rigid.append(ties == 1)
+        self._targets.extend((-1, -1, -1, -1))
+        self._labels.extend(self._blank)
+        return j
+
+    def _set(self, edge, target, label):
+        n = self.degree
+        self._targets[edge] = target
+        self._labels[edge * n : (edge + 1) * n] = label if n <= _BYTE_DEGREE else array("H", label)
+
+    def _edge(self, edge, h, v):
+        """Canonicalize edge slot 4 i + letter, where (h, v) are the
+        tables of node i, and return its target.
+
+        Inverse letters give inverse edges: if T takes node i to node j
+        with relabel r, then t takes j back to i, and r^-1 carries the raw
+        t-image of j to i.  The canonical relabel differs from r^-1 by an
+        automorphism of i, so when i has none but the identity (one tied
+        start in its canonical labelling) the t-edge of j is filled at
+        once with r^-1 and no labelling runs for it.  The same holds for
+        S and s, and for an inverse letter seen first."""
+        i, slot = divmod(edge, 4)
+        h_table, v_table, label, ties = canonical_labelling(*_letter_images(h, v, _LETTERS[slot]))
+        key = _pack(h_table + v_table)
+        j = self._index.get(key)
+        if j is None:
+            j = self._add(key, ties)
+        self._set(edge, j, label)
+        back = 4 * j + (slot ^ 2)  # the inverse letter's slot at j
+        if self._rigid[i] and self._targets[back] < 0:
+            inverse = [0] * self.degree
+            for old, new in enumerate(label):
+                inverse[new] = old
+            self._set(back, i, inverse)
+        return j
+
+    def _close(self):
+        """Canonicalize every open edge, nodes in id order."""
+        targets = self._targets
+        while self._closed < len(self._keys):
+            i = self._closed
+            h = None
+            for edge in range(4 * i, 4 * i + 4):
+                if targets[edge] < 0:
+                    if h is None:
+                        h, v = self.tables(i)
+                    self._edge(edge, h, v)
+            self._closed = i + 1
 
     def tables(self, node):
         """The (h, v) image tables of a node, 0-based."""
@@ -170,16 +224,19 @@ class OrbitGraph:
         h, v, _label, _ties = canonical_labelling(
             [x - 1 for x in o.h.images], [x - 1 for x in o.v.images]
         )
+        self._close()
         return self._index.get(_pack(h + v))
 
     def target(self, node, letter):
         """The node a letter takes a node to."""
-        return self._targets[4 * node + _SLOT[letter]]
+        edge = 4 * node + _SLOT[letter]
+        j = self._targets[edge]
+        return j if j >= 0 else self._edge(edge, *self.tables(node))
 
     def step(self, node, letter):
         """(target node, relabel) for a letter applied at a node."""
-        edge = 4 * node + _SLOT[letter]
-        return self._targets[edge], Permutation([x + 1 for x in self._relabel(edge)])
+        target = self.target(node, letter)
+        return target, Permutation([x + 1 for x in self._relabel(4 * node + _SLOT[letter])])
 
     def _relabel(self, edge):
         """The 0-based relabel of edge slot 4 node + letter."""
@@ -193,17 +250,11 @@ class OrbitGraph:
         return node
 
     def to_json(self):
-        nodes = []
-        for i in range(len(self)):
-            h, v = self.tables(i)
-            nodes.append(
-                {
-                    "degree": self.degree,
-                    "h_images": [x + 1 for x in h],
-                    "v_images": [x + 1 for x in v],
-                    "label": self.label,
-                }
-            )
+        nodes = [
+            {"degree": self.degree, "h_images": [x + 1 for x in h], "v_images": [x + 1 for x in v],
+             "label": self.label}
+            for h, v in map(self.tables, range(len(self)))
+        ]
         return {
             "basepoint": self.basepoint,
             "nodes": nodes,
@@ -233,18 +284,14 @@ class OrbitNodes(Sequence):
 
     def __getitem__(self, i):
         i = operator.index(i)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError("orbit node index out of range")
+        if not 0 <= i < len(self._graph._keys):
+            # counted from the end, or not reached yet: close the graph
+            i = range(len(self))[i]
         o = self._built.get(i)
         if o is None:
             h, v = self._graph.tables(i)
-            o = self._built[i] = Origami(
-                Permutation([x + 1 for x in h]),
-                Permutation([x + 1 for x in v]),
-                self._graph.label,
-            )
+            h, v = Permutation([x + 1 for x in h]), Permutation([x + 1 for x in v])
+            o = self._built[i] = Origami(h, v, self._graph.label)
         return o
 
 
@@ -270,63 +317,36 @@ def _letter_images(h, v, letter):
         for s, t in enumerate(v):
             vi[t] = s
         return [h[s] for s in vi], v
-    return [h[s] for s in v], v
+    if letter == "s":
+        return [h[s] for s in v], v
+    raise ValueError("unknown letter %r" % letter)
+
+
+def _cycle_lengths(images):
+    """The cycle lengths of a 0-based image table, fixed points included."""
+    seen = bytearray(len(images))
+    for start in range(len(images)):
+        length = 0
+        s = start
+        while not seen[s]:
+            seen[s] = 1
+            s = images[s]
+            length += 1
+        if length:
+            yield length
 
 
 def sl2z_orbit(o):
-    """Breadth-first closure under the four generator letters, with
-    canonical-form deduplication.  Node ids follow discovery order with
-    letter priority T, S, t, s; node 0 is the canonical form of the
-    input.  The search runs on packed 0-based tables (see ``OrbitGraph``)
-    and builds no ``Origami`` and no ``Permutation``.
-
-    Inverse letters give inverse edges: if T takes node i to node j with
-    relabel r, then t takes j back to i, and r^-1 carries the raw t-image
-    of j to i.  The canonical relabel differs from r^-1 by an automorphism
-    of i, so when i has none but the identity (one tied start in its
-    canonical labelling) the relabel of the t-edge is r^-1 and no
-    labelling runs.  The same holds for S and s, and for an inverse letter
-    seen first."""
-    n = o.degree
-    h, v, _label, ties = canonical_labelling(
-        [x - 1 for x in o.h.images], [x - 1 for x in o.v.images]
-    )
-    keys = [_pack(h + v)]
-    index = {keys[0]: 0}
-    rigid = bytearray([ties == 1])
-    targets = array("l")
-    labels = bytearray() if n <= _BYTE_DEGREE else array("H")
-    graph = OrbitGraph(n, o.label, keys, index, targets, labels)
-    # slot 4 j + letter of an edge still to come -> slot of the computed
-    # edge into j that it inverts
-    inverse_of = {}
-    i = 0
-    while i < len(keys):
-        h, v = graph.tables(i)
-        for slot, letter in enumerate(_LETTERS):
-            edge = 4 * i + slot
-            source = inverse_of.pop(edge, None)
-            if source is not None:
-                j = source // 4
-                label = [0] * n
-                for old, new in enumerate(graph._relabel(source)):
-                    label[new] = old
-            else:
-                h_table, v_table, label, ties = canonical_labelling(*_letter_images(h, v, letter))
-                key = _pack(h_table + v_table)
-                j = index.get(key)
-                if j is None:
-                    j = index[key] = len(keys)
-                    keys.append(key)
-                    rigid.append(ties == 1)
-                # the inverse edge from j is still to come: later node,
-                # or a later letter at this node
-                if rigid[i] and (j > i or (j == i and slot < 2)):
-                    inverse_of[4 * j + _SLOT[_INVERSE_LETTER[letter]]] = edge
-            targets.append(j)
-            labels.extend(label)
-        i += 1
-    return graph
+    """The orbit graph of ``o`` under the four generator letters, with
+    canonical-form deduplication (see ``OrbitGraph``).  It holds only
+    node 0, the canonical form of ``o``, at first: ``target``, ``step``
+    and ``trace`` canonicalize an edge the first time they read it, and a
+    node gets the next id when an edge first reaches it.  ``len``,
+    ``index_of``, ``to_json`` and a node index not reached yet close the
+    graph: every edge of every node, nodes in id order, letters in the
+    order T, S, t, s.  On a graph nothing has walked, that is breadth-first
+    discovery order.  No ``Origami`` and no ``Permutation`` is built."""
+    return OrbitGraph(o)
 
 
 def veech_index(o):
@@ -347,25 +367,18 @@ def veech_generators(o):
 
 def spanning_tree(graph, letters):
     """Breadth-first spanning tree of an orbit graph from its basepoint,
-    over the edges of ``letters`` in that priority.  Returns, per node, the
-    letters applied in sequence from the basepoint along the tree (None for
-    a node the letters do not reach) and the set of tree edges
-    (node, letter)."""
-    path_to = [None] * len(graph)
-    path_to[graph.basepoint] = ()
-    tree_edges = set()
-    frontier = [graph.basepoint]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for letter in letters:
-                j = graph.target(i, letter)
-                if path_to[j] is None:
-                    path_to[j] = path_to[i] + (letter,)
-                    tree_edges.add((i, letter))
-                    nxt.append(j)
-        frontier = nxt
-    return path_to, tree_edges
+    over the edges of ``letters`` in that priority.  Returns a dict from
+    each node the letters reach, in discovery order, to the letters
+    applied in sequence from the basepoint along the tree."""
+    path_to = {graph.basepoint: ()}
+    queue = [graph.basepoint]
+    for i in queue:
+        for letter in letters:
+            j = graph.target(i, letter)
+            if j not in path_to:
+                path_to[j] = path_to[i] + (letter,)
+                queue.append(j)
+    return path_to
 
 
 def stabilizer_words(graph):
@@ -374,15 +387,18 @@ def stabilizer_words(graph):
     origami.
 
     Every non-tree T/S edge (n --g--> m) of the T/S spanning tree yields
-    the loop word path(m)^-1 * g * path(n)."""
-    path_to, tree_edges = spanning_tree(graph, ("T", "S"))
-    assert all(p is not None for p in path_to), "orbit graph not T/S-connected"
+    the loop word path(m)^-1 * g * path(n), taken in node id order.  The
+    graph is closed first, so that the ids are those of the breadth-first
+    closure and not of a T/S-only walk."""
+    size = len(graph)
+    path_to = spanning_tree(graph, ("T", "S"))
+    assert len(path_to) == size, "orbit graph not T/S-connected"
     words = []
-    for i in range(len(graph)):
+    for i in range(size):
         for letter in ("T", "S"):
-            if (i, letter) in tree_edges:
-                continue
             j = graph.target(i, letter)
+            if path_to[j] == path_to[i] + (letter,):
+                continue  # a tree edge
             letters = (
                 [_INVERSE_LETTER[l] for l in path_to[j]]
                 + [letter]

@@ -20,27 +20,26 @@ scratch, which is exactly what verify_certificate does.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 from . import intlinalg as la
 from .galois import is_galois_pinching_sp4
-from .homology import Homology, kz_context
+from .homology import kz_context
 from .origami import Origami, automorphisms, canonical_form, genus, is_reduced
-from .orbit import Sl2zWord, apply_letter_raw, spanning_tree
+from .orbit import Sl2zWord, _cycle_lengths, spanning_tree
 
 _LETTER_ORDER = ("T", "S", "t", "s")
 _INVERSE = {"T": "t", "t": "T", "S": "s", "s": "S"}
 
 
-def horizontal_cylinder_classes(o, hom=None):
-    """Waist classes of the horizontal cylinders: for each cycle of h,
-    the class of the sum of the bottom edges along the cycle."""
-    if hom is None:
-        hom = Homology(o)
-    n = o.degree
+def horizontal_cylinder_classes(hom):
+    """Waist classes of the horizontal cylinders of ``hom.origami``: for
+    each cycle of h, the class of the sum of the bottom edges along it."""
+    n = hom.origami.degree
     chains = []
-    for cyc in o.h.cycles(include_fixed=True):
+    for cyc in hom.origami.h.cycles(include_fixed=True):
         chain = [0] * (2 * n)
         for s in cyc:
             chain[s - 1] = 1
@@ -51,12 +50,11 @@ def horizontal_cylinder_classes(o, hom=None):
 def cylinder_span_dim(o, direction=None):
     """Rank of the waist classes of the horizontal cylinders of the
     origami reached by applying ``direction`` (an Sl2zWord) to o."""
-    img = o
-    if direction is not None and len(direction) > 0:
-        for letter in reversed(direction.letters):
-            img = apply_letter_raw(img, letter)
-    classes = horizontal_cylinder_classes(img)
-    return la.rank(classes)
+    ctx = kz_context(o)
+    node = ctx.graph.basepoint
+    if direction is not None:
+        node = ctx.graph.trace(node, direction)
+    return la.rank(horizontal_cylinder_classes(ctx.homology(node)))
 
 
 def parabolic_word(o, direction="horizontal"):
@@ -65,16 +63,18 @@ def parabolic_word(o, direction="horizontal"):
     if direction not in ("horizontal", "vertical"):
         raise ValueError("direction must be 'horizontal' or 'vertical'")
     letter = "T" if direction == "horizontal" else "S"
-    ctx = kz_context(o)
-    node = ctx.graph.basepoint
-    k = 0
-    while True:
-        node = ctx.graph.target(node, letter)
-        k += 1
-        if node == ctx.graph.basepoint:
+    graph = kz_context(o).graph
+    base = graph.basepoint
+    # T^L (h, v) = (h, v h^-L) is (h, v) once h^L = id, and likewise
+    # S^L (h, v) once v^L = id
+    h, v = graph.tables(base)
+    bound = math.lcm(*_cycle_lengths(h if letter == "T" else v))
+    node = base
+    for k in range(1, bound + 1):
+        node = graph.target(node, letter)
+        if node == base:
             return Sl2zWord((letter,) * k)
-        if k > len(ctx.graph):
-            raise AssertionError("parabolic never returned to the basepoint")
+    raise AssertionError("parabolic never returned to the basepoint")
 
 
 def _zero_form(ctx):
@@ -166,6 +166,8 @@ def _search_pinching_word(o, search_depth):
     Returns (found, stats): found is (word, Sp4PinchingReport) or None,
     stats the ``exhausted``, ``words`` and ``states`` fields of NotFound.
     """
+    if search_depth < 0:
+        raise ValueError("search depth must be non-negative, not %d" % search_depth)
     ctx = kz_context(o)
     base = ctx.graph.basepoint
     ident = tuple(map(tuple, la.identity_matrix(len(ctx.basis(base, "H1_zero")))))
@@ -241,16 +243,12 @@ def _cylinder_witness(ctx, g):
     """A direction (as a word reaching an orbit node) where the waist
     span E has 1 < dim E < g, if one exists."""
     graph = ctx.graph
-    path_to, _tree_edges = spanning_tree(graph, _LETTER_ORDER)
-    for node in range(len(graph)):
-        classes = horizontal_cylinder_classes(graph.nodes[node], ctx.homology(node))
-        dim_e = la.rank(classes)
+    for node, path in spanning_tree(graph, _LETTER_ORDER).items():
+        dim_e = la.rank(horizontal_cylinder_classes(ctx.homology(node)))
         if 1 < dim_e < g:
             # word applying path letters in order: first letter acts first
-            word_letters = tuple(reversed(path_to[node]))
-            word = Sl2zWord(word_letters) if word_letters else Sl2zWord(())
-            if word_letters:
-                assert graph.trace(graph.basepoint, word) == node
+            word = Sl2zWord(tuple(reversed(path)))
+            assert graph.trace(graph.basepoint, word) == node
             return CylinderWitness(direction=word, dim_e=dim_e, genus=g)
     return None
 
@@ -399,7 +397,7 @@ def verify_certificate(cert):
         if isinstance(w, CylinderWitness):
             if w.genus != g:
                 return False
-            dim_e = cylinder_span_dim(canon, w.direction if len(w.direction) else None)
+            dim_e = cylinder_span_dim(canon, w.direction)
             return dim_e == w.dim_e and 1 < dim_e < g
         if isinstance(w, UnipotentWitness):
             node, mat = ctx.word_matrix(w.word, subspace="H1_zero")

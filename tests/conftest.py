@@ -3,6 +3,8 @@ import os
 import pytest
 
 from origami_lab import load_origami
+from origami_lab.origami import Origami
+from origami_lab.perm import compose
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -13,6 +15,22 @@ def fixture_path(name):
 
 def fixture_origami(name):
     return load_origami(fixture_path(name))
+
+
+def apply_letter_raw(o, letter):
+    """The raw image (no canonicalization) of an origami under one
+    generator letter, from T(h, v) = (h, v h^-1) and S(h, v) = (h v^-1, v):
+    the reference for the edges of the orbit graph."""
+    h, v = o.h, o.v
+    if letter == "T":
+        return Origami(h, compose(v, h.inverse()), o.label)
+    if letter == "t":
+        return Origami(h, compose(v, h), o.label)
+    if letter == "S":
+        return Origami(compose(h, v.inverse()), v, o.label)
+    if letter == "s":
+        return Origami(compose(h, v), v, o.label)
+    raise ValueError("unknown letter %r" % letter)
 
 
 @pytest.fixture

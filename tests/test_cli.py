@@ -301,11 +301,18 @@ def test_missing_file_is_domain_error(capsys):
 def test_internal_check_failure_is_reported(capsys, monkeypatch):
     from origami_lab import intlinalg
 
-    # spin builds a fresh Homology, whose unimodularity check now fails
-    monkeypatch.setattr(intlinalg, "det", lambda a: 2)
+    # spin builds a fresh Homology; halving the inverse of its dual
+    # coordinates makes the intersection form fail its integrality check
+    int_inverse = intlinalg.int_inverse
+
+    def halved(a):
+        num, den = int_inverse(a)
+        return num, 2 * den
+
+    monkeypatch.setattr(intlinalg, "int_inverse", halved)
     code, out, err = run(capsys, ["spin", fixture_path("mstar")])
     assert code == 1
-    assert err == "error: internal check failed: intersection form must be unimodular\n"
+    assert err == "error: internal check failed: intersection form came out non-integral\n"
 
 
 def test_cover_stdout_and_out(capsys, tmp_path):
@@ -401,3 +408,26 @@ def test_bad_input_is_a_domain_error(capsys, tmp_path, argv):
     code, out, err = run(capsys, argv(tmp_path))
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # read with a zero count as one letter, each of these is a loop
+        # word of dema (T^2, S^2 and the pinching word STTSTST)
+        lambda tmp: ["kz", fixture_path("dema"), "T0T"],
+        lambda tmp: ["kz", fixture_path("dema"), "S00S", "--zero"],
+        lambda tmp: _verify_edited(tmp, None, "pinching_word", "S0TTSTST"),
+    ],
+    ids=["kz", "kz-zero", "verify"],
+)
+def test_zero_repeat_count_is_a_domain_error(capsys, tmp_path, argv):
+    code, out, err = run(capsys, argv(tmp_path))
+    assert code == 1
+    assert err.startswith("error:") and "repeat count" in err
+
+
+def test_negative_depth_is_a_domain_error(capsys):
+    code, out, err = run(capsys, ["simplicity", fixture_path("dema"), "--depth", "-1"])
+    assert code == 1
+    assert err.startswith("error:") and "non-negative" in err

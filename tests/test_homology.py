@@ -48,6 +48,25 @@ def test_homology_rank_and_intersection(name):
     assert la.mat_eq(la.transpose(j), la.mat_scale(-1, j))
 
 
+def test_non_unimodular_dual_coordinates_fail_the_integrality_check(monkeypatch):
+    # the first projection in Homology is that of the dual loops; doubling
+    # one column of D makes det D = +-2, so J = D^-1 has a half-integer row
+    project_many = Homology.project_many
+    calls = []
+
+    def doubled(self, chains):
+        out = project_many(self, chains)
+        if not calls:
+            out[0] = [2 * x for x in out[0]]
+        calls.append(len(chains))
+        return out
+
+    monkeypatch.setattr(Homology, "project_many", doubled)
+    with pytest.raises(AssertionError, match="non-integral"):
+        Homology(fixture_origami("dema"))
+    assert calls == [6]
+
+
 @pytest.mark.parametrize("name", SMALL_FIXTURES)
 def test_step_matrices_chain_map_and_symplectic(name):
     # the chain-map law is asserted inside step(); here we re-verify

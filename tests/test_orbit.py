@@ -4,7 +4,6 @@ import pytest
 
 from origami_lab.orbit import (
     Sl2zWord,
-    apply_letter_raw,
     mat2_mul,
     sl2z_orbit,
     sl2z_word,
@@ -13,7 +12,7 @@ from origami_lab.orbit import (
 )
 from origami_lab.origami import canonical_form
 
-from conftest import fixture_origami
+from conftest import apply_letter_raw, fixture_origami
 
 T_MAT = ((1, 1), (0, 1))
 S_MAT = ((1, 0), (1, 1))
@@ -37,6 +36,12 @@ def test_word_matrix_and_inverse():
 def test_word_rejects_garbage():
     with pytest.raises(ValueError):
         Sl2zWord.parse("TX")
+
+
+@pytest.mark.parametrize("text", ["T0", "T00S", "S0T", "t 0"])
+def test_word_rejects_zero_repeat_count(text):
+    with pytest.raises(ValueError, match="must be positive"):
+        Sl2zWord.parse(text)
 
 
 def test_generator_actions_preserve_degree():

@@ -6,7 +6,8 @@ square builds both relabeled image tables, and the start with the
 lexicographically smallest (h-table, v-table) wins, ties keeping the
 first start; the number of tied starts must be the number of
 automorphisms.  The reference orbit is a breadth-first closure over
-``apply_letter``, with every canonical form checked against the oracle.
+``apply_letter``, with every raw image checked against
+``apply_letter_raw`` and every canonical form against the oracle.
 The packed orbit graph must give its nodes, every ``step`` and its JSON,
 and ``ekz_sum``'s cylinder term must equal the one summed over its nodes.
 """
@@ -19,7 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from origami_lab.lyapunov import ekz_sum
-from origami_lab.orbit import apply_letter, apply_letter_raw, sl2z_orbit
+from origami_lab.orbit import Sl2zWord, apply_letter, sl2z_orbit, veech_generators
 from origami_lab.origami import (
     Origami,
     automorphisms,
@@ -29,7 +30,7 @@ from origami_lab.origami import (
 )
 from origami_lab.perm import Permutation, is_transitive
 
-from conftest import fixture_origami
+from conftest import apply_letter_raw, fixture_origami
 
 # surfaces with nontrivial automorphisms, where several starts tie
 TIED_FIXTURES = ("ltilde", "mstar", "ew", "dema")
@@ -77,6 +78,7 @@ def reference_orbit(o):
         for i in frontier:
             for letter in ("T", "S", "t", "s"):
                 raw, canon, relabel = apply_letter(nodes[i], letter)
+                assert raw == apply_letter_raw(nodes[i], letter)
                 assert (canon, relabel) == oracle_canonical_form(raw)
                 j = index.get(canon)
                 if j is None:
@@ -87,6 +89,29 @@ def reference_orbit(o):
                 edges[i][letter] = (j, relabel)
         frontier = nxt
     return nodes, edges
+
+
+def reference_stabilizer_words(edges):
+    """The Veech group generators of the reference orbit, as strings: a
+    breadth-first T/S spanning tree, then the loop word of every other T/S
+    edge, edges in node id order."""
+    path_to = {0: ""}
+    tree = set()
+    queue = [0]
+    for i in queue:
+        for letter in "TS":
+            j = edges[i][letter][0]
+            if j not in path_to:
+                path_to[j] = path_to[i] + letter
+                tree.add((i, letter))
+                queue.append(j)
+    return [
+        path_to[j].swapcase() + letter + path_to[i][::-1]
+        for i in range(len(edges))
+        for letter in "TS"
+        if (i, letter) not in tree
+        for j in [edges[i][letter][0]]
+    ]
 
 
 @st.composite
@@ -140,7 +165,18 @@ def check_orbit(o):
             target, relabel = graph.step(i, letter)
             assert graph.target(i, letter) == target
             assert apply_letter_raw(node, letter).relabel(relabel) == graph.nodes[target]
+    # a graph walked before it is closed numbers its nodes otherwise, but
+    # closes to the same nodes and edges
+    walked = sl2z_orbit(o)
+    walked.trace(walked.basepoint, Sl2zWord.parse("sTTtS3"))
+    assert len(walked) == len(nodes) and set(walked.nodes) == set(nodes)
+    for i, node in enumerate(walked.nodes):
+        for letter in ("T", "S", "t", "s"):
+            target, relabel = walked.step(i, letter)
+            assert apply_letter_raw(node, letter).relabel(relabel) == walked.nodes[target]
     if is_reduced(o):
+        # a fresh graph gives the generators of the closed-first order
+        assert [str(w) for w in veech_generators(o)] == reference_stabilizer_words(edges)
         # the cylinder term of the sum formula over the reference nodes
         cylinder = sum(
             Fraction(1, len(c)) for node in nodes for c in node.h.cycles(include_fixed=True)
@@ -196,6 +232,13 @@ def test_tied_h_tables(h, v):
     o = Origami(Permutation(h), Permutation(v))
     check_canonical_form(o)
     check_orbit(o)
+
+
+@pytest.mark.parametrize("name", ["dema", "l3", "ltilde", "mstar", "mbar_star"])
+def test_veech_generators_match_the_closed_first_reference(name):
+    o = fixture_origami(name)
+    _nodes, edges = reference_orbit(o)
+    assert [str(w) for w in veech_generators(o)] == reference_stabilizer_words(edges)
 
 
 def test_wide_packing_on_the_17x17_torus():

@@ -1,12 +1,14 @@
 import json
+import time
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from origami_lab import homology, orbit
 from origami_lab import intlinalg as la
 from origami_lab.galois import is_galois_pinching_sp4
-from origami_lab.homology import kz_context
+from origami_lab.homology import kz_context, kz_matrix
 from origami_lab.origami import Origami, automorphisms, genus, is_reduced, parse_origami_text
 from origami_lab.perm import Permutation, is_transitive
 from origami_lab.simplicity import (
@@ -89,6 +91,58 @@ def test_parabolic_word_stabilizes(dema):
     for direction in ("horizontal", "vertical"):
         w = parabolic_word(dema, direction)
         assert graph.trace(graph.basepoint, w) == graph.basepoint
+
+
+def test_parabolic_word_canonicalizes_only_the_edges_it_walks(monkeypatch):
+    # the orbit of mbar_star_3 has 155,520 nodes; its horizontal parabolic
+    # T^12 needs the basepoint and 12 edges
+    labellings = []
+    canonical_labelling = orbit.canonical_labelling
+
+    def counted(h, v):
+        labellings.append(len(h))
+        assert len(labellings) <= 13, "more labellings than the walk needs"
+        return canonical_labelling(h, v)
+
+    monkeypatch.setattr(orbit, "canonical_labelling", counted)
+    monkeypatch.setattr(homology, "_context_cache", {})
+    assert str(parabolic_word(fixture_origami("mbar_star_3"))) == "T" * 12
+    assert len(labellings) == 13
+
+
+def test_z6_parabolic_words_come_back_fast(monkeypatch):
+    monkeypatch.setattr(homology, "_context_cache", {})
+    z6 = fixture_origami("z6_origami")
+    for direction, letter in (("horizontal", "T"), ("vertical", "S")):
+        start = time.perf_counter()
+        word = parabolic_word(z6, direction)
+        assert time.perf_counter() - start < 1.0
+        assert str(word) == letter * 12
+
+
+@pytest.mark.parametrize("name", ["dema", "mstar", "mstarstar", "mbar_star"])
+def test_certificate_does_not_depend_on_earlier_walks(monkeypatch, name):
+    # a walk numbers the orbit nodes in the order it reaches them, which
+    # differs from the breadth-first order of a cold context
+    o = fixture_origami(name)
+    walks = [
+        lambda: kz_context(o).word_matrix(Sl2zWord.parse("T8SSTTSS")),
+        lambda: parabolic_word(o, "vertical"),
+    ]
+    if name == "dema":
+        walks.append(lambda: kz_matrix(o, "T8SSTTSS"))
+    monkeypatch.setattr(homology, "_context_cache", {})
+    cold = certify_simplicity(o).to_json()
+    for walk in walks:
+        monkeypatch.setattr(homology, "_context_cache", {})
+        walk()
+        assert certify_simplicity(o).to_json() == cold
+
+
+@pytest.mark.parametrize("search", [certify_simplicity, find_pinching_word])
+def test_negative_search_depth_is_rejected(dema, search):
+    with pytest.raises(ValueError, match="non-negative"):
+        search(dema, search_depth=-1)
 
 
 def test_certificate_found_and_verifies(dema_cert):

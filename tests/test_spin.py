@@ -176,7 +176,7 @@ def test_spin_constant_on_orbits():
 def test_spin_invariant_under_generator_moves_layered():
     # full orbits of the layered covers are too large to enumerate; check
     # invariance along a few orbit edges instead
-    from origami_lab.orbit import apply_letter_raw
+    from conftest import apply_letter_raw
 
     o = fixture_origami("mbar_star_3")
     value = spin_parity(o)
