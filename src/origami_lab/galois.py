@@ -10,7 +10,9 @@ P(x) = x^4 + a x^3 + b x^2 + a x + 1 this is decided by three integers:
     Delta3 = Delta1 * Delta2,
 
 the Galois group being maximal iff none of them is a perfect square.
-All arithmetic is exact (integers, Fractions, Sturm sequences).
+Irreducibility and real-rootedness are read off the same integers:
+P(x) = x^2 Q(x + 1/x) with Q(y) = y^2 + a y + b - 2, whose discriminant
+is Delta1 and whose values at y = +-2 multiply to Delta2.
 """
 
 from __future__ import annotations
@@ -50,14 +52,6 @@ class ReciprocalQuartic:
         return self.delta1 * self.delta2
 
     @property
-    def t(self):
-        return -self.a - 4
-
-    @property
-    def d(self):
-        return self.b + 2 + 2 * self.a
-
-    @property
     def coefficients(self):
         return [1, self.a, self.b, self.a, 1]
 
@@ -86,106 +80,31 @@ def quartic_from_charpoly(coeffs):
     return ReciprocalQuartic(a=coeffs[1], b=coeffs[2])
 
 
-# ---------------------------------------------------------------------------
-# Sturm sequences
-
-
-def _poly_trim(p):
-    while p and p[0] == 0:
-        p = p[1:]
-    return p
-
-
-def _poly_deriv(p):
-    n = len(p) - 1
-    return _poly_trim([c * (n - i) for i, c in enumerate(p[:-1])])
-
-
-def _poly_divmod(p, q):
-    p = [Fraction(c) for c in p]
-    q = [Fraction(c) for c in q]
-    out = []
-    while len(p) >= len(q) and _poly_trim(p):
-        f = p[0] / q[0]
-        out.append(f)
-        p = [c - f * d for c, d in zip(p, q + [Fraction(0)] * (len(p) - len(q)))]
-        p = p[1:]
-    return out, _poly_trim(p)
-
-
-def _sign_at_inf(p, positive):
-    """Sign of p at +infinity (positive=True) or -infinity."""
-    if not p:
-        return 0
-    lead = p[0]
-    deg = len(p) - 1
-    s = 1 if lead > 0 else -1
-    if not positive and deg % 2 == 1:
-        s = -s
-    return s
-
-
-def sturm_chain(p):
-    chain = [_poly_trim([Fraction(c) for c in p])]
-    chain.append(_poly_deriv(chain[0]))
-    while chain[-1]:
-        _, r = _poly_divmod(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append([-c for c in r])
-    return chain
-
-
-def count_real_roots(p):
-    """Number of distinct real roots of a polynomial with rational
-    coefficients, by Sturm's theorem over (-inf, +inf)."""
-    chain = sturm_chain(p)
-
-    def variations(positive):
-        signs = [_sign_at_inf(q, positive) for q in chain if q]
-        signs = [s for s in signs if s != 0]
-        return sum(1 for x, y in zip(signs, signs[1:]) if x * y < 0)
-
-    return variations(False) - variations(True)
-
-
-def is_squarefree(p):
-    """True iff p has no repeated roots (gcd(p, p') is constant)."""
-    a = _poly_trim([Fraction(c) for c in p])
-    b = _poly_deriv(a)
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    return len(a) == 1
-
-
 def has_real_simple_roots(q):
-    """True iff the quartic has four real simple roots."""
-    p = q.coefficients
-    return is_squarefree(p) and count_real_roots(p) == 4
+    """True iff the quartic has four real simple roots.
+
+    P(x) = x^2 Q(x + 1/x) with Q(y) = y^2 + a y + b - 2, and x + 1/x = y
+    has two real simple roots iff |y| > 2.  So P qualifies iff Q has two
+    distinct real roots (Delta1 > 0) outside [-2, 2]: Q(2) and Q(-2) of
+    the same sign (Delta2 > 0) and either negative (one root beyond each
+    end) or positive with the vertex -a/2 outside [-2, 2].
+    """
+    q2 = q.b + 2 + 2 * q.a
+    return q.delta1 > 0 and q.delta2 > 0 and (q2 < 0 or abs(q.a) > 4)
 
 
 def is_irreducible(q):
     """Irreducibility of the reciprocal quartic over Q.
 
     Gauss: a monic integral quartic factors over Q iff it factors over Z.
-    The only possible rational roots are +-1, and a quadratic split
-    (x^2+px+q0)(x^2+rx+s0) needs q0*s0 = 1, leaving two integral cases.
+    A root +-1 of P is a root +-2 of Q (see has_real_simple_roots), so
+    each split is either (x^2+px+1)(x^2+rx+1), i.e. Q factors over Z,
+    i.e. Delta1 = disc Q is a square, or (x^2+px-1)(x^2-px-1), which
+    needs a = 0 and p^2 = -(b+2).
     """
-    a, b = q.a, q.b
-    # linear factors
-    if 1 + a + b + a + 1 == 0 or 1 - a + b - a + 1 == 0:
-        return False
-    # (x^2+px+1)(x^2+rx+1): p+r=a, pr=b-2; integral iff a^2-4(b-2) square
-    disc = a * a - 4 * (b - 2)
-    if is_perfect_square(disc):
-        r = isqrt(disc)
-        if (a + r) % 2 == 0:
-            return False
-    # (x^2+px-1)(x^2-px-1): requires a=0 and p^2 = -(b+2)
-    if a == 0 and is_perfect_square(-(b + 2)):
-        return False
-    return True
+    return not is_perfect_square(q.delta1) and not (
+        q.a == 0 and is_perfect_square(-(q.b + 2))
+    )
 
 
 @dataclass(frozen=True)
@@ -207,14 +126,17 @@ def is_galois_pinching_sp4(m):
 
     Returns an Sp4PinchingReport; pinching holds iff the characteristic
     polynomial is an irreducible reciprocal quartic with four real simple
-    roots and none of Delta1, Delta2, Delta3 is a perfect square.
+    roots and none of Delta1, Delta2, Delta3 is a perfect square.  The
+    final loop tests only Delta2 and Delta3: a square Delta1 has already
+    returned "characteristic polynomial reducible".  det(m) is read off
+    the constant term of the (even degree) characteristic polynomial.
     """
     m = [list(r) for r in m]
     if len(m) != 4 or any(len(r) != 4 for r in m):
         raise ValueError("pinching criteria are implemented for sizes 2 and 4 only")
-    if la.det(m) != 1:
-        raise ValueError("matrix must have determinant 1 (symplectic)")
     cp = la.charpoly(m)
+    if cp[-1] != 1:
+        raise ValueError("matrix must have determinant 1 (symplectic)")
     if not la.is_reciprocal(cp):
         return Sp4PinchingReport(False, None, "characteristic polynomial not reciprocal")
     q = quartic_from_charpoly(cp)
@@ -222,21 +144,23 @@ def is_galois_pinching_sp4(m):
         return Sp4PinchingReport(False, q, "characteristic polynomial reducible")
     if not has_real_simple_roots(q):
         return Sp4PinchingReport(False, q, "roots not all real and simple")
-    for name, value in (("delta1", q.delta1), ("delta2", q.delta2), ("delta3", q.delta3)):
+    for name, value in (("delta2", q.delta2), ("delta3", q.delta3)):
         if is_perfect_square(value):
             return Sp4PinchingReport(False, q, "%s = %d is a perfect square" % (name, value))
     return Sp4PinchingReport(True, q, "ok")
 
 
 def is_galois_pinching_sl2(m):
-    """Pinching for 2x2: |trace| > 2 and trace^2 - 4 not a square."""
+    """Pinching for 2x2: |trace| > 2 (then trace^2 - 4 is not a square)."""
     m = [list(r) for r in m]
     if len(m) != 2 or any(len(r) != 2 for r in m):
         raise ValueError("pinching criteria are implemented for sizes 2 and 4 only")
     if m[0][0] * m[1][1] - m[0][1] * m[1][0] != 1:
         raise ValueError("matrix must have determinant 1")
     tr = m[0][0] + m[1][1]
-    return abs(tr) > 2 and not is_perfect_square(tr * tr - 4)
+    # For |tr| >= 3, (|tr| - 1)^2 < tr^2 - 4 < tr^2, so tr^2 - 4 is never
+    # a square and the characteristic polynomial is irreducible.
+    return abs(tr) > 2
 
 
 def is_galois_pinching(m):

@@ -30,10 +30,9 @@ from fractions import Fraction
 import numpy as np
 
 from .homology import kz_context
-from .orbit import _cycle_lengths
+from .orbit import _LETTERS, _cycle_lengths
 from .origami import automorphisms, is_reduced, stratum
 
-_LETTERS = ("T", "S", "t", "s")
 _QR_PERIOD = 20
 
 

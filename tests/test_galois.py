@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,7 +6,6 @@ import sympy
 
 from origami_lab.galois import (
     ReciprocalQuartic,
-    count_real_roots,
     has_real_simple_roots,
     is_galois_pinching,
     is_galois_pinching_sl2,
@@ -76,11 +76,8 @@ def _sympy_irreducible(q):
 
 def _sympy_real_simple(q):
     x = sympy.symbols("x")
-    expr = x**4 + q.a * x**3 + q.b * x**2 + q.a * x + 1
-    roots = sympy.Poly(expr, x).all_roots()
-    if len(set(roots)) != 4:
-        return False
-    return all(root.is_real for root in roots)
+    poly = sympy.Poly(x**4 + q.a * x**3 + q.b * x**2 + q.a * x + 1, x)
+    return poly.is_sqf and poly.count_roots() == 4
 
 
 def test_irreducibility_against_brute_force():
@@ -91,14 +88,36 @@ def test_irreducibility_against_brute_force():
 
 
 def test_real_simple_roots_against_sympy():
-    rng = random.Random(78)
-    for _ in range(120):
-        q = ReciprocalQuartic(a=rng.randint(-10, 10), b=rng.randint(-30, 30))
-        assert has_real_simple_roots(q) == _sympy_real_simple(q), (q.a, q.b)
+    # exhaustive over the box; covers |a| > 4 with both roots of
+    # Q(y) = y^2 + a y + b - 2 beyond one end of [-2, 2], Q(2) < 0 and
+    # every double-root boundary
+    for a, b in itertools.product(range(-10, 11), range(-30, 31)):
+        q = ReciprocalQuartic(a=a, b=b)
+        assert has_real_simple_roots(q) == _sympy_real_simple(q), (a, b)
 
 
-def test_count_real_roots():
-    # x^2 - 2: two real roots
-    assert count_real_roots([1, 0, -2]) == 2
-    # x^2 + 1: none
-    assert count_real_roots([1, 0, 1]) == 0
+def _companion(a, b):
+    return [[0, 0, 0, -1], [1, 0, 0, -a], [0, 1, 0, -b], [0, 0, 1, -a]]
+
+
+@pytest.mark.parametrize(
+    "m, reason",
+    [
+        (
+            [[0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, -1]],  # x^4 + x^3 + 1
+            "characteristic polynomial not reciprocal",
+        ),
+        # (x^2 + x - 1)(x^2 - x - 1): the a = 0 split, Delta1 = 20
+        (_companion(0, -3), "characteristic polynomial reducible"),
+        # (x - 1)^4: Delta1 = 0
+        (_companion(-4, 6), "characteristic polynomial reducible"),
+        (_companion(0, 3), "roots not all real and simple"),
+        (_companion(0, -4), "delta2 = 4 is a perfect square"),
+        (_companion(-11, -29), "delta3 = 60025 is a perfect square"),
+        (_companion(-2, -30), "ok"),
+    ],
+)
+def test_sp4_reasons(m, reason):
+    report = is_galois_pinching_sp4(m)
+    assert report.reason == reason
+    assert report.pinching == (reason == "ok")
