@@ -14,9 +14,16 @@ The Monte Carlo estimator runs a uniform random walk over the four
 generator letters, accumulates the corresponding cocycle matrices
 restricted to a chosen subspace (full homology, the zero-holonomy part,
 or the (-1)-isotypical part W of a central involution), and extracts
-exponents by periodic QR re-orthonormalization.  The walk law is not the
-harmonic measure of the Teichmueller flow, so only law-independent
-conclusions (zero blocks, symmetry of the spectrum) should be drawn.
+exponents by periodic QR re-orthonormalization.  The trials walk side by
+side, one QR period of 20 steps at a time: each trial draws its letters
+for the period from its own generator, the float step matrices of the
+period are gathered into a (trials, period, d, d) block, each step is one
+batched product on the (trials, d, d) stack, and the period ends with one
+batched QR.  Besides that block the walk keeps one float d x d matrix per
+(node, letter) it has reached; nothing grows with the number of steps.
+The walk law is not the harmonic measure of the Teichmueller flow, so
+only law-independent conclusions (zero blocks, symmetry of the spectrum)
+should be drawn.
 """
 
 from __future__ import annotations
@@ -124,46 +131,65 @@ def mc_exponents(o, subspace="full", steps=10000, trials=10, seed=None):
     """
     if seed is None:
         raise ValueError("a seed is required for reproducible estimates")
+    for name, value in (("steps", steps), ("trials", trials), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError("%s must be an int, not %r" % (name, value))
     if steps < 1 or trials < 1:
         raise ValueError("steps and trials must be at least 1")
     if not is_reduced(o):
         raise ValueError("the random walk estimator requires a reduced origami")
     ctx = kz_context(o)
     dim = len(ctx.basis(ctx.graph.basepoint, subspace))
-    # (target, float step matrix) per (node, letter), as the walk reaches it
-    step_mats = {}
     note = ""
     if len(automorphisms(ctx.graph.nodes[ctx.graph.basepoint])) > 1:
         note = (
             "nontrivial deck transformations: cocycle matrices are only "
             "defined up to the automorphism action"
         )
-    per_trial = []
-    for trial in range(trials):
-        rng = random.Random((int(seed) << 32) ^ trial)
-        node = ctx.graph.basepoint
-        q = np.eye(dim)
-        sums = np.zeros(dim)
-        for step_index in range(1, steps + 1):
-            key = (node, _LETTERS[rng.randrange(4)])
-            step = step_mats.get(key)
-            if step is None:
-                target, m = ctx.step(*key, subspace)
-                step = step_mats[key] = (target, np.array(m, dtype=float))
-            node, m = step
-            q = m @ q
-            if step_index % _QR_PERIOD == 0 or step_index == steps:
-                q, r = np.linalg.qr(q)
-                diag = np.abs(np.diag(r))
-                diag[diag == 0] = np.finfo(float).tiny
-                sums += np.log(diag)
-                signs = np.sign(np.diag(r))
-                signs[signs == 0] = 1.0
-                q = q * signs
-        # QR column order need not be the order of the exponents, so each
-        # trial is sorted before the trials are averaged
-        per_trial.append(np.sort(sums / steps)[::-1])
-    data = np.array(per_trial)
+    rngs = [random.Random((seed << 32) ^ trial) for trial in range(trials)]
+    nodes = [ctx.graph.basepoint] * trials
+    # float step matrix of each (node, letter) the walk has reached, keyed
+    # 4 * node + letter index, one row each of a stack that doubles when
+    # full; targets[row] is the target node of the step
+    rows = {}
+    targets = []
+    mats = np.empty((4, dim, dim))
+    q = np.tile(np.eye(dim), (trials, 1, 1))
+    sums = np.zeros((trials, dim))
+    for start in range(0, steps, _QR_PERIOD):
+        period = min(_QR_PERIOD, steps - start)
+        picked = []
+        for trial, rng in enumerate(rngs):
+            node = nodes[trial]
+            for _ in range(period):
+                letter = rng.randrange(4)
+                row = rows.get(4 * node + letter)
+                if row is None:
+                    target, m = ctx.step(node, _LETTERS[letter], subspace)
+                    row = rows[4 * node + letter] = len(targets)
+                    targets.append(target)
+                    if row == len(mats):
+                        mats = np.concatenate([mats, np.empty_like(mats)])
+                    # reshaped, so that a 0-dimensional subspace gives (0, 0)
+                    mats[row] = np.array(m, dtype=float).reshape(dim, dim)
+                picked.append(row)
+                node = targets[row]
+            nodes[trial] = node
+        block = mats[np.reshape(picked, (trials, period))]
+        for j in range(period):
+            q = block[:, j] @ q
+        q, r = np.linalg.qr(q)
+        r_diag = np.diagonal(r, axis1=1, axis2=2)
+        diag = np.abs(r_diag)
+        diag[diag == 0] = np.finfo(float).tiny
+        sums += np.log(diag)
+        signs = np.sign(r_diag)
+        signs[signs == 0] = 1.0
+        q = q * signs[:, None, :]
+    # QR column order need not be the order of the exponents, so each
+    # trial is sorted before the trials are averaged; the copy is C-ordered,
+    # so the reductions below add the trials in the order they always have
+    data = np.sort(sums / steps, axis=1)[:, ::-1].copy()
     means = data.mean(axis=0)
     if trials > 1:
         errs = data.std(axis=0, ddof=1) / math.sqrt(trials)

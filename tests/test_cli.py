@@ -280,6 +280,15 @@ def test_mc(capsys):
     assert len(payload["estimates"]) == 4
 
 
+def test_mc_zero_dimensional_subspace(capsys, tmp_path):
+    f = tmp_path / "torus.txt"
+    f.write_text("h = (1)\nv = (1)\n")
+    payload = run_json(capsys, ["mc", str(f), "--subspace", "H1_zero", "--seed", "1"])
+    assert payload["estimates"] == [] and payload["std_errors"] == []
+    code, out, err = run(capsys, ["mc", str(f), "--subspace", "H1_zero", "--seed", "1"])
+    assert code == 0 and out.startswith("subspace = H1_zero")
+
+
 def test_mc_requires_seed():
     with pytest.raises(SystemExit) as exc:
         cli.main(["mc", fixture_path("l3")])

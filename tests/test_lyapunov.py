@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -12,6 +14,7 @@ from origami_lab.lyapunov import (
     mc_exponents,
     w_exponent_from_sum,
 )
+from origami_lab.orbit import _LETTERS
 from origami_lab.origami import Origami, Stratum, stratum
 from origami_lab.perm import Permutation
 
@@ -127,3 +130,114 @@ def test_mc_ew_zero_block(ew):
 def test_mc_w_subspace_runs(ew):
     est = mc_exponents(ew, subspace="W", steps=500, trials=2, seed=3)
     assert len(est.estimates) >= 2
+
+
+def _mc_reference(o, subspace, steps, trials, seed):
+    """The trial-by-trial Monte Carlo walk: one product per step and one
+    QR per period for each trial in turn.  Returns (estimates,
+    std_errors).  The QR period is written out, so that a changed
+    ``_QR_PERIOD`` fails the comparison."""
+    ctx = kz_context(o)
+    dim = len(ctx.basis(ctx.graph.basepoint, subspace))
+    step_mats = {}
+    per_trial = []
+    for trial in range(trials):
+        rng = random.Random((int(seed) << 32) ^ trial)
+        node = ctx.graph.basepoint
+        q = np.eye(dim)
+        sums = np.zeros(dim)
+        for step_index in range(1, steps + 1):
+            key = (node, _LETTERS[rng.randrange(4)])
+            step = step_mats.get(key)
+            if step is None:
+                target, m = ctx.step(*key, subspace)
+                step = step_mats[key] = (target, np.array(m, dtype=float))
+            node, m = step
+            q = m @ q
+            if step_index % 20 == 0 or step_index == steps:
+                q, r = np.linalg.qr(q)
+                diag = np.abs(np.diag(r))
+                diag[diag == 0] = np.finfo(float).tiny
+                sums += np.log(diag)
+                signs = np.sign(np.diag(r))
+                signs[signs == 0] = 1.0
+                q = q * signs
+        per_trial.append(np.sort(sums / steps)[::-1])
+    data = np.array(per_trial)
+    means = data.mean(axis=0)
+    if trials > 1:
+        errs = data.std(axis=0, ddof=1) / math.sqrt(trials)
+    else:
+        errs = np.zeros(dim)
+    return [float(x) for x in means], [float(x) for x in errs]
+
+
+@pytest.mark.parametrize("steps", [1, 19, 20, 21, 500])
+@pytest.mark.parametrize(
+    "name, subspace",
+    [("l3", "full"), ("dema", "full"), ("dema", "H1_zero"), ("ew", "H1_zero"), ("ew", "W")],
+)
+def test_mc_matches_trial_by_trial_reference(name, subspace, steps):
+    o = fixture_origami(name)
+    for trials in (1, 3):
+        seed = 1000 * steps + trials
+        est = mc_exponents(o, subspace=subspace, steps=steps, trials=trials, seed=seed)
+        assert (est.estimates, est.std_errors) == _mc_reference(o, subspace, steps, trials, seed)
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+def test_mc_zero_dimensional_subspace(trials):
+    torus = Origami(Permutation([1]), Permutation([1]))
+    est = mc_exponents(torus, subspace="H1_zero", steps=50, trials=trials, seed=1)
+    assert est.estimates == [] and est.std_errors == []
+
+
+@pytest.mark.parametrize(
+    "argument, value",
+    [
+        ("steps", 2.5),
+        ("steps", True),
+        ("steps", "100"),
+        ("trials", 2.0),
+        ("trials", True),
+        ("seed", "7"),
+        ("seed", 1.5),
+        ("seed", False),
+    ],
+)
+def test_mc_rejects_non_int_arguments(l3, argument, value):
+    kwargs = {"steps": 100, "trials": 2, "seed": 1, argument: value}
+    with pytest.raises(ValueError, match=argument):
+        mc_exponents(l3, **kwargs)
+
+
+def test_mc_batches_trials(l3, dema, monkeypatch):
+    # one QR per period whatever the number of trials, and each step
+    # matrix fetched once per call ("full", where KzContext.step makes no
+    # nested step call)
+    real_qr = np.linalg.qr
+    qr_calls = []
+
+    def counting_qr(a):
+        qr_calls.append(a.shape)
+        return real_qr(a)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    for o in (l3, dema):
+        ctx = kz_context(o)
+        real_step = ctx.step
+        step_calls = []
+
+        def counting_step(*args):
+            step_calls.append(args)
+            return real_step(*args)
+
+        monkeypatch.setattr(ctx, "step", counting_step)
+        for steps in (1, 20, 21, 500):
+            for trials in (2, 5):
+                qr_calls.clear()
+                step_calls.clear()
+                mc_exponents(o, subspace="full", steps=steps, trials=trials, seed=steps)
+                assert len(qr_calls) == math.ceil(steps / 20)
+                assert all(shape[0] == trials for shape in qr_calls)
+                assert step_calls and len(step_calls) == len(set(step_calls))
