@@ -27,7 +27,8 @@ zero-holonomy part, or the isotypical block W of a central involution) by
 an integer left inverse of its basis, with exact divisibility checks;
 ``KzContext`` holds these bases per orbit node.  All arithmetic in this
 module is exact (integers, and fractions only for unipotent logarithms and
-Lie closures); no floating point anywhere.
+Lie closures); the one float array is a ``StepStack`` that a caller asks
+for with a float dtype.
 """
 
 from __future__ import annotations
@@ -36,9 +37,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import intlinalg as la
 from .origami import automorphisms, canonical_form, central_involution, corner_permutation, genus
-from .orbit import Sl2zWord, sl2z_orbit
+from .orbit import _LETTERS, Sl2zWord, sl2z_orbit
 from .paths import CenterPath
 from .perm import conjugate
 
@@ -509,6 +512,35 @@ def kz_context(o):
     if canon not in _context_cache:
         _context_cache[canon] = KzContext(canon)
     return _context_cache[canon]
+
+
+class StepStack:
+    """The step matrices on one subspace that a walk over a context has
+    reached, each one row of a stacked ``dtype`` array that doubles when
+    full, so that a batch of steps is gathered by indexing ``mats`` with
+    rows.  ``rows`` maps 4 * node + letter index (into the letter order
+    T, S, t, s) to a row, and ``targets[row]`` is the target node of that
+    step; ``add`` fills the row of a key that is not in ``rows`` yet."""
+
+    def __init__(self, ctx, subspace, dtype):
+        self._ctx = ctx
+        self._subspace = subspace
+        self.dim = len(ctx.basis(ctx.graph.basepoint, subspace))
+        self.rows = {}
+        self.targets = []
+        self.mats = np.empty((4, self.dim, self.dim), dtype=dtype)
+
+    def add(self, node, letter):
+        """Row of the step by letter index ``letter`` from node, which
+        must not have a row yet."""
+        target, m = self._ctx.step(node, _LETTERS[letter], self._subspace)
+        row = self.rows[4 * node + letter] = len(self.targets)
+        self.targets.append(target)
+        if row == len(self.mats):
+            self.mats = np.concatenate([self.mats, np.empty_like(self.mats)])
+        # reshaped, so that a 0-dimensional subspace gives (0, 0)
+        self.mats[row] = np.array(m, dtype=self.mats.dtype).reshape(self.dim, self.dim)
+        return row
 
 
 def kz_matrix(o, word, subspace="full"):

@@ -36,8 +36,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .homology import kz_context
-from .orbit import _LETTERS, _cycle_lengths
+from .homology import StepStack, kz_context
+from .orbit import _cycle_lengths
 from .origami import automorphisms, is_reduced, stratum
 
 _QR_PERIOD = 20
@@ -136,10 +136,15 @@ def mc_exponents(o, subspace="full", steps=10000, trials=10, seed=None):
             raise ValueError("%s must be an int, not %r" % (name, value))
     if steps < 1 or trials < 1:
         raise ValueError("steps and trials must be at least 1")
+    if seed < 0:
+        # random.Random seeds from the absolute value, so trial 0 of a
+        # negative seed would walk as trial 0 of its negation
+        raise ValueError("seed must be non-negative, not %d" % seed)
     if not is_reduced(o):
         raise ValueError("the random walk estimator requires a reduced origami")
     ctx = kz_context(o)
-    dim = len(ctx.basis(ctx.graph.basepoint, subspace))
+    stack = StepStack(ctx, subspace, float)
+    rows, targets, dim = stack.rows, stack.targets, stack.dim
     note = ""
     if len(automorphisms(ctx.graph.nodes[ctx.graph.basepoint])) > 1:
         note = (
@@ -148,12 +153,6 @@ def mc_exponents(o, subspace="full", steps=10000, trials=10, seed=None):
         )
     rngs = [random.Random((seed << 32) ^ trial) for trial in range(trials)]
     nodes = [ctx.graph.basepoint] * trials
-    # float step matrix of each (node, letter) the walk has reached, keyed
-    # 4 * node + letter index, one row each of a stack that doubles when
-    # full; targets[row] is the target node of the step
-    rows = {}
-    targets = []
-    mats = np.empty((4, dim, dim))
     q = np.tile(np.eye(dim), (trials, 1, 1))
     sums = np.zeros((trials, dim))
     for start in range(0, steps, _QR_PERIOD):
@@ -165,17 +164,11 @@ def mc_exponents(o, subspace="full", steps=10000, trials=10, seed=None):
                 letter = rng.randrange(4)
                 row = rows.get(4 * node + letter)
                 if row is None:
-                    target, m = ctx.step(node, _LETTERS[letter], subspace)
-                    row = rows[4 * node + letter] = len(targets)
-                    targets.append(target)
-                    if row == len(mats):
-                        mats = np.concatenate([mats, np.empty_like(mats)])
-                    # reshaped, so that a 0-dimensional subspace gives (0, 0)
-                    mats[row] = np.array(m, dtype=float).reshape(dim, dim)
+                    row = stack.add(node, letter)
                 picked.append(row)
                 node = targets[row]
             nodes[trial] = node
-        block = mats[np.reshape(picked, (trials, period))]
+        block = stack.mats[np.reshape(picked, (trials, period))]
         for j in range(period):
             q = block[:, j] @ q
         q, r = np.linalg.qr(q)

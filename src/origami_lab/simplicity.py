@@ -24,9 +24,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from . import intlinalg as la
 from .galois import is_galois_pinching_sp4
-from .homology import kz_context
+from .homology import StepStack, kz_context
 from .origami import Origami, automorphisms, canonical_form, genus, is_reduced
 from .orbit import _INVERSE_LETTER, _LETTERS, Sl2zWord, _cycle_lengths, spanning_tree
 
@@ -157,6 +159,47 @@ def _check_preconditions(o):
         raise ValueError("simplicity certification is implemented for genus 3 only")
 
 
+# products are formed in int64 only while a bound on their entries stays
+# below this; past it, in Python ints
+_INT64_LIMIT = 2**63
+
+# the letter indices (into T, S, t, s) a path may take after its last
+# letter, which is None for the empty path: all but the inverse
+_NEXT_LETTERS = {
+    last: [i for i in range(4) if last is None or _LETTERS[i] != _INVERSE_LETTER[_LETTERS[last]]]
+    for last in (None, 0, 1, 2, 3)
+}
+
+
+def _products(steps, mats, bound):
+    """(steps[i] @ mats[i] for every i, a bound on their entries) for
+    stacks of square integer matrices, given a bound on the entries of
+    ``mats``.  An entry of a product is at most the largest absolute row
+    sum of the steps times ``bound``, and so is every partial sum that
+    forms it: while that is below 2**63 the products are formed in int64,
+    which is then exact, else in Python ints (dtype=object)."""
+    bound *= int(np.abs(steps).sum(axis=2).max(initial=0))
+    if bound >= _INT64_LIMIT:
+        steps, mats = steps.astype(object), mats.astype(object)
+    return np.matmul(steps, mats), bound
+
+
+def _matrix_keys(mats):
+    """One key per matrix of a stack, equal exactly when the matrices are,
+    whatever their dtype: the bytes of its entries in int64, or the tuple
+    of its entries when they do not fit in int64."""
+    flat = mats.reshape(len(mats), -1)
+    if flat.dtype != object:
+        return [row.tobytes() for row in flat]
+    keys = []
+    for row in flat:
+        try:
+            keys.append(row.astype(np.int64).tobytes())
+        except OverflowError:
+            keys.append(tuple(row.tolist()))
+    return keys
+
+
 def _search_pinching_word(o, search_depth):
     """Breadth-first search behind find_pinching_word.
 
@@ -167,42 +210,56 @@ def _search_pinching_word(o, search_depth):
         raise ValueError("search depth must be non-negative, not %d" % search_depth)
     ctx = kz_context(o)
     base = ctx.graph.basepoint
-    ident = tuple(map(tuple, la.identity_matrix(len(ctx.basis(base, "H1_zero")))))
-    frontier = [(base, ident, ())]
+    table = StepStack(ctx, "H1_zero", np.int64)
+    rows, targets = table.rows, table.targets
+    # the frontier: its matrices stacked, and per state its node, last
+    # letter index and path; every frontier entry is at most ``bound``
+    frontier = np.eye(table.dim, dtype=np.int64)[None]
+    nodes, lasts, paths = [base], [None], [()]
+    bound = 1
     seen = set()
-    rejected = set()  # closed matrices already found not pinching
+    rejected = set()  # keys of closed matrices already found not pinching
     words = 0
     found, exhausted = None, False
     for _length in range(search_depth):
-        level = []
-        for node, mat, letters in frontier:
-            for letter in _LETTERS:
-                if letters and _INVERSE_LETTER[letters[-1]] == letter:
-                    continue
-                # the path applies letters left to right, so each new
-                # step multiplies on the left
-                target, step = ctx.step(node, letter, "H1_zero")
-                product = tuple(map(tuple, la.mat_mul(step, mat)))
-                words += 1
-                key = (target, product, letter)
-                if key not in seen:
-                    seen.add(key)
-                    level.append((target, product, letters + (letter,)))
-        if not level:
+        parents, picks, letters = [], [], []
+        for parent, (node, last) in enumerate(zip(nodes, lasts)):
+            for letter in _NEXT_LETTERS[last]:
+                row = rows.get(4 * node + letter)
+                if row is None:
+                    row = table.add(node, letter)
+                parents.append(parent)
+                picks.append(row)
+                letters.append(letter)
+        # the path applies letters left to right, so each new step
+        # multiplies on the left
+        products, bound = _products(table.mats[picks], frontier[parents], bound)
+        keys = _matrix_keys(products)
+        words += len(picks)
+        kept = []
+        for child, key in enumerate(keys):
+            state = (targets[picks[child]], key, letters[child])
+            if state not in seen:
+                seen.add(state)
+                kept.append(child)
+        if not kept:
             exhausted = True
             break
-        for node, mat, letters in level:
-            if node != base or mat in rejected:
+        frontier = products[kept]
+        nodes = [targets[picks[c]] for c in kept]
+        lasts = [letters[c] for c in kept]
+        paths = [paths[parents[c]] + (_LETTERS[letters[c]],) for c in kept]
+        for i, child in enumerate(kept):
+            if nodes[i] != base or keys[child] in rejected:
                 continue
-            report = is_galois_pinching_sp4(mat)
+            report = is_galois_pinching_sp4(frontier[i].tolist())
             if report.pinching:
                 # the word's leftmost letter acts last: reverse the path
-                found = Sl2zWord(tuple(reversed(letters))), report
+                found = Sl2zWord(tuple(reversed(paths[i]))), report
                 break
-            rejected.add(mat)
+            rejected.add(keys[child])
         if found is not None:
             break
-        frontier = level
     return found, {"exhausted": exhausted, "words": words, "states": len(seen)}
 
 
@@ -225,11 +282,26 @@ def find_pinching_word(o, search_depth):
     exhausted: every state of the cocycle has been tested, and no loop
     word of any length is pinching.
 
-    Memory is one state per distinct (node, matrix, last letter).  On
-    Zariski-dense orbits such as ``dema`` the new states grow about 2x
-    per length (8,064 at length 10), so about 64k states by the CLI
-    default depth 12; on ``ew``, whose cocycle acts through a finite
-    group, 384 states exhaust the search at length 9.
+    Each length is formed at once: the matrices of the states kept at
+    the last length are stacked in one array, and one ``np.matmul``
+    multiplies each by the H1_zero steps of its allowed letters, which
+    are gathered from a table with one row per (node, letter) reached.
+    The array is int64 only while a running bound proves int64 exact:
+    the bound starts at 1 for the identity, and each length multiplies
+    it by the largest absolute row sum of the steps it used, which
+    bounds every entry of the new products and every partial sum that
+    forms one.  Once the bound reaches 2**63 the rest of the search
+    runs in Python ints (a dtype=object array).  Only the closed
+    matrices at the basepoint are turned into Python ints, for the
+    pinching test.
+
+    Memory is one d x d matrix per kept state: one key of node, matrix
+    bytes and last letter per distinct state, and the array of the
+    states kept at the last length.  On Zariski-dense orbits such as
+    ``dema`` the new states grow about 2x per length (8,064 at length
+    10), so about 64k states by the CLI default depth 12; on ``ew``,
+    whose cocycle acts through a finite group, 384 states exhaust the
+    search at length 9.
 
     Returns (word, Sp4PinchingReport) or None.
     """

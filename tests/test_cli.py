@@ -295,6 +295,13 @@ def test_mc_requires_seed():
     assert exc.value.code == 2
 
 
+def test_mc_rejects_a_negative_seed(capsys):
+    # seeds 1 and -1 gave the same walk for trial 0
+    code, out, err = run(capsys, ["mc", fixture_path("l3"), "--steps", "200", "--trials", "1", "--seed", "-1"])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "seed" in err and "Traceback" not in err
+
+
 def test_unknown_command():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

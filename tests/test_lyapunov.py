@@ -73,6 +73,12 @@ def test_mc_requires_seed(l3):
         mc_exponents(l3, steps=100, trials=2, seed=None)
 
 
+@pytest.mark.parametrize("seed", [-1, -(2**40)])
+def test_mc_rejects_negative_seeds(l3, seed):
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        mc_exponents(l3, steps=100, trials=1, seed=seed)
+
+
 def test_mc_rejects_bad_subspace(l3):
     with pytest.raises(ValueError):
         mc_exponents(l3, subspace="nope", steps=100, trials=2, seed=1)

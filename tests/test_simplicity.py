@@ -1,11 +1,12 @@
 import json
 import time
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from origami_lab import homology, orbit
+from origami_lab import homology, orbit, simplicity
 from origami_lab import intlinalg as la
 from origami_lab.galois import is_galois_pinching_sp4
 from origami_lab.homology import kz_context, kz_matrix
@@ -241,3 +242,122 @@ def test_not_found_carries_the_search_counters(dema):
     assert result == NotFound(explored_depth=3, **stats)
     assert stats["exhausted"] is False
     assert stats["words"] == 4 + 12 + 36 and stats["states"] == 4 + 12 + 36
+
+
+# The batched search: one product per level, exact past int64
+
+_TIED_STATE_SURFACES = [
+    "h = (1,4,5,2)(3)\nv = (1,4,3,5)(2)\n",
+    "h = (1)(2,5)(3,4)\nv = (1,2,5,3)(4)\n",
+]
+
+
+def _spy_products(monkeypatch):
+    """Record (products, bound) for each level the search forms."""
+    levels = []
+    real = simplicity._products
+
+    def spy(steps, mats, bound):
+        products, bound = real(steps, mats, bound)
+        levels.append((products, bound))
+        return products, bound
+
+    monkeypatch.setattr(simplicity, "_products", spy)
+    return levels
+
+
+def test_products_switch_to_python_ints_where_int64_would_wrap():
+    a = np.array([[(-1) ** (i + j) * (2**40 + 4 * i + j) for j in range(4)] for i in range(4)])
+    products, bound = simplicity._products(a[None], a[None], 2**40 + 15)
+    want = la.mat_mul(a.tolist(), a.tolist())
+    assert products.dtype == object and products[0].tolist() == want
+    assert all(type(v) is int for row in products[0].tolist() for v in row)
+    assert bound == max(sum(map(abs, row)) for row in a.tolist()) * (2**40 + 15)
+    assert max(abs(v) for row in want for v in row) <= bound
+    # at the limit: every entry of ones @ (2**61) is 2**63, one past int64
+    ones = np.ones((1, 4, 4), dtype=np.int64)
+    big = np.full((1, 4, 4), 2**61, dtype=np.int64)
+    products, bound = simplicity._products(ones, big, 2**61)
+    assert bound == 2**63 and products.dtype == object
+    assert products[0].tolist() == [[2**63] * 4] * 4
+    # just below it int64 is proven exact and is used
+    products, bound = simplicity._products(ones, big - 1, 2**61 - 1)
+    assert bound == 2**63 - 4 and products.dtype == np.int64
+    assert products[0].tolist() == [[2**63 - 4] * 4] * 4
+
+
+def test_matrix_keys_agree_across_dtypes():
+    small = np.arange(16, dtype=np.int64).reshape(1, 4, 4)
+    huge = small.astype(object) * 2**70
+    keys = simplicity._matrix_keys(np.concatenate([small.astype(object), huge, huge.copy()]))
+    assert keys[0] == simplicity._matrix_keys(small)[0]
+    assert keys[1] == keys[2] != keys[0]
+    assert keys[1] != simplicity._matrix_keys(huge + 1)[0]
+
+
+@pytest.mark.parametrize(
+    "text,depth",
+    [("dema", 7), ("ew", 7)] + [(t, 7) for t in _TIED_STATE_SURFACES],
+    ids=["dema", "ew", "tied-1", "tied-2"],
+)
+def test_word_search_past_the_int64_bound_matches_dfs(monkeypatch, text, depth):
+    # with the limit lowered the bound passes it after a level or two, and
+    # every later level is formed in Python ints
+    o = fixture_origami(text) if text in ("dema", "ew") else parse_origami_text(text)
+    want = _search_pinching_word(o, depth)
+    monkeypatch.setattr(simplicity, "_INT64_LIMIT", 8)
+    levels = _spy_products(monkeypatch)
+    assert _search_pinching_word(o, depth) == want
+    dtypes = [products.dtype for products, _bound in levels]
+    first = dtypes.index(object)
+    assert 0 < first <= 2 and dtypes[first:] == [object] * (len(dtypes) - first)
+    assert find_pinching_word(o, depth) == _dfs_pinching_word(o, depth)
+
+
+@pytest.mark.parametrize("name", ["dema", "mstarstar"])
+def test_word_search_bound_holds_every_entry(monkeypatch, name):
+    levels = _spy_products(monkeypatch)
+    _search_pinching_word(fixture_origami(name), 8)
+    assert len(levels) >= 7
+    for products, bound in levels:
+        assert products.dtype == np.int64
+        assert int(np.abs(products).max()) <= bound
+
+
+def test_word_search_is_batched(monkeypatch, dema):
+    found, stats = _search_pinching_word(dema, 8)  # warms the H1_zero steps
+
+    def no_mat_mul(*args):
+        raise AssertionError("the word search formed a product in Python")
+
+    ctx = kz_context(dema)
+    real_step = ctx.step
+    step_calls = []
+
+    def counting_step(*args):
+        step_calls.append(args)
+        return real_step(*args)
+
+    monkeypatch.setattr(la, "mat_mul", no_mat_mul)
+    monkeypatch.setattr(ctx, "step", counting_step)
+    assert _search_pinching_word(dema, 8) == (found, stats)
+    assert step_calls and len(step_calls) == len(set(step_calls))
+    monkeypatch.undo()
+    quartic = certify_simplicity(dema, search_depth=8).quartic
+    for q in (found[1].quartic, quartic):
+        assert type(q.a) is int and type(q.b) is int
+
+
+def test_dema_certificate_json_is_unchanged(dema):
+    want = {
+        "origami": {
+            "degree": 8,
+            "h_images": [2, 4, 1, 3, 6, 8, 5, 7],
+            "v_images": [3, 1, 5, 6, 2, 8, 4, 7],
+            "label": "DEMA",
+        },
+        "pinching_word": "STTSTST",
+        "quartic": {"a": -1, "b": -8, "delta1": 41, "delta2": 32, "delta3": 1312},
+        "witness": {"kind": "cylinder", "direction": "", "dim_e": 2, "genus": 3},
+    }
+    assert certify_simplicity(dema, search_depth=8).dumps() == json.dumps(want, indent=2)
