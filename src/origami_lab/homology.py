@@ -13,9 +13,12 @@ of topologically embedded graphs", SODA 2003): a spanning tree T of the
 vertex graph, a spanning tree C of the square-adjacency graph that avoids
 the duals of T, and the 2g leftover edges.  Each leftover edge e closes a
 basis loop e + (T-path) and, through its dual edge, a dual loop
-e* + (C-path) through square centers.  Coordinates of a cycle are read off
-the leftover edges after peeling squares along C; the intersection form
-follows from the crossings of basis loops with dual loops.
+e* + (C-path) through square centers.  Each tree is climbed once; the
+dual loops are kept as ordered (edge, +-1) crossing records, which give
+both their chains and their center paths.  Coordinates of a cycle are
+read off the leftover edges after peeling squares along C; the
+intersection form follows from the crossings of basis loops with dual
+loops.
 
 The complex is kept as incidences only.  A generator letter and a deck
 transformation both act through one path: a sparse edge map and a square
@@ -33,6 +36,7 @@ for with a float dtype.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,7 +44,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import intlinalg as la
-from .origami import automorphisms, canonical_form, central_involution, corner_permutation, genus
+from .origami import automorphisms, canonical_form, central_involution, corner_permutation
 from .orbit import _LETTERS, Sl2zWord, sl2z_orbit
 from .paths import CenterPath
 from .perm import conjugate
@@ -97,33 +101,48 @@ def _spanning_tree(count, ends, edges):
     """Breadth-first spanning tree from node 0 of the graph on nodes
     0..count-1 whose edge k (for k in ``edges``) runs from ends[0][k] to
     ends[1][k].  Returns the (child, edge, parent) triples in discovery
-    order and, per node, the tree path from the root as {edge: +1 or -1}
-    (-1 where the path runs against the edge)."""
+    order."""
     adjacent = [[] for _ in range(count)]
     for k in edges:
         adjacent[ends[0][k]].append((k, ends[1][k]))
         adjacent[ends[1][k]].append((k, ends[0][k]))
-    paths = {0: {}}
+    seen = [True] + [False] * (count - 1)
     order = [(0, None, None)]
     for x, _k, _parent in order:
         for k, y in adjacent[x]:
-            if y not in paths:
-                paths[y] = {**paths[x], k: 1 if ends[0][k] == x else -1}
+            if not seen[y]:
+                seen[y] = True
                 order.append((y, k, x))
     if len(order) != count:
         raise AssertionError("cell graph is not connected")
-    return order[1:], paths
+    return order[1:]
 
 
-def _closed_path(paths, e, start, end):
-    """The edge e from ``start`` to ``end`` closed up through the tree:
-    e + path(start) - path(end), as {edge: coefficient} without zeros (the
-    two tree paths cancel on their common prefix)."""
-    out = dict(paths[start])
-    out[e] = 1
-    for k, c in paths[end].items():
-        out[k] = out.get(k, 0) - c
-    return {k: c for k, c in out.items() if c}
+def _tree_cycles(tree, ends, leftover):
+    """Per edge e in ``leftover``: e run from ends[0][e] to ends[1][e] and
+    closed back through the tree, as its ordered crossings [(edge, +1 or
+    -1)] (-1 where the cycle runs against the edge).  The tree part climbs
+    from both ends of e to where they meet, so no edge repeats."""
+    up = [None] * (len(tree) + 1)
+    depth = [0] * (len(tree) + 1)
+    for child, k, parent in tree:
+        up[child] = (k, parent)
+        depth[child] = depth[parent] + 1
+    cycles = []
+    for e in leftover:
+        a, b = ends[1][e], ends[0][e]
+        climb, descent = [], []
+        while a != b:
+            if depth[a] >= depth[b]:
+                k, parent = up[a]
+                climb.append((k, 1 if ends[0][k] == a else -1))
+                a = parent
+            else:
+                k, parent = up[b]
+                descent.append((k, 1 if ends[0][k] == parent else -1))
+                b = parent
+        cycles.append([(e, 1)] + climb + descent[::-1])
+    return cycles
 
 
 class Homology:
@@ -135,28 +154,27 @@ class Homology:
         self.origami = o
         n = o.degree
         cx = self.complex = chain_complex(o)
-        tree, vertex_paths = _spanning_tree(cx.vertices, (cx.tail, cx.head), range(2 * n))
+        tree = _spanning_tree(cx.vertices, (cx.tail, cx.head), range(2 * n))
         in_tree = {k for _child, k, _parent in tree}
-        self._cotree, square_paths = _spanning_tree(
+        self._cotree = _spanning_tree(
             n, (cx.minus, cx.plus), [k for k in range(2 * n) if k not in in_tree]
         )
         in_cotree = {k for _child, k, _parent in self._cotree}
         self._leftover = [k for k in range(2 * n) if k not in in_tree and k not in in_cotree]
+        # both trees span, so there are 2N - (V - 1) - (N - 1) = 2g
+        # leftover edges by Euler's formula; the rank needs no check
         self.rank = len(self._leftover)
-        if self.rank != 2 * genus(o):
-            raise AssertionError("H_1 rank must equal 2g")
         # per leftover edge e: the basis loop e + (T-path back to its tail)
         # and the dual loop e* + (C-path back to square minus[e]), where e*
         # crosses e from square minus[e] to square plus[e]
-        self.loops = [_closed_path(vertex_paths, e, cx.tail[e], cx.head[e]) for e in self._leftover]
-        duals = [_closed_path(square_paths, e, cx.minus[e], cx.plus[e]) for e in self._leftover]
+        self.loops = [dict(c) for c in _tree_cycles(tree, (cx.tail, cx.head), self._leftover)]
+        self._duals = _tree_cycles(self._cotree, (cx.minus, cx.plus), self._leftover)
         # D (one column of coordinates per dual loop) and J = D^-1, checked
         # integral and skew there: det J det D = 1 in integers gives
         # det J = +-1, and det J = Pf(J)^2, so J is unimodular
-        self.dual_coords, self.intersection = self._intersection_matrix(self.loops, duals)
+        self.dual_coords, self.intersection = self._intersection_matrix(self.loops, self._duals)
         self.taut_sigma = self.project([1] * n + [0] * n)
         self.taut_zeta = self.project([0] * n + [1] * n)
-        self._dual_loops = None
 
     def dual_loops(self):
         """The dual loops as closed center paths, in leftover-edge order.
@@ -166,37 +184,15 @@ class Homology:
         zeta edge an L or R step.  Each is a simple cycle of squares, so a
         simple closed curve, and column b of ``dual_coords`` holds the
         coordinates of loop b; they form a Z-basis of H_1 since
-        J = D^-1.  Built on first use."""
-        if self._dual_loops is None:
-            cx = self.complex
-            n = self.origami.degree
-            up, depth = {}, {0: 0}
-            for child, k, parent in self._cotree:
-                up[child] = (k, parent)
-                depth[child] = depth[parent] + 1
-
-            def cross(k, square):
-                if k < n:
-                    return "U" if square == cx.minus[k] else "D"
-                return "L" if square == cx.minus[k] else "R"
-
-            self._dual_loops = []
-            for e in self._leftover:
-                # climb from both ends of e* to their meeting point in C
-                a, b = cx.plus[e], cx.minus[e]
-                climb, descent = [], []
-                while a != b:
-                    if depth[a] >= depth[b]:
-                        k, a_next = up[a]
-                        climb.append(cross(k, a))
-                        a = a_next
-                    else:
-                        k, b_next = up[b]
-                        descent.append(cross(k, b_next))
-                        b = b_next
-                steps = cross(e, cx.minus[e]) + "".join(climb) + "".join(reversed(descent))
-                self._dual_loops.append(CenterPath(cx.minus[e] + 1, steps))
-        return self._dual_loops
+        J = D^-1."""
+        n = self.origami.degree
+        return [
+            CenterPath(
+                self.complex.minus[e] + 1,
+                "".join(("UD" if k < n else "LR")[c < 0] for k, c in dual),
+            )
+            for e, dual in zip(self._leftover, self._duals)
+        ]
 
     def _intersection_matrix(self, loops, duals):
         """Intersection form in basis coordinates.
@@ -209,29 +205,28 @@ class Homology:
         the identity, and with D the coordinates of the dual loops,
         J D = P gives J = D^-1.  Returns (D, J)."""
         n = self.origami.degree
-        # P as a sparse product: the basis loops indexed by edge once
         loops_on = {}
         for a, loop in enumerate(loops):
             for k, c in loop.items():
                 loops_on.setdefault(k, []).append((a, c))
-        p = la.zeros(self.rank, self.rank)
-        for b, dual in enumerate(duals):
-            for k, c in dual.items():
-                for a, ca in loops_on.get(k, ()):
-                    p[a][b] += ca * c
-        if not la.mat_eq(p, la.identity_matrix(self.rank)):
-            raise AssertionError("basis loops and dual loops do not cross once each")
-        # a dual edge k run minus -> plus is an up step at square minus[k]
-        # (k a sigma) or a left step into square plus[k] (k a zeta); pushed
-        # to bottom-left corners these are +zeta_{minus[k]} and -sigma_{plus[k]}
+        # per dual loop b: column b of P - I, summed sparsely, and its chain
+        # pushed to corners.  A dual edge k run minus -> plus is an up step
+        # at square minus[k] (k a sigma) or a left step into square plus[k]
+        # (k a zeta), so pushed to bottom-left corners these are
+        # +zeta_{minus[k]} and -sigma_{plus[k]}
         chains = []
-        for dual in duals:
+        for b, dual in enumerate(duals):
+            column = Counter({b: -1})
             chain = [0] * (2 * n)
-            for k, c in dual.items():
+            for k, c in dual:
+                for a, ca in loops_on.get(k, ()):
+                    column[a] += ca * c
                 if k < n:
                     chain[n + self.complex.minus[k]] += c
                 else:
                     chain[self.complex.plus[k]] -= c
+            if any(column.values()):
+                raise AssertionError("basis loops and dual loops do not cross once each")
             chains.append(chain)
         coords = self.project_many(chains)
         d = [[coords[b][r] for b in range(self.rank)] for r in range(self.rank)]
@@ -614,42 +609,36 @@ def isotypical_W(o, tau):
 # Unipotent logarithms and Lie closures
 
 
+def _nilpotent_series(nil, coefficient, error):
+    """sum over j >= 1 of coefficient(j) nil^j, forming each power of nil
+    once and stopping at the first zero one; raises ValueError(error) if
+    nil^n is not zero, n the size of nil."""
+    n = len(nil)
+    out = la.zeros(n, n)
+    power = la.identity_matrix(n)
+    for j in range(1, n + 1):
+        power = la.mat_mul(power, nil)
+        if all(x == 0 for row in power for x in row):
+            break
+        out = la.mat_add(out, la.mat_scale(coefficient(j), power))
+    if any(x != 0 for row in power for x in row):
+        raise ValueError(error)
+    return out
+
+
 def unipotent_log(m):
     """log(m) for unipotent m via the finite series
     sum (-1)^(k+1) (m - Id)^k / k; exact rational output."""
-    n = len(m)
     mf = [[Fraction(x) for x in row] for row in m]
-    nil = la.mat_sub(mf, la.identity_matrix(n))
-    # check nilpotency
-    power = nil
-    k = 1
-    while any(x != 0 for row in power for x in row):
-        k += 1
-        if k > n:
-            raise ValueError("matrix is not unipotent")
-        power = la.mat_mul(power, nil)
-    out = la.zeros(n, n)
-    term = la.identity_matrix(n)
-    for j in range(1, n + 1):
-        term = la.mat_mul(term, nil)
-        if all(x == 0 for row in term for x in row):
-            break
-        sign = Fraction((-1) ** (j + 1), j)
-        out = la.mat_add(out, la.mat_scale(sign, term))
-    return out
+    nil = la.mat_sub(mf, la.identity_matrix(len(m)))
+    return _nilpotent_series(nil, lambda j: Fraction((-1) ** (j + 1), j), "matrix is not unipotent")
 
 
 def exp_nilpotent(m):
-    """exp of a nilpotent rational matrix (finite series)."""
-    n = len(m)
-    out = la.identity_matrix(n)
-    term = la.identity_matrix(n)
-    for j in range(1, n + 1):
-        term = la.mat_scale(Fraction(1, j), la.mat_mul(term, m))
-        if all(x == 0 for row in term for x in row):
-            break
-        out = la.mat_add(out, term)
-    return out
+    """exp of a nilpotent rational matrix (finite series); raises
+    ValueError if m is not nilpotent."""
+    series = _nilpotent_series(m, lambda j: Fraction(1, math.factorial(j)), "matrix is not nilpotent")
+    return la.mat_add(la.identity_matrix(len(m)), series)
 
 
 def lie_algebra_dim(gens):

@@ -44,6 +44,8 @@ _LETTERS = ("T", "S", "t", "s")
 _SLOT = {letter: slot for slot, letter in enumerate(_LETTERS)}
 # the largest degree whose labels fit in one byte each
 _BYTE_DEGREE = 256
+# the most letters a parsed word may expand to
+MAX_WORD_LETTERS = 10**6
 
 
 def mat2_mul(a, b):
@@ -91,7 +93,8 @@ class Sl2zWord:
     @staticmethod
     def parse(text):
         """Parse a word string; a letter may be followed by a positive
-        decimal repeat count, e.g. ``"T8SSTTSS"`` or ``"T2 s3"``."""
+        decimal repeat count, e.g. ``"T8SSTTSS"`` or ``"T2 s3"``.  A word
+        may expand to at most ``MAX_WORD_LETTERS`` letters."""
         if not isinstance(text, str):
             raise ValueError("a word must be a string, not %r" % (text,))
         letters = []
@@ -108,6 +111,8 @@ class Sl2zWord:
             count = int(text[digits:i]) if i > digits else 1
             if count == 0:
                 raise ValueError("repeat count of %r must be positive" % l)
+            if len(letters) + count > MAX_WORD_LETTERS:
+                raise ValueError("word expands to more than %d letters" % MAX_WORD_LETTERS)
             letters.extend([l] * count)
         return Sl2zWord(tuple(letters))
 

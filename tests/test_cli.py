@@ -443,6 +443,21 @@ def test_zero_repeat_count_is_a_domain_error(capsys, tmp_path, argv):
     assert err.startswith("error:") and "repeat count" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda tmp: ["kz", fixture_path("dema"), "T100000000000"],
+        lambda tmp: _verify_edited(tmp, None, "pinching_word", "T100000000000"),
+    ],
+    ids=["kz", "verify"],
+)
+def test_oversized_repeat_count_is_a_domain_error(capsys, tmp_path, argv):
+    code, out, err = run(capsys, argv(tmp_path))
+    assert code == 1
+    assert err.startswith("error:") and "more than 1000000 letters" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_negative_depth_is_a_domain_error(capsys):
     code, out, err = run(capsys, ["simplicity", fixture_path("dema"), "--depth", "-1"])
     assert code == 1

@@ -67,6 +67,60 @@ def test_non_unimodular_dual_coordinates_fail_the_integrality_check(monkeypatch)
     assert calls == [6]
 
 
+def test_flipped_leftover_crossing_fails_the_crossing_check(monkeypatch):
+    # the second climb is that of the square tree; running the first dual
+    # loop's own leftover edge backwards makes <loop 0, dual 0> = -1
+    tree_cycles = homology._tree_cycles
+    calls = []
+
+    def flipped(tree, ends, leftover):
+        cycles = tree_cycles(tree, ends, leftover)
+        calls.append(len(cycles))
+        if len(calls) == 2:
+            (e, sign), *rest = cycles[0]
+            cycles[0] = [(e, -sign)] + rest
+        return cycles
+
+    monkeypatch.setattr(homology, "_tree_cycles", flipped)
+    with pytest.raises(AssertionError, match="basis loops and dual loops do not cross once each"):
+        Homology(fixture_origami("dema"))
+    assert calls == [6, 6]
+
+
+# the basis loops (as sorted (edge, coefficient) pairs) and the dual loops
+# (as (start square, steps)) of three fixtures, fixed so that a change to
+# either spanning tree or to the order of its climb shows
+LOOP_GOLDENS = {
+    "l3": (
+        [[(1, 1)], [(2, 1)], [(4, 1)], [(5, 1)]],
+        [(2, "U"), (1, "UU"), (2, "LL"), (3, "L")],
+    ),
+    "dema": (
+        [
+            [(1, 1), (2, 1)],
+            [(0, 1), (4, 1)],
+            [(5, 1), (6, 1)],
+            [(1, 1), (10, 1)],
+            [(0, 1), (12, 1)],
+            [(5, -1), (15, 1)],
+        ],
+        [(2, "URRR"), (3, "URUL"), (8, "ULUU"), (3, "LLLL"), (5, "LDDL"), (8, "LLUU")],
+    ),
+    "mstar": (
+        [[(1, 1), (2, 1)], [(4, 1)], [(5, 1)], [(6, 1)], [(1, 1), (8, 1)], [(11, 1)]],
+        [(5, "URUUR"), (3, "ULDDL"), (6, "U"), (1, "L"), (3, "LL"), (6, "LLL")],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOOP_GOLDENS))
+def test_basis_and_dual_loops_goldens(name):
+    hom = Homology(fixture_origami(name))
+    loops, duals = LOOP_GOLDENS[name]
+    assert [sorted(loop.items()) for loop in hom.loops] == loops
+    assert [(p.start, p.steps) for p in hom.dual_loops()] == duals
+
+
 @pytest.mark.parametrize("name", SMALL_FIXTURES)
 def test_step_matrices_chain_map_and_symplectic(name):
     # the chain-map law is asserted inside step(); here we re-verify
@@ -142,8 +196,16 @@ def test_unipotent_log_exp_round_trip():
     lg = unipotent_log(m)
     back = exp_nilpotent(lg)
     assert la.mat_eq(back, [[Fraction(x) for x in row] for row in m])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not unipotent"):
         unipotent_log([[2, 0], [0, 1]])
+
+
+@pytest.mark.parametrize("m", [[[1]], [[0, 1], [1, 0]], [[0, 1, 0], [0, 0, 1], [1, 0, 0]]])
+def test_exp_nilpotent_rejects_a_non_nilpotent_matrix(m):
+    # a cut-off series would give [[2]] and [[3/2, 1], [1, 3/2]] for the
+    # first two
+    with pytest.raises(ValueError, match="not nilpotent"):
+        exp_nilpotent(m)
 
 
 def test_lie_algebra_dim_sl2():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from origami_lab.orbit import (
+    MAX_WORD_LETTERS,
     Sl2zWord,
     mat2_mul,
     sl2z_orbit,
@@ -42,6 +43,13 @@ def test_word_rejects_garbage():
 def test_word_rejects_zero_repeat_count(text):
     with pytest.raises(ValueError, match="must be positive"):
         Sl2zWord.parse(text)
+
+
+def test_word_parse_stops_at_the_letter_limit():
+    assert len(Sl2zWord.parse("T%dS" % (MAX_WORD_LETTERS - 1))) == MAX_WORD_LETTERS
+    for text in ("T%d" % (MAX_WORD_LETTERS + 1), "T%dS2" % (MAX_WORD_LETTERS - 1), "T100000000000"):
+        with pytest.raises(ValueError, match="more than %d letters" % MAX_WORD_LETTERS):
+            Sl2zWord.parse(text)
 
 
 def test_generator_actions_preserve_degree():
