@@ -171,7 +171,12 @@ class Homology:
         self._duals = _tree_cycles(self._cotree, (cx.minus, cx.plus), self._leftover)
         # D (one column of coordinates per dual loop) and J = D^-1, checked
         # integral and skew there: det J det D = 1 in integers gives
-        # det J = +-1, and det J = Pf(J)^2, so J is unimodular
+        # det J = +-1, and det J = Pf(J)^2, so J is unimodular.  D pivots
+        # on units: D^T J D = D^T = -D is the intersection matrix of the
+        # dual loops, sparse with entries -1, 0 and 1 (on every fixture and
+        # random surface tested), and int_inverse's least-entry pivot has
+        # found a 1 in every column there, so each step is x - f y on the
+        # few rows meeting the pivot column, with no growth and den = 1
         self.dual_coords, self.intersection = self._intersection_matrix(self.loops, self._duals)
         self.taut_sigma = self.project([1] * n + [0] * n)
         self.taut_zeta = self.project([0] * n + [1] * n)

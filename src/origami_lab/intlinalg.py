@@ -8,12 +8,15 @@ and for the exact cocycle computations (integer inverses, characteristic
 polynomials, Lie brackets).
 
 The determinant, the inverse and the characteristic polynomial run in
-integers: ``det`` and ``int_inverse`` by Bareiss fraction-free
-elimination, whose divisions are all exact, after scaling rational rows to
-integers; ``invert`` is the ``Fraction`` form of ``int_inverse``;
-``charpoly`` by Berkowitz's division-free recursion, which serves int and
-Fraction input alike.  There is no rational solve: rank and spans share one
-rational elimination, ``RationalSpan``.
+integers, after scaling rational rows to integers: ``det`` by Bareiss
+fraction-free elimination, whose divisions are all exact; ``int_inverse``
+by the same elimination as Gauss-Jordan on sparse rows, pivoting on the
+least entry of each column so that the unimodular dual-coordinate matrix
+of ``homology`` reduces on unit pivots; ``invert`` is the ``Fraction``
+form of ``int_inverse``; ``charpoly`` by Berkowitz's division-free
+recursion, which serves int and Fraction input alike.  There is no
+rational solve: rank and spans share one rational elimination,
+``RationalSpan``.
 """
 
 from __future__ import annotations
@@ -210,17 +213,18 @@ def _check_square(a):
     return n
 
 
-def _bareiss_step(rows, k, prev):
+def _bareiss_step(rows, prev):
     """One fraction-free elimination step on column 0 of ``rows``, with
-    rows[k] as pivot row and ``prev`` the previous pivot.  Every other row
+    rows[0] as pivot row and ``prev`` the previous pivot.  Every other row
     becomes (p * row - row[0] * pivot row) // prev, an exact division
-    (Bareiss, Math. Comp. 22, 1968); column 0 is dropped from all rows."""
-    p = rows[k][0]
-    tail = rows[k][1:]
+    (Bareiss, Math. Comp. 22, 1968); the pivot row and column 0 are
+    dropped."""
+    p = rows[0][0]
+    tail = rows[0][1:]
     out = []
-    for i, row in enumerate(rows):
+    for row in rows[1:]:
         f = row[0]
-        if i == k or (f == 0 and p == prev):
+        if f == 0 and p == prev:
             out.append(row[1:])
         elif f == 0:
             out.append([p * x // prev for x in row[1:]])
@@ -231,23 +235,65 @@ def _bareiss_step(rows, k, prev):
 
 def int_inverse(a):
     """Exact inverse as integers: (numerators, d) with a^-1 = numerators / d
-    and d a nonzero int.
+    and d a positive int.
 
-    Fraction-free Gauss-Jordan on [B | I] with B = diag(s) a integral:
-    after n Bareiss steps the right half is d B^-1 with d the last pivot,
-    and a^-1 = B^-1 diag(s).
+    Fraction-free Gauss-Jordan on sparse {column: value} rows of [B | I],
+    with B = diag(s) a integral.  Each column pivots on the first entry of
+    least absolute value among the rows not yet pivoted, that row negated
+    if need be so that every pivot is positive.  With p the pivot, prev
+    the one before and f a row's entry in the pivot column, a row becomes
+    (p * row - f * pivot row) // prev, an exact division (Bareiss, Math.
+    Comp. 22, 1968).  Where p == prev this is row - f * pivot row // p, so
+    only the rows with f != 0 change; on unit pivots, as for the dual
+    coordinates of ``homology``, every step is such a sparse update with
+    no growth and d = 1.  After n steps the right half is d B^-1 with d
+    the last pivot, and a^-1 = B^-1 diag(s).
     """
     n = _check_square(a)
     b, scales = _integral_rows(a)
-    rows = [row + unit for row, unit in zip(b, identity_matrix(n))]
+    rows = []
+    for i, row in enumerate(b):
+        r = {j: x for j, x in enumerate(row) if x}
+        r[n + i] = 1
+        rows.append(r)
+    pivoted = [False] * n
+    order = []
     prev = 1
     for k in range(n):
-        pr = next((i for i in range(k, n) if rows[i][0] != 0), None)
+        hits = [i for i, row in enumerate(rows) if k in row]
+        pr = min((i for i in hits if not pivoted[i]), key=lambda i: abs(rows[i][k]), default=None)
         if pr is None:
             raise ValueError("matrix is singular")
-        rows[k], rows[pr] = rows[pr], rows[k]
-        prev, rows = rows[k][0], _bareiss_step(rows, k, prev)
-    return [[x * s for x, s in zip(row, scales)] for row in rows], prev
+        pivot = rows[pr]
+        if pivot[k] < 0:
+            pivot = rows[pr] = {j: -x for j, x in pivot.items()}
+        p = pivot.pop(k)
+        pivoted[pr] = True
+        order.append(pr)
+        if p == prev:
+            for i in hits:
+                if i == pr:
+                    continue
+                row = rows[i]
+                f = row.pop(k)
+                for j, y in pivot.items():
+                    x = row.get(j, 0) - f * y // p
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+        else:
+            for i, row in enumerate(rows):
+                if i == pr:
+                    continue
+                f = row.pop(k, 0)
+                new = {j: p * x for j, x in row.items()}
+                if f:
+                    for j, y in pivot.items():
+                        new[j] = new.get(j, 0) - f * y
+                rows[i] = {j: x // prev for j, x in new.items() if x}
+        prev = p
+    return [[rows[i].get(n + j, 0) * s for j, s in enumerate(scales)] for i in order], prev
 
 
 def invert(a):
@@ -272,7 +318,7 @@ def det(a):
         if pr:
             rows[0], rows[pr] = rows[pr], rows[0]
             sign = -sign
-        prev, rows = rows[0][0], _bareiss_step(rows, 0, prev)[1:]
+        prev, rows = rows[0][0], _bareiss_step(rows, prev)
     d = Fraction(sign * prev, math.prod(scales))
     return int(d) if d.denominator == 1 else d
 

@@ -1,12 +1,14 @@
 import os
+import random
 
 import pytest
 
 from origami_lab import load_origami
 from origami_lab.origami import Origami
-from origami_lab.perm import compose
+from origami_lab.perm import Permutation, compose, is_transitive
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+FIXTURE_NAMES = tuple(sorted(f[: -len(".txt")] for f in os.listdir(FIXTURES) if f.endswith(".txt")))
 
 
 def fixture_path(name):
@@ -15,6 +17,20 @@ def fixture_path(name):
 
 def fixture_origami(name):
     return load_origami(fixture_path(name))
+
+
+def random_origamis(count, seed, degrees=(6, 14)):
+    """``count`` connected origamis with h and v drawn uniformly from
+    ``random.Random(seed)``, of degree in the closed range ``degrees``."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(*degrees)
+        h = Permutation(rng.sample(range(1, n + 1), n))
+        v = Permutation(rng.sample(range(1, n + 1), n))
+        if is_transitive([h, v]):
+            out.append(Origami(h, v))
+    return out
 
 
 def apply_letter_raw(o, letter):

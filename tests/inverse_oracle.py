@@ -1,0 +1,43 @@
+"""The dense Bareiss inverse that ``intlinalg.int_inverse`` replaced, kept
+as a test oracle: fraction-free Gauss-Jordan on dense rows of [B | I],
+pivoting on the first nonzero entry of each column, with every row
+updated at every step."""
+
+from origami_lab import intlinalg as la
+
+
+def _bareiss_step(rows, k, prev):
+    """One fraction-free elimination step on column 0 of ``rows``, with
+    rows[k] as pivot row and ``prev`` the previous pivot.  Every other row
+    becomes (p * row - row[0] * pivot row) // prev, an exact division;
+    column 0 is dropped from all rows."""
+    p = rows[k][0]
+    tail = rows[k][1:]
+    out = []
+    for i, row in enumerate(rows):
+        f = row[0]
+        if i == k or (f == 0 and p == prev):
+            out.append(row[1:])
+        elif f == 0:
+            out.append([p * x // prev for x in row[1:]])
+        else:
+            out.append([(p * x - f * y) // prev for x, y in zip(row[1:], tail)])
+    return out
+
+
+def int_inverse_oracle(a):
+    """(numerators, d) with a^-1 = numerators / d, d = +-det of the
+    integral rows B = diag(s) a; a^-1 = B^-1 diag(s)."""
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix must be square")
+    b, scales = la._integral_rows(a)
+    rows = [row + unit for row, unit in zip(b, la.identity_matrix(n))]
+    prev = 1
+    for k in range(n):
+        pr = next((i for i in range(k, n) if rows[i][0] != 0), None)
+        if pr is None:
+            raise ValueError("matrix is singular")
+        rows[k], rows[pr] = rows[pr], rows[k]
+        prev, rows = rows[k][0], _bareiss_step(rows, k, prev)
+    return [[x * s for x, s in zip(row, scales)] for row in rows], prev

@@ -5,6 +5,9 @@ The reference for the intersection form is the crossing engine of
 without any homology basis.
 """
 
+import hashlib
+
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -17,7 +20,7 @@ from origami_lab.origami import Origami, automorphisms, genus
 from origami_lab.paths import cycle_loops, path_class_chain, pattern_loops, signed_crossings
 from origami_lab.perm import Permutation, is_transitive
 
-from conftest import fixture_origami
+from conftest import FIXTURE_NAMES, fixture_origami, random_origamis
 
 
 @st.composite
@@ -116,3 +119,60 @@ def test_deck_matrices_are_symplectic_and_compose(o):
     for sigma in auts:
         for tau in auts:
             assert la.mat_eq(mats[sigma * tau], la.mat_mul(mats[sigma], mats[tau]))
+
+
+def homology_digest(homs):
+    """sha256 of the basis loops, D, J and the tautological vectors."""
+    record = [
+        (
+            [sorted(loop.items()) for loop in hom.loops],
+            hom.dual_coords,
+            hom.intersection,
+            hom.taut_sigma,
+            hom.taut_zeta,
+        )
+        for hom in homs
+    ]
+    return hashlib.sha256(repr(record).encode()).hexdigest()
+
+
+def check_inverse_pair(hom):
+    # J D = I and D J = I in integers: int64 is exact while n max|J| max|D|
+    # stays below 2^63
+    d = np.array(hom.dual_coords, dtype=np.int64)
+    j = np.array(hom.intersection, dtype=np.int64)
+    assert hom.rank * int(np.abs(d).max()) * int(np.abs(j).max()) < 2**63
+    unit = np.eye(hom.rank, dtype=np.int64)
+    assert (j @ d == unit).all()
+    assert (d @ j == unit).all()
+
+
+# captured with the dense Bareiss int_inverse that the sparse one replaced
+DIGESTS = {
+    "dema": "f4beb8deec35f27be65fa5ff72448e1d03784a48c72b4b868003afdda76d628f",
+    "ew": "123551946ab75f948348c1ad8d2227f4f809e94b0fdcfb4c796cf2769aebe084",
+    "l3": "f5ba72e6d944438e11c46e0caeb018428890a107a8ef5072da0b4ee9d2cb5e5e",
+    "ltilde": "f804d9b08800ba2be943cf00108fb5472a44cacd090511d4edd20ecc1a52b7c3",
+    "mbar_star": "0cdb06b53ead374311ea1985bb8ea0fe56bdebc919442a7e5ca31c8991b4399b",
+    "mbar_star_3": "56e0f31be4bd952698bc044bf96e14d73fb8d1b9a5c43327ae2d01e271868c4c",
+    "mbar_star_5": "cfd7e3d453313fdf30c4699130521ec8bdefe9f6f795c305d7e3e63b7f62f7fa",
+    "mbar_star_7": "36af5597a162bcfa1a7323320d791416be8c7fe3929f04147a5a430ca9454743",
+    "mstar": "d1220b8c40a32efc55c46101e18ee8b9576894f47a8f78106c5e22238ff5642a",
+    "mstarstar": "497b86c926eaea48653457f3ecf9a2481ae0979c838a002df7752b8de0ef3757",
+    "z6_origami": "aaf508fc01771eb9903aed450605685fab526bcb9b2d6d829ef8d5698f5714c6",
+    "random": "a6fdbc565f1dbaf6ee8fec993020557529e34a77658e46e0a84bb1b968792820",
+}
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_dual_coordinates_invert_the_form_on_fixtures(name):
+    hom = Homology(fixture_origami(name))
+    check_inverse_pair(hom)
+    assert homology_digest([hom]) == DIGESTS[name]
+
+
+def test_dual_coordinates_invert_the_form_on_random_surfaces():
+    homs = [Homology(o) for o in random_origamis(200, seed=17)]
+    for hom in homs:
+        check_inverse_pair(hom)
+    assert homology_digest(homs) == DIGESTS["random"]

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from origami_lab import intlinalg as la
-from origami_lab.homology import Homology
+from origami_lab.homology import Homology, isotypical_W, tautological_split
+from origami_lab.origami import central_involution
 
-from conftest import fixture_origami
+from conftest import FIXTURE_NAMES, fixture_origami, random_origamis
+from inverse_oracle import int_inverse_oracle
 from restrict_oracle import solve_right
 
 
@@ -134,6 +136,7 @@ def check_against_sympy(a):
         num, d = la.int_inverse(a)
         assert all(type(x) is int for row in num for x in row) and type(d) is int and d != 0
         assert [[Fraction(x, d) for x in row] for row in num] == inv
+    check_against_oracle(a)
 
 
 def square_matrices(elements):
@@ -182,3 +185,144 @@ def test_kernels_on_mbar_star_7_form():
     assert la.mat_eq(la.transpose(j), la.mat_scale(-1, j))
     assert la.det(j) == 1
     check_against_sympy(j)
+
+
+# ---------------------------------------------------------------------------
+# The sparse int_inverse against the dense Bareiss oracle
+
+
+def as_fractions(num, d):
+    return [[Fraction(x, d) for x in row] for row in num]
+
+
+def check_against_oracle(a):
+    """int_inverse gives the oracle's num / d, with d = |oracle's d| =
+    |det| of the integral rows, and raises where the oracle does."""
+    try:
+        want_num, want_d = int_inverse_oracle(a)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            la.int_inverse(a)
+        return
+    num, d = la.int_inverse(a)
+    assert all(type(x) is int for row in num for x in row) and type(d) is int
+    assert d == abs(want_d)
+    assert as_fractions(num, d) == as_fractions(want_num, want_d)
+
+
+@st.composite
+def singular_matrices(draw, elements):
+    # the last row a combination of the others, then the rows shuffled
+    n = draw(st.integers(1, 8))
+    row = st.lists(elements, min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=n - 1, max_size=n - 1))
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1))
+    last = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n)]
+    return draw(st.permutations(rows + [last]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(square_matrices(st.integers(-1, 1)))
+def test_int_inverse_matches_oracle_on_unit_entry_matrices(a):
+    # entries -1, 0 and 1, as in D; many are singular
+    check_against_oracle(a)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        singular_matrices(st.integers(-9, 9)),
+        singular_matrices(st.fractions(-5, 5, max_denominator=6)),
+    )
+)
+def test_int_inverse_rejects_singular_matrices(a):
+    with pytest.raises(ValueError, match="matrix is singular"):
+        int_inverse_oracle(a)
+    with pytest.raises(ValueError, match="matrix is singular"):
+        la.int_inverse(a)
+
+
+@pytest.mark.parametrize(
+    "a, want",
+    [
+        # a -1 pivot after prev = 1: the row is negated, so d = 1 and the
+        # numerators are the inverse itself
+        ([[-1, 0], [0, 1]], ([[-1, 0], [0, 1]], 1)),
+        ([[0, 1, 0], [-1, 0, 0], [0, 0, 1]], ([[0, -1, 0], [1, 0, 0], [0, 0, 1]], 1)),
+        # pivot 2 after prev = 1: row 1, without an entry in column 0, is
+        # scaled to 2 * row 1
+        ([[2, 0], [0, 1]], ([[1, 0], [0, 2]], 2)),
+        # pivot 2 after prev = 2: row 0 becomes row 0 - 1 * row 1 // 2
+        ([[2, 1], [2, 2]], ([[2, -1], [-2, 2]], 2)),
+        # least entry first: column 0 pivots on the 1 in row 1, not the 3
+        ([[3, 1], [1, 1]], ([[1, -1], [-1, 3]], 2)),
+        ([], ([], 1)),
+        ([[5]], ([[1]], 5)),
+        ([[-3]], ([[-1]], 3)),
+        # Fraction rows: B = [[1, 0], [0, -2]] with scales 2 and 3, and
+        # a^-1 = B^-1 diag(2, 3)
+        ([[Fraction(1, 2), 0], [0, Fraction(-2, 3)]], ([[4, 0], [0, -3]], 2)),
+    ],
+    ids=[
+        "negated",
+        "negated-3x3",
+        "scaled",
+        "exact-div",
+        "least-entry",
+        "0x0",
+        "1x1",
+        "1x1-negated",
+        "fractions",
+    ],
+)
+def test_int_inverse_branches(a, want):
+    assert la.int_inverse(a) == want
+    check_against_oracle(a)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        # column 1 keeps an entry only in row 0, which pivoted column 0
+        [[1, 1], [1, 1]],
+        [[1, 0, 1], [0, 1, 1], [1, 1, 2]],
+        [[0, 0], [0, 0]],
+    ],
+)
+def test_int_inverse_column_emptied_mid_elimination(a):
+    with pytest.raises(ValueError, match="matrix is singular"):
+        la.int_inverse(a)
+    check_against_oracle(a)
+
+
+def gram(cols):
+    """Z^T Z for the columns ``cols``, in int64 under a bound that keeps it
+    exact."""
+    z = np.array(cols, dtype=np.int64)
+    assert int(np.abs(z).max()) ** 2 * z.shape[1] < 2**62
+    return (z @ z.T).tolist()
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_int_inverse_matches_oracle_on_fixture_forms(name):
+    # D, and the Gram matrices Z^T Z that _left_inverse inverts for the
+    # H1_zero and (with a central involution) W bases
+    o = fixture_origami(name)
+    hom = Homology(o)
+    forms = [hom.dual_coords, gram(tautological_split(hom)[1])]
+    try:
+        tau = central_involution(o)
+    except ValueError:
+        pass
+    else:
+        forms.append(gram(isotypical_W(hom, tau)))
+    for a in forms:
+        check_against_oracle(a)
+    assert la.int_inverse(hom.dual_coords)[1] == 1
+
+
+def test_int_inverse_matches_oracle_on_random_dual_coordinates():
+    for o in random_origamis(200, seed=16):
+        d = Homology(o).dual_coords
+        check_against_oracle(d)
+        assert la.int_inverse(d)[1] == 1
