@@ -28,7 +28,7 @@ from .covers import (
 )
 from .galois import is_galois_pinching_sl2, is_galois_pinching_sp4
 from .homology import kz_matrix
-from .lyapunov import ekz_sum, mc_exponents, w_exponent_from_sum
+from .lyapunov import MAX_TRIALS, ekz_sum, mc_exponents, w_exponent_from_sum
 from .orbit import sl2z_orbit, stabilizer_words
 from .origami import (
     automorphisms,
@@ -359,7 +359,12 @@ def build_parser():
     p.add_argument("origami")
     p.add_argument("--subspace", choices=("full", "H1_zero", "W"), default="full")
     p.add_argument("--steps", type=int, default=10000)
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument(
+        "--trials",
+        type=int,
+        default=10,
+        help="independent walks, at most %d (default 10)" % MAX_TRIALS,
+    )
     p.add_argument("--seed", type=int, required=True)
 
     p = add("cover", _cmd_cover, "build a finite-group cover")

@@ -14,12 +14,15 @@ The Monte Carlo estimator runs a uniform random walk over the four
 generator letters, accumulates the corresponding cocycle matrices
 restricted to a chosen subspace (full homology, the zero-holonomy part,
 or the (-1)-isotypical part W of a central involution), and extracts
-exponents by periodic QR re-orthonormalization.  The trials walk side by
-side, one QR period of 20 steps at a time: each trial draws its letters
-for the period from its own generator, the float step matrices of the
-period are gathered into a (trials, period, d, d) block, each step is one
-batched product on the (trials, d, d) stack, and the period ends with one
-batched QR.  Besides that block the walk keeps one float d x d matrix per
+exponents by periodic QR re-orthonormalization.  Each trial draws its
+letters in bulk from its own generator, the same letters
+``randrange(4)`` would give one by one.  The trials walk side by side, a
+chunk of 50 QR periods of 20 steps at a time: one Python pass per trial
+turns the chunk's letters into rows of the step stack, gathered into one
+(chunk, trials) index array; each period then gathers its float step
+matrices as a (period, trials, d, d) block, each step is one batched
+product on the (trials, d, d) stack, and the period ends with one
+batched QR.  Besides the chunk the walk keeps one float d x d matrix per
 (node, letter) it has reached; nothing grows with the number of steps.
 The walk law is not the harmonic measure of the Teichmueller flow, so
 only law-independent conclusions (zero blocks, symmetry of the spectrum)
@@ -41,6 +44,14 @@ from .orbit import _cycle_lengths
 from .origami import automorphisms, is_reduced, stratum
 
 _QR_PERIOD = 20
+# QR periods walked per pass: the rows of a chunk are found before its
+# products are taken
+_CHUNK_PERIODS = 50
+# 32-bit generator words drawn per refill of a trial's letters
+_REFILL_WORDS = 512
+# the most trials one estimate walks: every trial's generator, frame
+# and chunk rows are held at once
+MAX_TRIALS = 1000
 
 
 @dataclass(frozen=True)
@@ -122,12 +133,52 @@ class McEstimate:
         }
 
 
+class _LetterStream:
+    """The letters 0..3 that ``rng.randrange(4)`` would draw one by one,
+    drawn in bulk.  CPython's ``randrange(4)`` takes the top 3 bits of the
+    next 32-bit Mersenne Twister word and draws again while they are 4 or
+    more, so its letters are ``w >> 29`` for each word ``w < 2**31`` in
+    turn; ``getrandbits(32 * k)`` returns the next k words, the first one
+    least significant.  Letters left over from a refill are kept for the
+    next ``take``, so at most one refill is buffered."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self._pending = np.empty(0, dtype=np.uint32)
+
+    def take(self, count):
+        """The next ``count`` letters, as a list of ints."""
+        parts = [self._pending]
+        have = len(self._pending)
+        while have < count:
+            bits = self._rng.getrandbits(32 * _REFILL_WORDS)
+            words = np.frombuffer(bits.to_bytes(4 * _REFILL_WORDS, "little"), dtype="<u4")
+            fresh = words[words < 2**31] >> 29
+            parts.append(fresh)
+            have += len(fresh)
+        letters = np.concatenate(parts)
+        self._pending = letters[count:].copy()
+        return letters[:count].tolist()
+
+
 def mc_exponents(o, subspace="full", steps=10000, trials=10, seed=None):
     """Monte Carlo Lyapunov exponents of the uniform generator walk.
 
     Deterministic given (seed, steps, trials).  Each trial's exponents
     are sorted in decreasing order; the estimates are their means with
-    standard errors across trials.
+    standard errors across trials.  ``trials`` is at most ``MAX_TRIALS``.
+
+    Trial t walks with ``random.Random((seed << 32) ^ t)``, taking the
+    letters ``randrange(4)`` would: each refill reads ``_REFILL_WORDS``
+    32-bit words with one ``getrandbits`` call and keeps ``w >> 29`` of
+    every word ``w < 2**31``, which is what ``randrange(4)`` returns for
+    that word (it rejects the rest).  A trial holds its generator, fewer
+    than ``_REFILL_WORDS`` buffered letters (4 bytes each), its current
+    node and its d x d QR frame.  The walk goes a chunk of
+    ``_CHUNK_PERIODS`` QR periods (1,000 steps) at a time; a chunk holds
+    one row index per step and trial (a list and a (1000, trials) intp
+    array, about 16 KB per trial) and, per period, a (period, trials, d,
+    d) float block of the gathered step matrices.
     """
     if seed is None:
         raise ValueError("a seed is required for reproducible estimates")
@@ -136,6 +187,8 @@ def mc_exponents(o, subspace="full", steps=10000, trials=10, seed=None):
             raise ValueError("%s must be an int, not %r" % (name, value))
     if steps < 1 or trials < 1:
         raise ValueError("steps and trials must be at least 1")
+    if trials > MAX_TRIALS:
+        raise ValueError("trials must be at most %d, not %d" % (MAX_TRIALS, trials))
     if seed < 0:
         # random.Random seeds from the absolute value, so trial 0 of a
         # negative seed would walk as trial 0 of its negation
@@ -151,34 +204,38 @@ def mc_exponents(o, subspace="full", steps=10000, trials=10, seed=None):
             "nontrivial deck transformations: cocycle matrices are only "
             "defined up to the automorphism action"
         )
-    rngs = [random.Random((seed << 32) ^ trial) for trial in range(trials)]
+    streams = [_LetterStream(random.Random((seed << 32) ^ trial)) for trial in range(trials)]
     nodes = [ctx.graph.basepoint] * trials
     q = np.tile(np.eye(dim), (trials, 1, 1))
     sums = np.zeros((trials, dim))
-    for start in range(0, steps, _QR_PERIOD):
-        period = min(_QR_PERIOD, steps - start)
+    chunk_steps = _CHUNK_PERIODS * _QR_PERIOD
+    for chunk_start in range(0, steps, chunk_steps):
+        chunk = min(chunk_steps, steps - chunk_start)
         picked = []
-        for trial, rng in enumerate(rngs):
+        get, append = rows.get, picked.append
+        for trial, stream in enumerate(streams):
             node = nodes[trial]
-            for _ in range(period):
-                letter = rng.randrange(4)
-                row = rows.get(4 * node + letter)
+            for letter in stream.take(chunk):
+                row = get(4 * node + letter)
                 if row is None:
                     row = stack.add(node, letter)
-                picked.append(row)
+                append(row)
                 node = targets[row]
             nodes[trial] = node
-        block = stack.mats[np.reshape(picked, (trials, period))]
-        for j in range(period):
-            q = block[:, j] @ q
-        q, r = np.linalg.qr(q)
-        r_diag = np.diagonal(r, axis1=1, axis2=2)
-        diag = np.abs(r_diag)
-        diag[diag == 0] = np.finfo(float).tiny
-        sums += np.log(diag)
-        signs = np.sign(r_diag)
-        signs[signs == 0] = 1.0
-        q = q * signs[:, None, :]
+        walk = np.array(picked, dtype=np.intp).reshape(trials, chunk).T
+        for start in range(0, chunk, _QR_PERIOD):
+            period = min(_QR_PERIOD, chunk - start)
+            block = stack.mats[walk[start : start + period]]
+            for j in range(period):
+                q = np.matmul(block[j], q)
+            q, r = np.linalg.qr(q)
+            r_diag = np.diagonal(r, axis1=1, axis2=2)
+            diag = np.abs(r_diag)
+            diag[diag == 0] = np.finfo(float).tiny
+            sums += np.log(diag)
+            signs = np.sign(r_diag)
+            signs[signs == 0] = 1.0
+            q = q * signs[:, None, :]
     # QR column order need not be the order of the exponents, so each
     # trial is sorted before the trials are averaged; the copy is C-ordered,
     # so the reductions below add the trials in the order they always have

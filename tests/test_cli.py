@@ -302,6 +302,28 @@ def test_mc_rejects_a_negative_seed(capsys):
     assert err.startswith("error:") and "seed" in err and "Traceback" not in err
 
 
+def test_mc_rejects_more_than_max_trials(capsys, monkeypatch):
+    from origami_lab import lyapunov
+
+    def unreachable(*args):
+        raise AssertionError("allocated before the trials bound was checked")
+
+    monkeypatch.setattr(lyapunov, "kz_context", unreachable)
+    too_many = str(lyapunov.MAX_TRIALS + 1)
+    code, out, err = run(capsys, ["mc", fixture_path("l3"), "--steps", "20", "--trials", too_many, "--seed", "1"])
+    assert code == 1 and out == ""
+    assert err == "error: trials must be at most %d, not %s\n" % (lyapunov.MAX_TRIALS, too_many)
+
+
+def test_mc_help_shows_the_trials_bound(capsys):
+    from origami_lab.lyapunov import MAX_TRIALS
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["mc", "--help"])
+    assert exc.value.code == 0
+    assert "at most %d" % MAX_TRIALS in capsys.readouterr().out
+
+
 def test_unknown_command():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

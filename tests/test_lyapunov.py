@@ -79,6 +79,23 @@ def test_mc_rejects_negative_seeds(l3, seed):
         mc_exponents(l3, steps=100, trials=1, seed=seed)
 
 
+def test_mc_rejects_more_than_max_trials(l3, monkeypatch):
+    # refused before the context, the step stack or a generator is built
+    def unreachable(*args):
+        raise AssertionError("allocated before the trials bound was checked")
+
+    monkeypatch.setattr(lyapunov, "kz_context", unreachable)
+    monkeypatch.setattr(lyapunov, "random", SimpleNamespace(Random=unreachable))
+    for trials in (lyapunov.MAX_TRIALS + 1, 100000000000):
+        with pytest.raises(ValueError, match="trials must be at most %d" % lyapunov.MAX_TRIALS):
+            mc_exponents(l3, steps=20, trials=trials, seed=1)
+
+
+def test_mc_accepts_max_trials(l3):
+    est = mc_exponents(l3, steps=1, trials=lyapunov.MAX_TRIALS, seed=1)
+    assert est.trials == lyapunov.MAX_TRIALS and len(est.estimates) == 4
+
+
 def test_mc_rejects_bad_subspace(l3):
     with pytest.raises(ValueError):
         mc_exponents(l3, subspace="nope", steps=100, trials=2, seed=1)
@@ -103,8 +120,10 @@ def test_mc_sorts_each_trial_before_averaging(l3, monkeypatch):
         def __init__(self, seed):
             self.letter = next(letters)
 
-        def randrange(self, n):
-            return self.letter
+        def getrandbits(self, k):
+            # k // 32 words, each of which randrange(4) reads as the letter
+            word = self.letter << 29
+            return sum(word << (32 * i) for i in range(k // 32))
 
     monkeypatch.setattr(lyapunov, "random", SimpleNamespace(Random=Scripted))
     est = mc_exponents(l3, subspace="full", steps=1, trials=2, seed=1)
@@ -136,6 +155,81 @@ def test_mc_ew_zero_block(ew):
 def test_mc_w_subspace_runs(ew):
     est = mc_exponents(ew, subspace="W", steps=500, trials=2, seed=3)
     assert len(est.estimates) >= 2
+
+
+def _letter_takes(rng, counts):
+    stream = lyapunov._LetterStream(rng)
+    return [stream.take(count) for count in counts]
+
+
+_HALF_REFILL = lyapunov._REFILL_WORDS // 2
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**40])
+@pytest.mark.parametrize(
+    "counts",
+    [
+        [0],
+        [1],
+        [0, 1, 0, 2],
+        # about half of a refill's words are kept, so these cross one or
+        # more refill boundaries, within one take and between takes
+        [_HALF_REFILL - 1, 2, _HALF_REFILL],
+        [3 * lyapunov._REFILL_WORDS],
+        [1000, 1000, 999, 1, 21],
+    ],
+    ids=["zero", "one", "empty-takes", "across-a-refill", "three-refills", "chunk-sized"],
+)
+def test_letter_stream_draws_the_randrange_letters(seed, counts):
+    expected_rng = random.Random(seed)
+    expected = [[expected_rng.randrange(4) for _ in range(count)] for count in counts]
+    assert _letter_takes(random.Random(seed), counts) == expected
+
+
+def _untemper(y):
+    """The Mersenne Twister state word that the output tempering maps to y."""
+
+    def undo_right(y, shift):
+        x = y
+        for _ in range(32 // shift + 1):
+            x = y ^ (x >> shift)
+        return x
+
+    def undo_left(y, shift, mask):
+        x = y
+        for _ in range(32 // shift + 1):
+            x = y ^ ((x << shift) & mask)
+        return x & 0xFFFFFFFF
+
+    y = undo_right(y, 18)
+    y = undo_left(y, 15, 0xEFC60000)
+    y = undo_left(y, 7, 0x9D2C5680)
+    return undo_right(y, 11)
+
+
+def _rng_emitting(words):
+    """A random.Random whose next 32-bit outputs are ``words``."""
+    rng = random.Random(0)
+    version, state, gauss = rng.getstate()
+    index = 624 - len(words)
+    mt = list(state[:624])
+    mt[index:] = [_untemper(w) for w in words]
+    rng.setstate((version, tuple(mt) + (index,), gauss))
+    return rng
+
+
+def test_letter_stream_on_boundary_words():
+    # the words around each letter boundary and around the rejection
+    # bound 2**31, then the generator's own words after them
+    words = [0, 2**29 - 1, 2**29, 2**30 - 1, 2**30, 3 * 2**29 - 1, 3 * 2**29]
+    words += [2**31 - 1, 2**31, 2**31 + 1, 2**32 - 1, 2**31, 2**31 - 1]
+    check = _rng_emitting(words)
+    assert [check.getrandbits(32) for _ in words] == words
+    expected_rng = _rng_emitting(words)
+    expected = [expected_rng.randrange(4) for _ in range(2 * _HALF_REFILL)]
+    assert expected[:9] == [0, 0, 1, 1, 2, 2, 3, 3, 3]
+    counts = [1, 8, 2 * _HALF_REFILL - 9]
+    assert sum(_letter_takes(_rng_emitting(words), counts), []) == expected
 
 
 def _mc_reference(o, subspace, steps, trials, seed):
@@ -178,7 +272,10 @@ def _mc_reference(o, subspace, steps, trials, seed):
     return [float(x) for x in means], [float(x) for x in errs]
 
 
-@pytest.mark.parametrize("steps", [1, 19, 20, 21, 500])
+# 999, 1000 and 1001 steps end just before, at and just after the end of
+# the first 50-period chunk; 2021 spans three chunks and, in every trial,
+# several letter refills whose leftovers carry over between chunks
+@pytest.mark.parametrize("steps", [1, 19, 20, 21, 500, 999, 1000, 1001, 2021])
 @pytest.mark.parametrize(
     "name, subspace",
     [("l3", "full"), ("dema", "full"), ("dema", "H1_zero"), ("ew", "H1_zero"), ("ew", "W")],
