@@ -504,14 +504,25 @@ class KzContext:
         return node, self._on_subspace(total, start, node, subspace)
 
 
+# the most orbit contexts ``kz_context`` keeps
+MAX_CONTEXTS = 64
+# canonical form -> context, least recently used first
 _context_cache = {}
 
 
 def kz_context(o):
+    """The ``KzContext`` of the orbit of ``o``, shared by every surface
+    with the same canonical form.  The contexts last used are kept, at
+    most ``MAX_CONTEXTS`` of them; the least recently used one is dropped
+    to make room and is built afresh if it is asked for again."""
     canon = canonical_form(o).origami
-    if canon not in _context_cache:
-        _context_cache[canon] = KzContext(canon)
-    return _context_cache[canon]
+    ctx = _context_cache.pop(canon, None)
+    if ctx is None:
+        ctx = KzContext(canon)
+        while len(_context_cache) >= MAX_CONTEXTS:
+            del _context_cache[next(iter(_context_cache))]
+    _context_cache[canon] = ctx
+    return ctx
 
 
 class StepStack:

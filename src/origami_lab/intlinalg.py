@@ -7,16 +7,14 @@ the substrate for integral homology (Smith normal form, saturated kernels)
 and for the exact cocycle computations (integer inverses, characteristic
 polynomials, Lie brackets).
 
-The determinant, the inverse and the characteristic polynomial run in
-integers, after scaling rational rows to integers: ``det`` by Bareiss
-fraction-free elimination, whose divisions are all exact; ``int_inverse``
-by the same elimination as Gauss-Jordan on sparse rows, pivoting on the
-least entry of each column so that the unimodular dual-coordinate matrix
-of ``homology`` reduces on unit pivots; ``invert`` is the ``Fraction``
-form of ``int_inverse``; ``charpoly`` by Berkowitz's division-free
-recursion, which serves int and Fraction input alike.  There is no
-rational solve: rank and spans share one rational elimination,
-``RationalSpan``.
+The inverse and the characteristic polynomial run in integers, after
+scaling rational rows to integers: ``int_inverse`` by Bareiss
+fraction-free elimination, whose divisions are all exact, as Gauss-Jordan
+on sparse rows, pivoting on the least entry of each column so that the
+unimodular dual-coordinate matrix of ``homology`` reduces on unit pivots;
+``charpoly`` by Berkowitz's division-free recursion, which serves int and
+Fraction input alike.  There is no rational solve: rank and spans share
+one rational elimination, ``RationalSpan``.
 """
 
 from __future__ import annotations
@@ -185,8 +183,8 @@ def kernel_basis(a):
 
 
 # ---------------------------------------------------------------------------
-# Fraction-free kernels: determinant and inverse (Bareiss), characteristic
-# polynomial (Berkowitz)
+# Fraction-free kernels: inverse (Bareiss), characteristic polynomial
+# (Berkowitz)
 
 
 def _integral_rows(a):
@@ -211,26 +209,6 @@ def _check_square(a):
     if any(len(row) != n for row in a):
         raise ValueError("matrix must be square")
     return n
-
-
-def _bareiss_step(rows, prev):
-    """One fraction-free elimination step on column 0 of ``rows``, with
-    rows[0] as pivot row and ``prev`` the previous pivot.  Every other row
-    becomes (p * row - row[0] * pivot row) // prev, an exact division
-    (Bareiss, Math. Comp. 22, 1968); the pivot row and column 0 are
-    dropped."""
-    p = rows[0][0]
-    tail = rows[0][1:]
-    out = []
-    for row in rows[1:]:
-        f = row[0]
-        if f == 0 and p == prev:
-            out.append(row[1:])
-        elif f == 0:
-            out.append([p * x // prev for x in row[1:]])
-        else:
-            out.append([(p * x - f * y) // prev for x, y in zip(row[1:], tail)])
-    return out
 
 
 def int_inverse(a):
@@ -294,33 +272,6 @@ def int_inverse(a):
                 rows[i] = {j: x // prev for j, x in new.items() if x}
         prev = p
     return [[rows[i].get(n + j, 0) * s for j, s in enumerate(scales)] for i in order], prev
-
-
-def invert(a):
-    """Exact inverse as a matrix of Fractions."""
-    num, d = int_inverse(a)
-    return [[Fraction(x, d) for x in row] for row in num]
-
-
-def det(a):
-    """Exact determinant by Bareiss fraction-free elimination.
-
-    Rational rows are first scaled to integers and the result divided by
-    the product of the scales; an integral result is returned as an int.
-    """
-    n = _check_square(a)
-    rows, scales = _integral_rows(a)
-    sign, prev = 1, 1
-    for _ in range(n):
-        pr = next((i for i, row in enumerate(rows) if row[0] != 0), None)
-        if pr is None:
-            return 0
-        if pr:
-            rows[0], rows[pr] = rows[pr], rows[0]
-            sign = -sign
-        prev, rows = rows[0][0], _bareiss_step(rows, prev)
-    d = Fraction(sign * prev, math.prod(scales))
-    return int(d) if d.denominator == 1 else d
 
 
 def charpoly(a):

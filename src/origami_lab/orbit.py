@@ -29,8 +29,13 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .origami import Origami, canonical_form, canonical_labelling, is_reduced
-from .perm import Permutation
+from .origami import (
+    _trusted_origami,
+    _trusted_permutation,
+    canonical_form,
+    canonical_labelling,
+    is_reduced,
+)
 
 GEN_MATRICES = {
     "T": ((1, 1), (0, 1)),
@@ -120,7 +125,9 @@ class Sl2zWord:
 def apply_letter(o, letter):
     """Returns (raw, canonical, relabel) for one generator letter."""
     h, v = _letter_images([x - 1 for x in o.h.images], [x - 1 for x in o.v.images], letter)
-    raw = Origami(Permutation([x + 1 for x in h]), Permutation([x + 1 for x in v]), o.label)
+    # T, S, t and s replace (h, v) by pairs like (h, v h^-1): bijections
+    # generating the same transitive group
+    raw = _trusted_origami(h, v, o.label)
     canon, relabel = canonical_form(raw)
     return raw, canon, relabel
 
@@ -241,7 +248,8 @@ class OrbitGraph:
     def step(self, node, letter):
         """(target node, relabel) for a letter applied at a node."""
         target = self.target(node, letter)
-        return target, Permutation([x + 1 for x in self._relabel(4 * node + _SLOT[letter])])
+        # a relabel is a canonical labelling: a bijection
+        return target, _trusted_permutation(self._relabel(4 * node + _SLOT[letter]))
 
     def _relabel(self, edge):
         """The 0-based relabel of edge slot 4 node + letter."""
@@ -295,8 +303,8 @@ class OrbitNodes(Sequence):
         o = self._built.get(i)
         if o is None:
             h, v = self._graph.tables(i)
-            h, v = Permutation([x + 1 for x in h]), Permutation([x + 1 for x in v])
-            o = self._built[i] = Origami(h, v, self._graph.label)
+            # a node's tables are a canonical form of an orbit image
+            o = self._built[i] = _trusted_origami(h, v, self._graph.label)
         return o
 
 

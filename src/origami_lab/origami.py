@@ -6,6 +6,17 @@ and two origamis are isomorphic iff the pairs are simultaneously conjugate.
 
 Provides singularity data (corner permutation, stratum, genus), the
 reduction test, deck transformations, and a canonical labeling.
+
+An origami is validated once, at the boundary.  ``Origami(...)``,
+``Origami.from_json``, ``parse_origami_text`` and ``load_origami`` check
+that h and v are permutations of one degree acting transitively.  An
+origami the library derives from a valid one is built by
+``Origami._trusted``, which checks nothing: a relabelling (simultaneous
+conjugation keeps both bijectivity and transitivity), a canonical form
+(``canonical_labelling`` raises on a pair that is not transitive, and its
+tables are a conjugate of its input), and the orbit's letter images and
+nodes (each letter replaces (h, v) by pairs like (h, v h^-1), which
+generate the same group).
 """
 
 from __future__ import annotations
@@ -42,6 +53,16 @@ class Origami:
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "label", label)
 
+    @classmethod
+    def _trusted(cls, h, v, label=None):
+        """The origami (h, v), stored as is: only for a pair that is of one
+        degree and transitive by construction."""
+        o = object.__new__(cls)
+        object.__setattr__(o, "h", h)
+        object.__setattr__(o, "v", v)
+        object.__setattr__(o, "label", label)
+        return o
+
     def __setattr__(self, name, value):
         raise AttributeError("Origami is immutable")
 
@@ -66,7 +87,8 @@ class Origami:
 
     def relabel(self, r):
         """Simultaneous conjugation: squares renamed by i -> r(i)."""
-        return Origami(conjugate(self.h, r), conjugate(self.v, r), self.label)
+        # conjugation keeps bijectivity and transitivity
+        return Origami._trusted(conjugate(self.h, r), conjugate(self.v, r), self.label)
 
     def canonical(self):
         return canonical_form(self).origami
@@ -253,8 +275,8 @@ def _xgcd(a, b):
 def propagate_square_map(target, pairs):
     """The square map tau with tau(1) = target and tau(g(s)) = g'(tau(s))
     for every pair (g, g') in ``pairs``, propagated from square 1; None
-    when the rules contradict each other or tau is not a bijection.  The
-    first members of the pairs must act transitively."""
+    when the rules contradict each other or tau is not a bijection of
+    1..N.  The first members of the pairs must act transitively."""
     n = pairs[0][0].degree
     tau = [0] * (n + 1)
     tau[1] = target
@@ -268,9 +290,10 @@ def propagate_square_map(target, pairs):
                 queue.append(t)
             elif tau[t] != image:
                 return None
-    if 0 in tau[1:] or len(set(tau[1:])) != n:
+    if set(tau[1:]) != set(range(1, n + 1)):
         return None
-    return Permutation(tau[1:])
+    # the test above is the bijection check
+    return Permutation._trusted(tuple(tau[1:]))
 
 
 def automorphisms(o):
@@ -380,10 +403,21 @@ def canonical_form(o):
     h_table, v_table, label, _ties = canonical_labelling(
         [x - 1 for x in o.h.images], [x - 1 for x in o.v.images]
     )
-    canon = Origami(
-        Permutation([x + 1 for x in h_table]), Permutation([x + 1 for x in v_table]), o.label
-    )
-    return CanonicalForm(canon, Permutation([x + 1 for x in label]))
+    # canonical_labelling raises on a pair that is not transitive, and its
+    # tables are the conjugate of the input by the bijection ``label``
+    return CanonicalForm(_trusted_origami(h_table, v_table, o.label), _trusted_permutation(label))
+
+
+def _trusted_permutation(table):
+    """The permutation of a 0-based image table that is a bijection by
+    construction, built unchecked (see the module docstring)."""
+    return Permutation._trusted(tuple([x + 1 for x in table]))
+
+
+def _trusted_origami(h, v, label=None):
+    """The origami of 0-based image tables (h, v) that are of one degree
+    and transitive by construction, built unchecked."""
+    return Origami._trusted(_trusted_permutation(h), _trusted_permutation(v), label)
 
 
 # ---------------------------------------------------------------------------

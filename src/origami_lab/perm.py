@@ -7,6 +7,14 @@ All input and output is 1-based.  The composition convention is
 
 i.e. ``q`` acts first.  Every formula in the rest of the library (corner
 permutation, T/S action on origamis, chain maps) depends on this choice.
+
+Permutations are validated once, at the boundary.  ``Permutation(...)``
+and ``parse_cycles`` check that their input is a bijection of 1..N.  A
+permutation the library derives from valid ones (an inverse, a product, a
+conjugate, the identity, and the canonical tables and relabels of
+``origami`` and ``orbit``) is a bijection by construction and is built by
+``Permutation._trusted``, which stores its image tuple without checking
+it.
 """
 
 from __future__ import annotations
@@ -33,6 +41,14 @@ class Permutation:
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError("images %r are not a bijection of 1..%d" % (images, n))
         object.__setattr__(self, "images", images)
+
+    @classmethod
+    def _trusted(cls, images):
+        """The permutation with the image tuple ``images``, stored as is:
+        only for images that are a bijection of 1..N by construction."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
@@ -63,7 +79,8 @@ class Permutation:
         inv = [0] * self.degree
         for i, j in enumerate(self.images, start=1):
             inv[j - 1] = i
-        return Permutation(inv)
+        # the inverse of a bijection is a bijection
+        return Permutation._trusted(tuple(inv))
 
     def is_identity(self):
         return all(j == i for i, j in enumerate(self.images, start=1))
@@ -94,24 +111,31 @@ class Permutation:
 
 
 def identity(degree):
-    return Permutation(range(1, degree + 1))
+    if degree < 1:
+        raise ValueError("a permutation needs degree at least 1")
+    # 1..N in order is a bijection
+    return Permutation._trusted(tuple(range(1, degree + 1)))
 
 
 def compose(p, q):
     """(p * q)(i) = p(q(i))."""
     if p.degree != q.degree:
         raise ValueError("degree mismatch: %d vs %d" % (p.degree, q.degree))
-    return Permutation(p(q(i)) for i in range(1, p.degree + 1))
+    images = p.images
+    # a product of bijections is a bijection
+    return Permutation._trusted(tuple([images[j - 1] for j in q.images]))
 
 
 def conjugate(p, r):
     """r * p * r^-1."""
     if p.degree != r.degree:
         raise ValueError("degree mismatch: %d vs %d" % (p.degree, r.degree))
+    r_images = r.images
     out = [0] * p.degree
-    for i in range(1, p.degree + 1):
-        out[r(i) - 1] = r(p(i))
-    return Permutation(out)
+    for i, j in zip(r_images, p.images):
+        out[i - 1] = r_images[j - 1]
+    # a conjugate of a bijection is a bijection
+    return Permutation._trusted(tuple(out))
 
 
 def cycle_type(p):
@@ -120,13 +144,17 @@ def cycle_type(p):
 
 
 def is_transitive(gens):
-    """True iff the group generated acts transitively on {1, .., N}."""
+    """True iff the group generated acts transitively on {1, .., N}.
+
+    Only the generators themselves are followed: the symbols reached from
+    1 form a set that each generator maps into itself, hence onto itself
+    (it is finite), so it is the orbit of 1 under the whole group."""
     if not gens:
         raise ValueError("empty generator list")
     n = gens[0].degree
     if any(g.degree != n for g in gens):
         raise ValueError("generators have mismatched degrees")
-    moves = [g.images for g in gens] + [g.inverse().images for g in gens]
+    moves = [g.images for g in gens]
     seen = [False] * n
     seen[0] = True
     stack = [1]

@@ -1,7 +1,11 @@
 """The dense Bareiss inverse that ``intlinalg.int_inverse`` replaced, kept
 as a test oracle: fraction-free Gauss-Jordan on dense rows of [B | I],
 pivoting on the first nonzero entry of each column, with every row
-updated at every step."""
+updated at every step.  Beside it, the exact determinant and the
+``Fraction`` inverse that only the tests use."""
+
+import math
+from fractions import Fraction
 
 from origami_lab import intlinalg as la
 
@@ -41,3 +45,30 @@ def int_inverse_oracle(a):
         rows[k], rows[pr] = rows[pr], rows[k]
         prev, rows = rows[k][0], _bareiss_step(rows, k, prev)
     return [[x * s for x, s in zip(row, scales)] for row in rows], prev
+
+
+def invert(a):
+    """Exact inverse as a matrix of Fractions."""
+    num, d = la.int_inverse(a)
+    return [[Fraction(x, d) for x in row] for row in num]
+
+
+def det(a):
+    """Exact determinant by Bareiss fraction-free elimination.
+
+    Rational rows are first scaled to integers and the result divided by
+    the product of the scales; an integral result is returned as an int.
+    """
+    n = la._check_square(a)
+    rows, scales = la._integral_rows(a)
+    sign, prev = 1, 1
+    for _ in range(n):
+        pr = next((i for i, row in enumerate(rows) if row[0] != 0), None)
+        if pr is None:
+            return 0
+        if pr:
+            rows[0], rows[pr] = rows[pr], rows[0]
+            sign = -sign
+        prev, rows = rows[0][0], _bareiss_step(rows, 0, prev)[1:]
+    d = Fraction(sign * prev, math.prod(scales))
+    return int(d) if d.denominator == 1 else d

@@ -42,6 +42,7 @@ from origami_lab.spectral import buser_bound, trace_to_length
 from origami_lab.spin import spin_parity
 
 from conftest import fixture_origami, fixture_path
+from inverse_oracle import invert
 
 
 class budget:
@@ -144,7 +145,7 @@ def test_lie_algebra_density():
 
         def conj(g, x):
             gf = [[Fraction(v) for v in row] for row in g]
-            return la.mat_mul(la.mat_mul(gf, x), la.invert(gf))
+            return la.mat_mul(la.mat_mul(gf, x), invert(gf))
 
         mm = la.mat_mul
         conjugators = (

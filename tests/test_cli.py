@@ -77,19 +77,26 @@ def test_veech_rejects_non_reduced(capsys, tmp_path):
 
 @pytest.fixture
 def origami_builds(monkeypatch):
-    """The (h, v) images of every ``Origami`` built from here on, with an
-    empty KZ context cache so that orbits are enumerated afresh."""
+    """The (h, v) images of every ``Origami`` built from here on, checked
+    or trusted, with an empty KZ context cache so that orbits are
+    enumerated afresh."""
     from origami_lab import homology
     from origami_lab.origami import Origami
 
     built = []
     original = Origami.__init__
+    original_trusted = Origami._trusted
 
     def counted(self, h, v, label=None):
         built.append((h.images, v.images))
         original(self, h, v, label)
 
+    def counted_trusted(h, v, label=None):
+        built.append((h.images, v.images))
+        return original_trusted(h, v, label)
+
     monkeypatch.setattr(Origami, "__init__", counted)
+    monkeypatch.setattr(Origami, "_trusted", staticmethod(counted_trusted))
     monkeypatch.setattr(homology, "_context_cache", {})
     return built
 
@@ -478,6 +485,32 @@ def test_oversized_repeat_count_is_a_domain_error(capsys, tmp_path, argv):
     assert code == 1
     assert err.startswith("error:") and "more than 1000000 letters" in err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def _disconnected(tmp_path):
+    path = tmp_path / "disconnected.txt"
+    path.write_text("h = (1,2)(3,4)\nv = (1,2)(3,4)\n")
+    return str(path)
+
+
+DISCONNECTED = "the pair (h, v) is not transitive: surface disconnected"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (lambda tmp: ["info", _disconnected(tmp)], DISCONNECTED),
+        (lambda tmp: ["orbit", _disconnected(tmp)], DISCONNECTED),
+        (lambda tmp: ["kz", _disconnected(tmp), "T"], DISCONNECTED),
+        (
+            lambda tmp: _verify_edited(tmp, "origami", "h_images", [1] * 8),
+            "images (1, 1, 1, 1, 1, 1, 1, 1) are not a bijection of 1..8",
+        ),
+    ],
+    ids=["info-disconnected", "orbit-disconnected", "kz-disconnected", "verify-non-bijective"],
+)
+def test_invalid_surface_is_rejected_with_one_line(capsys, tmp_path, argv, message):
+    assert run(capsys, argv(tmp_path)) == (1, "", "error: %s\n" % message)
 
 
 def test_negative_depth_is_a_domain_error(capsys):

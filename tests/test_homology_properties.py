@@ -21,6 +21,7 @@ from origami_lab.paths import cycle_loops, path_class_chain, pattern_loops, sign
 from origami_lab.perm import Permutation, is_transitive
 
 from conftest import FIXTURE_NAMES, fixture_origami, random_origamis
+from inverse_oracle import det
 
 
 @st.composite
@@ -37,7 +38,7 @@ def check_engine(o):
     assert hom.rank == 2 * genus(o)
     j = hom.intersection
     assert la.mat_eq(la.transpose(j), la.mat_scale(-1, j))
-    assert la.det(j) == 1
+    assert det(j) == 1
     for col in range(hom.rank):
         unit = [int(i == col) for i in range(hom.rank)]
         assert hom.project([hom.loops[col].get(k, 0) for k in range(2 * o.degree)]) == unit
