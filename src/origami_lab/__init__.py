@@ -46,6 +46,7 @@ from .orbit import Sl2zWord, sl2z_orbit, sl2z_word, veech_generators, veech_inde
 from .origami import (
     Origami,
     Stratum,
+    automorphism_count,
     automorphisms,
     canonical_form,
     genus,

@@ -31,7 +31,7 @@ from .homology import kz_matrix
 from .lyapunov import MAX_TRIALS, ekz_sum, mc_exponents, w_exponent_from_sum
 from .orbit import sl2z_orbit, stabilizer_words
 from .origami import (
-    automorphisms,
+    automorphism_count,
     genus,
     is_reduced,
     load_origami,
@@ -51,10 +51,81 @@ from .spin import component, spin_parity
 
 def _emit(args, payload, text_lines):
     if getattr(args, "json", False):
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        # not json.dumps: it runs its pure-Python encoder whenever
+        # ``indent`` is set, and _json_text writes the same bytes faster
+        print(_json_text(payload))
     else:
         for line in text_lines:
             print(line)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+_int_text = int.__repr__
+
+
+def _json_text(obj):
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, for
+    dicts with ``str`` keys, lists, tuples, strings, ints, floats, bools
+    and None; anything else raises TypeError."""
+    out = []
+    _write_json(obj, "\n", out.append)
+    return "".join(out)
+
+
+def _write_json(obj, newline, write):
+    """Append the JSON text of ``obj`` to ``write``; ``newline`` is a
+    newline followed by the indent of the level ``obj`` sits at."""
+    if isinstance(obj, str):
+        write(_encode_str(obj))
+    elif obj is None:
+        write("null")
+    elif obj is True:
+        write("true")
+    elif obj is False:
+        write("false")
+    elif isinstance(obj, int):
+        write(_int_text(obj))
+    elif isinstance(obj, float):
+        write(_float_text(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            write("[]")
+            return
+        inner = newline + "  "
+        if all(type(x) is int for x in obj):
+            write("[" + inner + ("," + inner).join(map(_int_text, obj)) + newline + "]")
+            return
+        sep = "[" + inner
+        for item in obj:
+            write(sep)
+            sep = "," + inner
+            _write_json(item, inner, write)
+        write(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            write("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        # _encode_str raises TypeError on a key that is not a str
+        for key in sorted(obj):
+            write(sep + _encode_str(key) + ": ")
+            sep = "," + inner
+            _write_json(obj[key], inner, write)
+        write(newline + "}")
+    else:
+        raise TypeError("Object of type %s is not JSON serializable" % type(obj).__name__)
+
+
+def _float_text(x):
+    """A float as json writes it (allow_nan=True)."""
+    if x != x:
+        return "NaN"
+    if x == float("inf"):
+        return "Infinity"
+    if x == -float("inf"):
+        return "-Infinity"
+    return float.__repr__(x)
 
 
 def _cmd_info(args):
@@ -66,7 +137,7 @@ def _cmd_info(args):
         "genus": genus(o),
         "stratum": str(st),
         "reduced": is_reduced(o),
-        "automorphisms": len(automorphisms(o)),
+        "automorphisms": automorphism_count(o),
     }
     _emit(args, payload, ["%s = %s" % (k, v) for k, v in payload.items()])
     return 0

@@ -41,7 +41,7 @@ import numpy as np
 
 from .homology import StepStack, kz_context
 from .orbit import _cycle_lengths
-from .origami import automorphisms, is_reduced, stratum
+from .origami import automorphism_count, is_reduced, stratum
 
 _QR_PERIOD = 20
 # QR periods walked per pass: the rows of a chunk are found before its
@@ -199,7 +199,7 @@ def mc_exponents(o, subspace="full", steps=10000, trials=10, seed=None):
     stack = StepStack(ctx, subspace, float)
     rows, targets, dim = stack.rows, stack.targets, stack.dim
     note = ""
-    if len(automorphisms(ctx.graph.nodes[ctx.graph.basepoint])) > 1:
+    if automorphism_count(ctx.graph.nodes[ctx.graph.basepoint]) > 1:
         note = (
             "nontrivial deck transformations: cocycle matrices are only "
             "defined up to the automorphism action"

@@ -5,7 +5,8 @@ h(i) is the square to the right of square i, v(i) the square on top of it,
 and two origamis are isomorphic iff the pairs are simultaneously conjugate.
 
 Provides singularity data (corner permutation, stratum, genus), the
-reduction test, deck transformations, and a canonical labeling.
+reduction test, deck transformations and their count, and a canonical
+labeling.
 
 An origami is validated once, at the boundary.  ``Origami(...)``,
 ``Origami.from_json``, ``parse_origami_text`` and ``load_origami`` check
@@ -310,6 +311,14 @@ def automorphisms(o):
     return out
 
 
+def automorphism_count(o):
+    """The order of the deck group, without listing it: the number of
+    tied starts of ``canonical_labelling``.  Deck transformations act
+    freely, and two starts give equal tables exactly when one of them
+    maps the first start to the second."""
+    return _labelling(o)[3]
+
+
 def central_involution(o):
     """A deterministic choice of central involution among the deck
     transformations: central in the whole automorphism group, smallest
@@ -338,11 +347,23 @@ def canonical_labelling(h, v):
     and a start is abandoned at its first larger entry; the v-table is
     built only for a start whose h-table is smaller or equal.
 
+    Only starts that can win are tried: the fixed points of h if it has
+    any, else the squares on 2-cycles of h if it has any, else all.  The
+    start gets new label 0 and h(start) is the first neighbor it labels,
+    so the first h-entry is 0 at a fixed point of h and 1 elsewhere.
+    When h has no fixed point, new square 1 is h(start), so the second
+    h-entry is the label of h^2(start): 0 on a 2-cycle, and at least 2
+    otherwise, since h^2(start) is then neither the start nor h(start).
+    A skipped start thus has a strictly larger h-table than a kept one.
+    Starts with equal tables all lie in the kept set, so ``ties`` is
+    unchanged.  (Keeping only the starts on the shortest h-cycles is not
+    sound: from a longer cycle, the next labels can come out smaller.)
+
     Returns (h-table, v-table, label, ties) with new square label[s] for
     old square s, all 0-based; ``ties`` counts the starts that give the
     smallest tables, which is the order of the automorphism group.
     Raises ValueError when the pair is not transitive (the search from
-    the first start misses a square).
+    the first start tried misses a square).
     """
     n = len(h)
     hi = [0] * n
@@ -356,7 +377,12 @@ def canonical_labelling(h, v):
     # start * n, square t is labelled iff mark[t] >= base, with label
     # mark[t] - base
     mark = [-1] * n
-    for start in range(n):
+    starts = (
+        [s for s in range(n) if h[s] == s]
+        or [s for s in range(n) if h[h[s]] == s]
+        or range(n)
+    )
+    for start in starts:
         base = start * n
         mark[start] = base
         order = [start]
@@ -400,12 +426,15 @@ def canonical_form(o):
     smallest relabeled (h, v) table, the first (lowest square) is used.
     Returns the canonical origami and the relabeling used
     (new = relabel(old))."""
-    h_table, v_table, label, _ties = canonical_labelling(
-        [x - 1 for x in o.h.images], [x - 1 for x in o.v.images]
-    )
+    h_table, v_table, label, _ties = _labelling(o)
     # canonical_labelling raises on a pair that is not transitive, and its
     # tables are the conjugate of the input by the bijection ``label``
     return CanonicalForm(_trusted_origami(h_table, v_table, o.label), _trusted_permutation(label))
+
+
+def _labelling(o):
+    """``canonical_labelling`` of an origami's 0-based image tables."""
+    return canonical_labelling([x - 1 for x in o.h.images], [x - 1 for x in o.v.images])
 
 
 def _trusted_permutation(table):

@@ -29,7 +29,7 @@ import numpy as np
 from . import intlinalg as la
 from .galois import is_galois_pinching_sp4
 from .homology import StepStack, kz_context
-from .origami import Origami, automorphisms, canonical_form, genus, is_reduced
+from .origami import Origami, automorphism_count, canonical_form, genus, is_reduced
 from .orbit import _INVERSE_LETTER, _LETTERS, Sl2zWord, _cycle_lengths, spanning_tree
 
 
@@ -153,7 +153,7 @@ class NotFound:
 def _check_preconditions(o):
     if not is_reduced(o):
         raise ValueError("simplicity certification requires a reduced origami")
-    if len(automorphisms(o)) != 1:
+    if automorphism_count(o) != 1:
         raise ValueError("simplicity certification requires trivial automorphisms")
     if genus(o) != 3:
         raise ValueError("simplicity certification is implemented for genus 3 only")

@@ -1,6 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from origami_lab import cli
 from origami_lab.origami import load_origami
@@ -517,3 +520,105 @@ def test_negative_depth_is_a_domain_error(capsys):
     code, out, err = run(capsys, ["simplicity", fixture_path("dema"), "--depth", "-1"])
     assert code == 1
     assert err.startswith("error:") and "non-negative" in err
+
+
+# --- the JSON emitter -------------------------------------------------------
+#
+# ``--json`` output is written by ``cli._json_text``, which must give the
+# bytes of ``json.dumps(payload, indent=2, sort_keys=True)``.
+
+SMALL_FIXTURES = ("l3", "mstar", "mstarstar", "mbar_star", "dema", "ew", "ltilde")
+# fixtures whose orbit is too large (mbar_star_*) or unbounded (z6) for a
+# test: only the commands that do not walk the orbit
+LARGE_FIXTURES = ("mbar_star_3", "mbar_star_5", "mbar_star_7", "z6_origami")
+ORBIT_FREE_COMMANDS = (["info"], ["spin"], ["component"])
+ORBIT_COMMANDS = (
+    ["orbit"],
+    ["veech"],
+    ["ekz"],
+    ["ekz", "--w-multiplicity", "2"],
+    ["kz", "TtSs"],
+    ["kz", "TtSs", "--zero"],
+    ["mc", "--steps", "100", "--trials", "2", "--seed", "3"],
+    ["mc", "--subspace", "H1_zero", "--steps", "100", "--trials", "2", "--seed", "3"],
+    ["simplicity", "--depth", "2"],
+)
+
+
+def assert_canonical_json(capsys, argv):
+    """``argv --json`` prints, on success, exactly ``json.dumps`` of its
+    own payload; on a domain error, nothing on stdout."""
+    code, out, err = run(capsys, argv + ["--json"])
+    if code != 0:
+        assert code == 1 and out == "" and err.startswith("error:")
+        return None
+    payload = json.loads(out)
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return payload
+
+
+@pytest.mark.parametrize(
+    "name, command",
+    [(name, c) for name in SMALL_FIXTURES for c in ORBIT_FREE_COMMANDS + ORBIT_COMMANDS]
+    + [(name, c) for name in LARGE_FIXTURES for c in ORBIT_FREE_COMMANDS],
+    ids=lambda x: x if isinstance(x, str) else " ".join(x),
+)
+def test_json_output_is_json_dumps_on_fixtures(capsys, name, command):
+    assert_canonical_json(capsys, [command[0], fixture_path(name)] + command[1:])
+
+
+def test_json_output_is_json_dumps_without_a_fixture(capsys, tmp_path):
+    payloads = [
+        assert_canonical_json(capsys, ["galois", _write(tmp_path, "sl2.json", [[2, 1], [1, 1]])]),
+        assert_canonical_json(
+            capsys,
+            ["galois", _write(tmp_path, "sp4.json", [[0, 0, 0, -1], [1, 0, 0, 2], [0, 1, 0, 30], [0, 0, 1, 2]])],
+        ),
+        assert_canonical_json(capsys, ["buser", "3"]),
+        assert_canonical_json(capsys, ["buser", "--trace", "34"]),
+        assert_canonical_json(capsys, ["simplicity", fixture_path("dema"), "--depth", "2"]),
+    ]
+    assert all(p is not None for p in payloads)
+    assert payloads[-1]["found"] is False
+    cert = assert_canonical_json(capsys, ["simplicity", fixture_path("dema"), "--depth", "8"])
+    assert cert["pinching_word"]
+    assert assert_canonical_json(capsys, ["verify", _write(tmp_path, "cert.json", cert)]) == {"valid": True}
+
+
+_ESCAPES = st.text(alphabet=st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f é€😀 \ud800'))
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**100), 2**100),
+    st.floats(),
+    st.sampled_from([-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 1e300, 5e-324]),
+    st.text(),
+    _ESCAPES,
+)
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.lists(st.integers(), max_size=5),
+        st.dictionaries(st.one_of(st.text(max_size=4), _ESCAPES), inner, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_PAYLOADS)
+@example({"b": [1, True, 2], "a": [[], {}, ()], "": (-0.0, [0, -1, 10**40])})
+def test_json_text_is_json_dumps(payload):
+    assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{1, 2}, Fraction(1, 2), {1: "one"}, {"a": [{"b": {2: 3}}]}, [frozenset()], {"x": b"bytes"}],
+)
+def test_json_text_rejects_what_json_cannot_encode(payload):
+    with pytest.raises(TypeError):
+        cli._json_text(payload)

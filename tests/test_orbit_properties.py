@@ -10,6 +10,9 @@ automorphisms.  The reference orbit is a breadth-first closure over
 ``apply_letter_raw`` and every canonical form against the oracle.
 The packed orbit graph must give its nodes, every ``step`` and its JSON,
 and ``ekz_sum``'s cylinder term must equal the one summed over its nodes.
+Pairs whose h has no fixed point are drawn on their own, with and without
+2-cycles, since ``canonical_labelling`` picks its starts by the cycles of
+h and random pairs mostly have fixed points.
 """
 
 import json
@@ -23,6 +26,7 @@ from origami_lab.lyapunov import ekz_sum
 from origami_lab.orbit import Sl2zWord, apply_letter, sl2z_orbit, veech_generators
 from origami_lab.origami import (
     Origami,
+    automorphism_count,
     automorphisms,
     canonical_form,
     canonical_labelling,
@@ -30,7 +34,7 @@ from origami_lab.origami import (
 )
 from origami_lab.perm import Permutation, is_transitive
 
-from conftest import apply_letter_raw, fixture_origami
+from conftest import FIXTURE_NAMES, apply_letter_raw, fixture_origami
 
 # surfaces with nontrivial automorphisms, where several starts tie
 TIED_FIXTURES = ("ltilde", "mstar", "ew", "dema")
@@ -123,6 +127,30 @@ def transitive_pairs(draw, max_degree=10):
     return Origami(h, v)
 
 
+@st.composite
+def fixed_point_free_pairs(draw, shortest_cycle, max_degree=10):
+    """Transitive pairs whose h has no fixed point: h with a 2-cycle when
+    ``shortest_cycle`` is 2, and with every cycle of length at least 3
+    when it is 3."""
+    lengths = [shortest_cycle] + draw(
+        st.lists(st.integers(shortest_cycle, 6), max_size=3)
+    )
+    assume(sum(lengths) <= max_degree)
+    n = sum(lengths)
+    squares = draw(st.permutations(range(1, n + 1)))
+    images = [0] * (n + 1)
+    at = 0
+    for length in lengths:
+        cycle = squares[at : at + length]
+        for i, s in enumerate(cycle):
+            images[s] = cycle[(i + 1) % length]
+        at += length
+    h = Permutation(images[1:])
+    v = Permutation(draw(st.permutations(range(1, n + 1))))
+    assume(is_transitive([h, v]))
+    return Origami(h, v)
+
+
 def relabelled(o, images):
     return o.relabel(Permutation(images))
 
@@ -134,7 +162,7 @@ def check_canonical_form(o):
     assert relabel == want_relabel
     assert o.relabel(relabel) == canon
     ties = canonical_labelling([x - 1 for x in o.h.images], [x - 1 for x in o.v.images])[3]
-    assert ties == len(automorphisms(o))
+    assert ties == automorphism_count(o) == len(automorphisms(o))
 
 
 def reference_json(nodes, edges):
@@ -188,6 +216,40 @@ def check_orbit(o):
 @given(transitive_pairs())
 def test_canonical_form_matches_oracle(o):
     check_canonical_form(o)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(fixed_point_free_pairs(shortest_cycle=2))
+def test_canonical_form_with_h_on_2_cycles_matches_oracle(o):
+    check_canonical_form(o)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(fixed_point_free_pairs(shortest_cycle=3))
+def test_canonical_form_with_h_on_longer_cycles_matches_oracle(o):
+    check_canonical_form(o)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.one_of(fixed_point_free_pairs(2, max_degree=7), fixed_point_free_pairs(3, max_degree=7)))
+def test_orbit_of_fixed_point_free_h_matches_reference(o):
+    check_orbit(o)
+
+
+def test_canonical_start_off_the_shortest_h_cycle():
+    # h = (1,3,5,4)(2,6,7): the shortest h-cycle is (2,6,7), but the
+    # canonical start is square 4, on the 4-cycle
+    o = Origami(Permutation((3, 6, 5, 1, 4, 7, 2)), Permutation((2, 5, 7, 4, 6, 3, 1)))
+    assert min(map(len, o.h.cycles())) == 3
+    assert canonical_form(o).relabel(4) == 1
+    check_canonical_form(o)
+    check_orbit(o)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_automorphism_count_of_fixtures(name):
+    o = fixture_origami(name)
+    assert automorphism_count(o) == len(automorphisms(o))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
