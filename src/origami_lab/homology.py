@@ -31,17 +31,16 @@ an integer left inverse of its basis, with exact divisibility checks;
 ``KzContext`` holds these bases per orbit node.  All arithmetic in this
 module is exact (integers, and fractions only for unipotent logarithms and
 Lie closures); the one float array is a ``StepStack`` that a caller asks
-for with a float dtype.
+for with a float dtype.  ``StepStack`` is also the only user of numpy
+here, and imports it itself, so that the exact computations never pay for
+loading it.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import intlinalg as la
 from .origami import automorphisms, canonical_form, central_involution, corner_permutation
@@ -534,6 +533,8 @@ class StepStack:
     step; ``add`` fills the row of a key that is not in ``rows`` yet."""
 
     def __init__(self, ctx, subspace, dtype):
+        import numpy as np
+
         self._ctx = ctx
         self._subspace = subspace
         self.dim = len(ctx.basis(ctx.graph.basepoint, subspace))
@@ -544,6 +545,8 @@ class StepStack:
     def add(self, node, letter):
         """Row of the step by letter index ``letter`` from node, which
         must not have a row yet."""
+        import numpy as np
+
         target, m = self._ctx.step(node, _LETTERS[letter], self._subspace)
         row = self.rows[4 * node + letter] = len(self.targets)
         self.targets.append(target)
@@ -648,13 +651,6 @@ def unipotent_log(m):
     mf = [[Fraction(x) for x in row] for row in m]
     nil = la.mat_sub(mf, la.identity_matrix(len(m)))
     return _nilpotent_series(nil, lambda j: Fraction((-1) ** (j + 1), j), "matrix is not unipotent")
-
-
-def exp_nilpotent(m):
-    """exp of a nilpotent rational matrix (finite series); raises
-    ValueError if m is not nilpotent."""
-    series = _nilpotent_series(m, lambda j: Fraction(1, math.factorial(j)), "matrix is not nilpotent")
-    return la.mat_add(la.identity_matrix(len(m)), series)
 
 
 def lie_algebra_dim(gens):

@@ -26,7 +26,8 @@ batched QR.  Besides the chunk the walk keeps one float d x d matrix per
 (node, letter) it has reached; nothing grows with the number of steps.
 The walk law is not the harmonic measure of the Teichmueller flow, so
 only law-independent conclusions (zero blocks, symmetry of the spectrum)
-should be drawn.
+should be drawn.  Only the walk uses numpy, and its functions import it
+themselves, so that the exact sum formula never loads it.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from .homology import StepStack, kz_context
 from .orbit import _cycle_lengths
@@ -143,11 +142,15 @@ class _LetterStream:
     next ``take``, so at most one refill is buffered."""
 
     def __init__(self, rng):
+        import numpy as np
+
         self._rng = rng
         self._pending = np.empty(0, dtype=np.uint32)
 
     def take(self, count):
         """The next ``count`` letters, as a list of ints."""
+        import numpy as np
+
         parts = [self._pending]
         have = len(self._pending)
         while have < count:
@@ -180,6 +183,8 @@ def mc_exponents(o, subspace="full", steps=10000, trials=10, seed=None):
     array, about 16 KB per trial) and, per period, a (period, trials, d,
     d) float block of the gathered step matrices.
     """
+    import numpy as np
+
     if seed is None:
         raise ValueError("a seed is required for reproducible estimates")
     for name, value in (("steps", steps), ("trials", trials), ("seed", seed)):

@@ -14,7 +14,9 @@ once two ingredients are exhibited:
     image (B - Id) is not a Lagrangian subspace.
 
 Everything in a certificate is integer data that can be re-derived from
-scratch, which is exactly what verify_certificate does.
+scratch, which is exactly what verify_certificate does.  Only the batched
+word search uses numpy, and its functions import it themselves, so that
+verifying a certificate never loads it.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ import json
 import math
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from . import intlinalg as la
 from .galois import is_galois_pinching_sp4
@@ -178,6 +178,8 @@ def _products(steps, mats, bound):
     sum of the steps times ``bound``, and so is every partial sum that
     forms it: while that is below 2**63 the products are formed in int64,
     which is then exact, else in Python ints (dtype=object)."""
+    import numpy as np
+
     bound *= int(np.abs(steps).sum(axis=2).max(initial=0))
     if bound >= _INT64_LIMIT:
         steps, mats = steps.astype(object), mats.astype(object)
@@ -188,6 +190,8 @@ def _matrix_keys(mats):
     """One key per matrix of a stack, equal exactly when the matrices are,
     whatever their dtype: the bytes of its entries in int64, or the tuple
     of its entries when they do not fit in int64."""
+    import numpy as np
+
     flat = mats.reshape(len(mats), -1)
     if flat.dtype != object:
         return [row.tobytes() for row in flat]
@@ -206,6 +210,8 @@ def _search_pinching_word(o, search_depth):
     Returns (found, stats): found is (word, Sp4PinchingReport) or None,
     stats the ``exhausted``, ``words`` and ``states`` fields of NotFound.
     """
+    import numpy as np
+
     if search_depth < 0:
         raise ValueError("search depth must be non-negative, not %d" % search_depth)
     ctx = kz_context(o)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,6 @@ from origami_lab import intlinalg as la
 from origami_lab.homology import (
     Homology,
     chain_complex,
-    exp_nilpotent,
     isotypical_W,
     kz_context,
     kz_matrix,
@@ -192,7 +192,17 @@ def test_dema_pinching_word_charpoly(dema):
     assert la.charpoly(mt) == [1, -106, 1]
 
 
+def exp_nilpotent(m):
+    """exp of a nilpotent rational matrix, on the series that
+    ``unipotent_log`` sums; raises ValueError if m is not nilpotent."""
+    series = homology._nilpotent_series(
+        m, lambda j: Fraction(1, math.factorial(j)), "matrix is not nilpotent"
+    )
+    return la.mat_add(la.identity_matrix(len(m)), series)
+
+
 def test_unipotent_log_exp_round_trip():
+    # checks unipotent_log: exp of its output gives the matrix back
     m = [[1, 3, 1], [0, 1, 2], [0, 0, 1]]
     lg = unipotent_log(m)
     back = exp_nilpotent(lg)
@@ -203,6 +213,7 @@ def test_unipotent_log_exp_round_trip():
 
 @pytest.mark.parametrize("m", [[[1]], [[0, 1], [1, 0]], [[0, 1, 0], [0, 0, 1], [1, 0, 0]]])
 def test_exp_nilpotent_rejects_a_non_nilpotent_matrix(m):
+    # checks the error path of the series unipotent_log shares
     # a cut-off series would give [[2]] and [[3/2, 1], [1, 3/2]] for the
     # first two
     with pytest.raises(ValueError, match="not nilpotent"):
