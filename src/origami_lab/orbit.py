@@ -51,8 +51,6 @@ _SLOT = {letter: slot for slot, letter in enumerate(_LETTERS)}
 _BYTE_DEGREE = 256
 # the most letters a parsed word may expand to
 MAX_WORD_LETTERS = 10**6
-# the most nodes an orbit graph may hold (about 340 bytes each)
-MAX_ORBIT_NODES = 10**6
 
 
 def mat2_mul(a, b):
@@ -174,11 +172,7 @@ class OrbitGraph:
         return len(self._keys)
 
     def _add(self, key, ties):
-        """Give a new canonical key the next node id, with open edges;
-        raises ValueError, changing nothing, if the graph already holds
-        ``MAX_ORBIT_NODES`` nodes."""
-        if len(self._keys) >= MAX_ORBIT_NODES:
-            raise ValueError("orbit has more than %d nodes" % MAX_ORBIT_NODES)
+        """Give a new canonical key the next node id, with open edges."""
         j = self._index[key] = len(self._keys)
         self._keys.append(key)
         self._rigid.append(ties == 1)
@@ -364,9 +358,7 @@ def sl2z_orbit(o):
     ``index_of``, ``to_json`` and a node index not reached yet close the
     graph: every edge of every node, nodes in id order, letters in the
     order T, S, t, s.  On a graph nothing has walked, that is breadth-first
-    discovery order.  No ``Origami`` and no ``Permutation`` is built.
-    Reaching a node past ``MAX_ORBIT_NODES``, by a walk or by closing,
-    raises ValueError."""
+    discovery order.  No ``Origami`` and no ``Permutation`` is built."""
     return OrbitGraph(o)
 
 

@@ -202,28 +202,6 @@ def test_kz_rejects_non_loop(capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize(
-    "command, size",
-    [
-        ("orbit", lambda payload: len(payload["nodes"])),
-        ("veech", lambda payload: payload["index"]),
-        ("ekz", lambda payload: payload["orbit"]),
-    ],
-    ids=["orbit", "veech", "ekz"],
-)
-def test_orbit_commands_exit_1_past_the_node_bound(command, size, capsys, monkeypatch):
-    from origami_lab import homology, orbit
-
-    argv = [command, fixture_path("mstar"), "--json"]
-    monkeypatch.setattr(homology, "_context_cache", {})
-    monkeypatch.setattr(orbit, "MAX_ORBIT_NODES", 119)
-    assert run(capsys, argv) == (1, "", "error: orbit has more than 119 nodes\n")
-    # mstar's orbit has 120 nodes
-    monkeypatch.setattr(homology, "_context_cache", {})
-    monkeypatch.setattr(orbit, "MAX_ORBIT_NODES", 120)
-    assert size(run_json(capsys, argv[:-1])) == 120
-
-
 def test_galois_sp4(capsys, tmp_path):
     f = tmp_path / "m.json"
     f.write_text(json.dumps([[0, 0, 0, -1], [1, 0, 0, 2], [0, 1, 0, 30], [0, 0, 1, 2]]))

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from origami_lab import orbit
 from origami_lab.orbit import (
     MAX_WORD_LETTERS,
     Sl2zWord,
@@ -51,27 +50,6 @@ def test_word_parse_stops_at_the_letter_limit():
     for text in ("T%d" % (MAX_WORD_LETTERS + 1), "T%dS2" % (MAX_WORD_LETTERS - 1), "T100000000000"):
         with pytest.raises(ValueError, match="more than %d letters" % MAX_WORD_LETTERS):
             Sl2zWord.parse(text)
-
-
-def test_orbit_graph_stops_at_the_node_bound(monkeypatch):
-    o = fixture_origami("mstar")  # 120 nodes
-    monkeypatch.setattr(orbit, "MAX_ORBIT_NODES", 119)
-    closed, walked = sl2z_orbit(o), sl2z_orbit(o)
-    with pytest.raises(ValueError, match="^orbit has more than 119 nodes$"):
-        len(closed)
-    with pytest.raises(ValueError, match="^orbit has more than 119 nodes$"):
-        for node in range(120):
-            for letter in "TSts":
-                walked.target(node, letter)
-    for graph in (closed, walked):
-        # the node past the bound was not appended anywhere
-        assert (len(graph._keys), len(graph._index), len(graph._rigid)) == (119, 119, 119)
-        assert len(graph._targets) == 4 * 119
-        assert len(graph._labels) == 4 * 119 * o.degree
-    # a graph stopped at the bound is whole: it closes once the bound allows
-    monkeypatch.setattr(orbit, "MAX_ORBIT_NODES", 120)
-    assert len(closed) == len(walked) == 120
-    assert closed.to_json() == sl2z_orbit(o).to_json()
 
 
 def test_generator_actions_preserve_degree():
