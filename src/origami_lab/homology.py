@@ -268,14 +268,6 @@ class Homology:
     def project(self, chain):
         return self.project_many([chain])[0]
 
-    def pairing_in_basis(self, x, y):
-        return sum(
-            xi * self.intersection[i][j] * yj
-            for i, xi in enumerate(x)
-            for j, yj in enumerate(y)
-            if xi and yj
-        )
-
     def action_matrix(self, tau):
         """Matrix on H_1 (basis coordinates) of a deck transformation tau,
         the chain map sigma_i -> sigma_tau(i), zeta_i -> zeta_tau(i) on

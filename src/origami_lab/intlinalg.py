@@ -344,11 +344,3 @@ class RationalSpan:
         self.rows.append(v)
         self.pivots.append(p)
         return True
-
-    def contains(self, vec):
-        v = [Fraction(x) for x in vec]
-        for row, p in zip(self.rows, self.pivots):
-            if v[p] != 0:
-                f = v[p]
-                v = [x - f * y for x, y in zip(v, row)]
-        return all(x == 0 for x in v)

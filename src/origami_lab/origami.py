@@ -91,9 +91,6 @@ class Origami:
         # conjugation keeps bijectivity and transitivity
         return Origami._trusted(conjugate(self.h, r), conjugate(self.v, r), self.label)
 
-    def canonical(self):
-        return canonical_form(self).origami
-
     def to_json(self):
         return {
             "degree": self.degree,

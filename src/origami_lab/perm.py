@@ -138,11 +138,6 @@ def conjugate(p, r):
     return Permutation._trusted(tuple(out))
 
 
-def cycle_type(p):
-    """Sorted tuple of cycle lengths (a multiset), summing to the degree."""
-    return tuple(sorted(len(c) for c in p.cycles(include_fixed=True)))
-
-
 def is_transitive(gens):
     """True iff the group generated acts transitively on {1, .., N}.
 

@@ -4,21 +4,22 @@ quadratic form phi on homology, its Arf invariant, and the connected
 component of the ambient stratum.
 
 For a translation surface whose cone angles are all odd multiples of
-2*pi (equivalently: all zero orders even), the function
+2*pi (equivalently: all zero orders even), the winding index ind of a
+simple closed center path gives
 
-    phi(gamma) = ind(gamma) + 1 + D(gamma)  (mod 2)
+    phi(gamma) = ind(gamma) + 1  (mod 2),
 
-on closed center paths depends only on the homology class mod 2, where
-ind is the winding index and D the number of transverse self-crossings
-under the deterministic perturbation of the crossing engine.  phi is a
-quadratic refinement of the mod-2 intersection pairing and its Arf
-invariant separates the even and odd spin components of a stratum.
+which depends only on the homology class mod 2 (Johnson, J. London
+Math. Soc. 1980).  phi is a quadratic refinement of the mod-2
+intersection pairing and its Arf invariant separates the even and odd
+spin components of a stratum.
 
 phi is evaluated on the 2g dual loops of the homology engine
-(``Homology.dual_loops``).  They are simple closed curves, so D = 0 and
-phi = ind + 1 (Johnson, J. London Math. Soc. 1980), and they form a
-Z-basis of H_1 whose mod-2 Gram matrix is read off the intersection
-form.
+(``Homology.dual_loops``), which form a Z-basis of H_1 whose mod-2 Gram
+matrix is read off the intersection form, and on the horizontal and
+vertical core loops, which check it.  Each of these loops visits every
+square at most once, so it is a simple closed curve; ``phi_of_path``
+refuses any other path.
 """
 
 from __future__ import annotations
@@ -28,15 +29,21 @@ from dataclasses import dataclass
 from . import intlinalg as la
 from .homology import Homology
 from .origami import corner_permutation, genus, propagate_square_map, singularities, stratum
-from .paths import cycle_loops, path_class_chain, reduce_path, self_crossings, winding_index
+from .paths import cycle_loops, follow, path_class_chain, winding_index
 
 
 def phi_of_path(o, path):
-    """The quadratic form phi = ind + 1 + D mod 2 of a closed path."""
-    reduced = reduce_path(path)
-    if reduced is None:
-        raise ValueError("path reduces to nothing")
-    return (winding_index(o, reduced) + 1 + self_crossings(o, reduced)) % 2
+    """The quadratic form phi = ind + 1 mod 2 of a closed path that visits
+    every square at most once.
+
+    Such a path has at most one strand in each square, so it has no
+    self-crossings and is a simple closed curve.  A path that visits a
+    square twice raises ValueError, even if it reduces to a simple one.
+    """
+    squares = follow(o, path)
+    if len(set(squares)) != len(squares):
+        raise ValueError("phi needs a simple loop; %r visits a square twice" % (path,))
+    return (winding_index(o, path) + 1) % 2
 
 
 @dataclass

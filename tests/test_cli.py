@@ -141,6 +141,25 @@ def test_spin_odd_stratum_is_domain_error(capsys):
     assert "error:" in err
 
 
+def test_spin_rejects_a_dual_loop_that_visits_a_square_twice(capsys, monkeypatch):
+    from origami_lab.homology import Homology
+    from origami_lab.paths import CenterPath
+
+    real = Homology.dual_loops
+
+    def with_detour(self):
+        loops = real(self)
+        first = loops[0]
+        return [CenterPath(first.start, "RL" + first.steps)] + loops[1:]
+
+    monkeypatch.setattr(Homology, "dual_loops", with_detour)
+    code, out, err = run(capsys, ["spin", fixture_path("mstar")])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "visits a square twice" in err
+
+
 def test_component(capsys):
     payload = run_json(capsys, ["component", fixture_path("dema")])
     assert payload["stratum"] == "H(2,2)"

@@ -1,8 +1,8 @@
 """Invariants of the tree-cotree homology engine on random origamis.
 
 The reference for the intersection form is the crossing engine of
-``paths``: signed crossing numbers of closed center paths, computed
-without any homology basis.
+``crossing_oracle``: signed crossing numbers of closed center paths,
+computed without any homology basis.
 """
 
 import hashlib
@@ -17,10 +17,11 @@ from origami_lab.covers import EdgeCocycle, FiniteGroupTable, group_cover, quate
 from origami_lab.homology import Homology, KzContext
 from origami_lab.orbit import Sl2zWord
 from origami_lab.origami import Origami, automorphisms, genus
-from origami_lab.paths import cycle_loops, path_class_chain, pattern_loops, signed_crossings
+from origami_lab.paths import cycle_loops, path_class_chain
 from origami_lab.perm import Permutation, is_transitive
 
 from conftest import FIXTURE_NAMES, fixture_origami, random_origamis
+from crossing_oracle import pairing_in_basis, pattern_loops, signed_crossings
 from inverse_oracle import det
 
 
@@ -42,7 +43,7 @@ def check_engine(o):
     for col in range(hom.rank):
         unit = [int(i == col) for i in range(hom.rank)]
         assert hom.project([hom.loops[col].get(k, 0) for k in range(2 * o.degree)]) == unit
-    assert hom.pairing_in_basis(hom.taut_sigma, hom.taut_zeta) == o.degree
+    assert pairing_in_basis(hom, hom.taut_sigma, hom.taut_zeta) == o.degree
     # a single edge between two different vertices is not a cycle
     cx = hom.complex
     for k in range(2 * o.degree):
@@ -54,7 +55,7 @@ def check_engine(o):
     coords = hom.project_many([path_class_chain(o, p) for p in loops])
     for a, ca in zip(loops, coords):
         for b, cb in zip(loops, coords):
-            assert hom.pairing_in_basis(ca, cb) == signed_crossings(o, a, b)
+            assert pairing_in_basis(hom, ca, cb) == signed_crossings(o, a, b)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

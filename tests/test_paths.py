@@ -6,13 +6,12 @@ from origami_lab.paths import (
     cycle_loops,
     follow,
     path_class_chain,
-    pattern_loops,
     reduce_path,
-    self_crossings,
-    signed_crossings,
     winding_index,
 )
 from origami_lab.perm import Permutation
+
+from crossing_oracle import pattern_loops, self_crossings, signed_crossings
 
 
 def torus():

@@ -5,12 +5,16 @@ from origami_lab.perm import (
     Permutation,
     compose,
     conjugate,
-    cycle_type,
     identity,
     is_transitive,
     parse_cycles,
     render_cycles,
 )
+
+
+def cycle_type(p):
+    """Sorted tuple of cycle lengths (a multiset), summing to the degree."""
+    return tuple(sorted(len(c) for c in p.cycles(include_fixed=True)))
 
 
 def random_perm(draw, degree):

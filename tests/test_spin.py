@@ -6,7 +6,10 @@ evaluated on a pool of loops grown until their classes span H_1 over F2
 non-backtracking step pattern of increasing length), an F2-independent
 subset is chosen greedily, phi of every other loop in the pool is checked
 against the quadratic relation, and the Arf invariant is taken on the
-chosen subset.
+chosen subset.  The staircase loops of the pool may visit a square more
+than once, so the pool uses the full phi = ind + 1 + D of
+``crossing_oracle``; ``spin.phi_of_path`` accepts simple loops only, and
+the loops it sees are checked to be simple.
 """
 
 import itertools
@@ -20,15 +23,7 @@ from origami_lab import spin
 from origami_lab.homology import Homology
 from origami_lab.orbit import sl2z_orbit
 from origami_lab.origami import Origami, stratum
-from origami_lab.paths import (
-    cycle_loops,
-    follow,
-    path_class_chain,
-    pattern_loops,
-    reduce_path,
-    self_crossings,
-    signed_crossings,
-)
+from origami_lab.paths import CenterPath, cycle_loops, follow, path_class_chain, reduce_path
 from origami_lab.perm import Permutation, is_transitive, parse_cycles
 from origami_lab.spin import (
     QuadraticFormData,
@@ -41,7 +36,9 @@ from origami_lab.spin import (
     spin_parity,
 )
 
-from conftest import fixture_origami
+from conftest import FIXTURE_NAMES, fixture_origami
+from crossing_oracle import pairing_in_basis, pattern_loops, self_crossings, signed_crossings
+from crossing_oracle import phi as oracle_phi
 from inverse_oracle import det
 
 ALL_EVEN_FIXTURES = (
@@ -123,13 +120,13 @@ def oracle_quadratic_form_data(o, max_pattern=8):
         for pat in step_patterns(length):
             pool.extend(pattern_loops(o, pat))
     coords = hom.project_many([path_class_chain(o, p) for p in pool])
-    phis = [phi_of_path(o, p) for p in pool]
+    phis = [oracle_phi(o, p) for p in pool]
     chosen = []
     for i, c in enumerate(coords):
         if f2_rank([coords[j] for j in chosen] + [c]) > len(chosen):
             chosen.append(i)
     basis = [coords[i] for i in chosen]
-    gram = [[hom.pairing_in_basis(u, v) % 2 for v in basis] for u in basis]
+    gram = [[pairing_in_basis(hom, u, v) % 2 for v in basis] for u in basis]
     for i in range(len(pool)):
         if i in chosen:
             continue
@@ -265,14 +262,22 @@ def test_spin_parity_matches_pool_oracle_on_random(o):
     assert spin_parity(o) == oracle_spin_parity(o)
 
 
+def check_simple_loops(o, loops):
+    """Each loop is closed, visits no square twice, is reduced and has no
+    self-crossings (D = 0) by the crossing engine."""
+    for loop in loops:
+        squares = follow(o, loop)  # raises unless closed
+        assert len(set(squares)) == len(squares)
+        assert reduce_path(loop) == loop
+        assert self_crossings(o, loop) == 0
+
+
 def check_dual_loops(o):
     hom = Homology(o)
     loops = hom.dual_loops()
     assert len(loops) == hom.rank
-    for loop in loops:
-        follow(o, loop)  # raises unless closed
-        assert reduce_path(loop) == loop
-        assert self_crossings(o, loop) == 0
+    # both loop families that spin.phi_of_path is evaluated on
+    check_simple_loops(o, loops + cycle_loops(o))
     coords = hom.project_many([path_class_chain(o, p) for p in loops])
     assert la.transpose(coords) == hom.dual_coords
     assert det(coords) in (1, -1)
@@ -291,6 +296,32 @@ def test_dual_loops_are_a_simple_basis(name):
 @given(even_genus_2_3_surfaces())
 def test_dual_loops_on_random(o):
     check_dual_loops(o)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_phi_loops_are_simple_on_every_fixture(name):
+    o = fixture_origami(name)
+    check_simple_loops(o, Homology(o).dual_loops() + cycle_loops(o))
+
+
+def test_phi_of_path_rejects_a_figure_eight():
+    torus = Origami(Permutation([1]), Permutation([1]))
+    eight = CenterPath(1, "RURD")
+    with pytest.raises(ValueError, match="visits a square twice"):
+        phi_of_path(torus, eight)
+    # ind = 0 and one self-crossing: phi = 0, as for its class 2[R] = 0 mod 2
+    assert self_crossings(torus, eight) % 2 == 1
+    assert oracle_phi(torus, eight) == 0
+    core = CenterPath(1, "R")
+    assert phi_of_path(torus, core) == oracle_phi(torus, core) == 1
+
+
+def test_phi_of_path_rejects_a_detour_before_reduction(mstar):
+    loop = Homology(mstar).dual_loops()[0]
+    detour = CenterPath(loop.start, "RL" + loop.steps)
+    assert reduce_path(detour) == loop
+    with pytest.raises(ValueError, match="visits a square twice"):
+        phi_of_path(mstar, detour)
 
 
 def test_quadratic_form_check_catches_a_wrong_phi(monkeypatch):
