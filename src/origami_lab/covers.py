@@ -44,12 +44,11 @@ class FiniteGroupTable:
         for a in range(self.order):
             if e not in table[a]:
                 raise ValueError("element %d has no inverse" % a)
-        if self.order <= 16:
-            for a in range(self.order):
-                for b in range(self.order):
-                    for c in range(self.order):
-                        if table[table[a][b]][c] != table[a][table[b][c]]:
-                            raise ValueError("multiplication table is not associative")
+        for a in range(self.order):
+            for b in range(self.order):
+                for c in range(self.order):
+                    if table[table[a][b]][c] != table[a][table[b][c]]:
+                        raise ValueError("multiplication table is not associative")
 
     def mul(self, a, b):
         return self.table[a][b]

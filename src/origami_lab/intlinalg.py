@@ -88,28 +88,19 @@ def rank(a):
 
 
 def smith_normal_form(a):
-    """Return (d, u, v) with u @ a @ v = d, u and v unimodular, d diagonal
-    with d[i][i] dividing d[i+1][i+1]."""
+    """Return (d, v) with d = u @ a @ v diagonal, d[i][i] dividing
+    d[i+1][i+1], and u, v unimodular; u is not built, and v comes from
+    the column operations alone."""
     m = len(a)
     n = len(a[0]) if m else 0
     d = [[int(x) for x in row] for row in a]
-    u = identity_matrix(m)
     v = identity_matrix(n)
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for row in d:
             row[i], row[j] = row[j], row[i]
         for row in v:
             row[i], row[j] = row[j], row[i]
-
-    def add_row(i, j, c):
-        # row i += c * row j
-        d[i] = [x + c * y for x, y in zip(d[i], d[j])]
-        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
 
     def add_col(i, j, c):
         # col i += c * col j
@@ -131,7 +122,7 @@ def smith_normal_form(a):
                     pivot = (i, j)
         if pivot is None:
             break
-        swap_rows(t, pivot[0])
+        d[t], d[pivot[0]] = d[pivot[0]], d[t]
         swap_cols(t, pivot[1])
         while True:
             # clear column t
@@ -139,9 +130,9 @@ def smith_normal_form(a):
             for i in range(t + 1, m):
                 if d[i][t] != 0:
                     q = d[i][t] // d[t][t]
-                    add_row(i, t, -q)
+                    d[i] = [x - q * y for x, y in zip(d[i], d[t])]
                     if d[i][t] != 0:
-                        swap_rows(t, i)
+                        d[t], d[i] = d[i], d[t]
                         dirty = True
             for j in range(t + 1, n):
                 if d[t][j] != 0:
@@ -163,12 +154,11 @@ def smith_normal_form(a):
                     break
             if offender is None:
                 break
-            add_row(t, offender, 1)
+            d[t] = [x + y for x, y in zip(d[t], d[offender])]
         if d[t][t] < 0:
             d[t] = [-x for x in d[t]]
-            u[t] = [-x for x in u[t]]
         t += 1
-    return d, u, v
+    return d, v
 
 
 def kernel_basis(a):
@@ -177,7 +167,7 @@ def kernel_basis(a):
     n = len(a[0]) if m else 0
     if m == 0 or n == 0:
         return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    d, _u, v = smith_normal_form(a)
+    d, v = smith_normal_form(a)
     r = sum(1 for i in range(min(m, n)) if d[i][i] != 0)
     return [[v[i][j] for i in range(n)] for j in range(r, n)]
 

@@ -265,4 +265,6 @@ def w_exponent_from_sum(report, multiplicity=4):
     """Solve total = 7/3 + multiplicity * lambda for the genus 11
     quaternionic cover, under the stated multiplicity assumption for the
     12-dimensional faithful isotypical block."""
+    if type(multiplicity) is not int or multiplicity < 1:
+        raise ValueError("the multiplicity must be a positive integer, not %r" % (multiplicity,))
     return (report.total - Fraction(7, 3)) / multiplicity

@@ -49,6 +49,8 @@ _LETTERS = ("T", "S", "t", "s")
 _SLOT = {letter: slot for slot, letter in enumerate(_LETTERS)}
 # the largest degree whose labels fit in one byte each
 _BYTE_DEGREE = 256
+# the largest degree whose labels fit in two bytes each
+_MAX_DEGREE = 1 << 16
 # the most letters a parsed word may expand to
 MAX_WORD_LETTERS = 10**6
 
@@ -138,7 +140,8 @@ class OrbitGraph:
 
     Node i is one key: its canonical 0-based h-table followed by its
     v-table, as ``bytes`` while the degree is at most 256 and as the bytes
-    of an ``array('H')`` above that.  A dict maps each key to its node id.
+    of an ``array('H')`` above that, up to 65,536; a larger degree raises
+    ValueError.  A dict maps each key to its node id.
     The edge targets are one ``array('l')`` with 4 entries per node, for
     the letters T, S, t, s in that order, -1 while an edge is open.  The
     edge relabels are one flat buffer of N 0-based labels per edge: the
@@ -152,6 +155,8 @@ class OrbitGraph:
 
     def __init__(self, o):
         n = self.degree = o.degree
+        if n > _MAX_DEGREE:
+            raise ValueError("orbit graphs hold at most %d squares, not %d" % (_MAX_DEGREE, n))
         self.label = o.label
         h, v, _label, ties = canonical_labelling(
             [x - 1 for x in o.h.images], [x - 1 for x in o.v.images]

@@ -17,7 +17,8 @@ spin components of a stratum.
 phi is evaluated on the 2g dual loops of the homology engine
 (``Homology.dual_loops``), which form a Z-basis of H_1 whose mod-2 Gram
 matrix is read off the intersection form, and on the horizontal and
-vertical core loops, which check it.  Each of these loops visits every
+vertical core loops, which check it.  The Arf invariant is taken by
+symplectic reduction on that basis.  Each of these loops visits every
 square at most once, so it is a simple closed curve; ``phi_of_path``
 refuses any other path.
 """
@@ -48,8 +49,8 @@ def phi_of_path(o, path):
 
 @dataclass
 class QuadraticFormData:
-    """A spanning family of H_1 classes with phi values and the mod-2
-    intersection matrix between them."""
+    """A basis of H_1 mod 2 with phi values and the mod-2 intersection
+    matrix between its classes."""
 
     basis: list  # integer coordinate vectors in an H_1 basis
     phi_values: list  # 0/1 per class
@@ -66,54 +67,34 @@ class QuadraticFormData:
 
 
 def arf_from_data(q):
-    """Arf invariant of a quadratic form given on a spanning family.
+    """Arf invariant of a quadratic form given on a basis of H_1 mod 2.
 
-    Symplectic Gram-Schmidt over F2: repeatedly extract a pair (a, b)
-    with odd pairing, correct the remaining classes by
-    c -> c + <c,b> a + <c,a> b (updating phi through the quadratic
-    relation), and accumulate phi(a) phi(b).
+    Symplectic reduction over F2: take the first class x still alive and
+    the first alive y with <x, y> odd, add phi(x) phi(y), and replace
+    every other alive class c by c + a x + b y, a = <c, y>, b = <c, x>,
+    which pairs evenly with x and y.  phi(c) gains a phi(x) + b phi(y) +
+    a b by the quadratic relation, and <c, d> gains a <d, x> + b <d, y>,
+    a symmetric rank-2 update of the Gram block (rows kept as bit masks).
+    If no such y exists the form is degenerate, the classes are not a
+    basis, and ValueError is raised.
     """
     q.validate()
-    g2 = [row[:] for row in q.intersection_mod2]
+    rows = [sum(1 << j for j, e in enumerate(row) if e % 2) for row in q.intersection_mod2]
     phi = [x % 2 for x in q.phi_values]
     alive = list(range(len(phi)))
     arf = 0
-    while True:
-        pair = None
-        for ai, x in enumerate(alive):
-            for y in alive[ai + 1 :]:
-                if g2[x][y] % 2:
-                    pair = (x, y)
-                    break
-            if pair:
-                break
-        if pair is None:
-            # everything left pairs to zero with everything else
-            if any(g2[x][y] % 2 for x in alive for y in alive):
-                raise AssertionError("pair search missed an odd pairing")
-            return arf % 2
-        x, y = pair
-        arf += phi[x] * phi[y]
-        alive = [c for c in alive if c not in (x, y)]
-        coeffs = {c: (g2[c][y] % 2, g2[c][x] % 2) for c in alive}
+    while alive:
+        x = alive[0]
+        y = next((c for c in alive[1:] if rows[x] >> c & 1), None)
+        if y is None:
+            raise ValueError("degenerate mod-2 intersection form: the classes are not a basis")
+        arf ^= phi[x] & phi[y]
+        alive = [c for c in alive[1:] if c != y]
         for c in alive:
-            al, be = coeffs[c]
-            phi[c] = (
-                phi[c]
-                + al * phi[x]
-                + be * phi[y]
-                + al * g2[c][x]
-                + be * g2[c][y]
-                + al * be * g2[x][y]
-            ) % 2
-        # replace rows/columns: c -> c + al*x + be*y
-        for c in alive:
-            al, be = coeffs[c]
-            g2[c] = [(v + al * vx + be * vy) % 2 for v, vx, vy in zip(g2[c], g2[x], g2[y])]
-        for c in alive:
-            al, be = coeffs[c]
-            for r in range(len(phi)):
-                g2[r][c] = (g2[r][c] + al * g2[r][x] + be * g2[r][y]) % 2
+            a, b = rows[c] >> y & 1, rows[c] >> x & 1
+            phi[c] ^= (a & phi[x]) ^ (b & phi[y]) ^ (a & b)
+            rows[c] ^= (rows[x] if a else 0) ^ (rows[y] if b else 0)
+    return arf
 
 
 def _quadratic_value(phi_basis, gram, support):
@@ -154,7 +135,8 @@ def quadratic_form_data(o):
 
 def spin_parity(o):
     """Arf invariant of the spin structure of an origami with even zero
-    orders (the parity separating stratum components)."""
+    orders (the parity separating stratum components), taken on the
+    dual-loop basis of ``quadratic_form_data``."""
     return arf_from_data(quadratic_form_data(o))
 
 

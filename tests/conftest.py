@@ -49,6 +49,15 @@ def apply_letter_raw(o, letter):
     raise ValueError("unknown letter %r" % letter)
 
 
+def large_origami(n):
+    """A genus-3 surface on n squares: h = (1)(2, ..., n) has one fixed
+    point, so a canonical labelling tries one start, and v = (1,2)(3,5)."""
+    h = [1] + list(range(3, n + 1)) + [2]
+    v = list(range(1, n + 1))
+    v[0], v[1], v[2], v[4] = 2, 1, 5, 3
+    return Origami(Permutation(h), Permutation(v))
+
+
 @pytest.fixture
 def l3():
     return fixture_origami("l3")

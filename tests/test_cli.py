@@ -9,7 +9,7 @@ from origami_lab import cli
 from origami_lab.origami import load_origami
 from origami_lab.simplicity import NotFound, certify_simplicity
 
-from conftest import fixture_origami, fixture_path
+from conftest import fixture_origami, fixture_path, large_origami
 
 
 def run(capsys, argv):
@@ -290,6 +290,38 @@ def test_ekz_w_multiplicity(capsys):
     )
     assert payload["total"] == {"num": 3, "den": 1}
     assert payload["w_exponent"] == {"num": 1, "den": 6}
+
+
+def test_ekz_w_multiplicity_is_positive_or_off(capsys):
+    code, out, err = run(capsys, ["ekz", fixture_path("l3"), "--w-multiplicity", "-3"])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "positive integer" in err and err.count("\n") == 1
+    # 0, the default, means no lambda line
+    plain = run(capsys, ["ekz", fixture_path("l3")])
+    assert plain[0] == 0 and "lambda" not in plain[1]
+    assert run(capsys, ["ekz", fixture_path("l3"), "--w-multiplicity", "0"]) == plain
+
+
+@pytest.fixture(scope="module")
+def surface_past_orbit_bound(tmp_path_factory):
+    """A file holding a surface on 65,537 squares, one more than an orbit
+    graph holds."""
+    from origami_lab.origami import save_origami
+
+    path = tmp_path_factory.mktemp("large") / "large.txt"
+    save_origami(large_origami(65537), str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command",
+    (["orbit"], ["veech"], ["ekz"], ["kz", "T"], ["mc", "--seed", "1", "--steps", "10"], ["simplicity"]),
+    ids=lambda c: c[0],
+)
+def test_orbit_commands_reject_more_than_65536_squares(capsys, surface_past_orbit_bound, command):
+    code, out, err = run(capsys, [command[0], surface_past_orbit_bound] + command[1:])
+    assert code == 1 and out == ""
+    assert err == "error: orbit graphs hold at most 65536 squares, not 65537\n"
 
 
 def test_mc(capsys):

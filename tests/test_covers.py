@@ -49,6 +49,18 @@ def test_bad_group_table_rejected():
         FiniteGroupTable(order=2, table=((0, 1), (1, 1)), identity=0)
 
 
+def test_group_table_associativity_checked_past_order_16():
+    from origami_lab.covers import FiniteGroupTable
+
+    table = [[(a + b) % 17 for b in range(17)] for a in range(17)]
+    assert FiniteGroupTable(order=17, table=table, identity=0).mul(16, 2) == 1
+    # Z/17 with two entries of row 1 swapped keeps its identity and
+    # inverses, but (1 * 1) * 1 = 3 while 1 * (1 * 1) = 4
+    table[1][2], table[1][3] = table[1][3], table[1][2]
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroupTable(order=17, table=table, identity=0)
+
+
 def test_trivial_cover_is_relabeling(l3):
     cover = group_cover(l3, EdgeCocycle(trivial_group(), (0, 0, 0), (0, 0, 0)))
     assert canonical_form(cover).origami == canonical_form(l3).origami

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from sympy.matrices.normalforms import invariant_factors
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -39,20 +40,26 @@ def test_det_and_rank():
 
 def test_smith_normal_form_diagonalizes():
     rng = random.Random(5)
-    for _ in range(20):
-        n, m = rng.randint(1, 4), rng.randint(1, 4)
-        a = random_int_matrix(rng, n, m)
-        d, u, v = la.smith_normal_form(a)
-        assert la.mat_eq(la.mat_mul(u, la.mat_mul(a, v)), d)
-        assert abs(det(u)) == 1 and abs(det(v)) == 1
-        divisors = [d[i][i] for i in range(min(n, m)) if d[i][i] != 0]
-        for x, y in zip(divisors, divisors[1:]):
+    cases = [[[0, 0, 0], [0, 0, 0]]]
+    for _ in range(40):
+        # a product through k columns has rank at most k, so often a kernel
+        n, k, m = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        cases.append(la.mat_mul(random_int_matrix(rng, n, k), random_int_matrix(rng, k, m)))
+    for a in cases:
+        n, m = len(a), len(a[0])
+        d, v = la.smith_normal_form(a)
+        assert all(d[i][j] == 0 for i in range(n) for j in range(m) if i != j)
+        diagonal = [d[i][i] for i in range(min(n, m))]
+        r = sum(1 for x in diagonal if x != 0)
+        assert all(x > 0 for x in diagonal[:r]) and not any(diagonal[r:])
+        for x, y in zip(diagonal[:r], diagonal[1:r]):
             assert y % x == 0
-        # off-diagonal zero
-        for i in range(n):
-            for j in range(m):
-                if i != j:
-                    assert d[i][j] == 0
+        assert abs(det(v)) == 1
+        # the last m - r columns of v lie in the kernel, and span it as v is unimodular
+        av = la.mat_mul(a, v)
+        assert all(av[i][j] == 0 for i in range(n) for j in range(r, m))
+        expected = [int(x) for x in invariant_factors(sympy.Matrix(a)) if x != 0]
+        assert diagonal[:r] == expected
 
 
 def test_kernel_basis():

@@ -44,6 +44,13 @@ def test_ltilde_sum_and_lambda(ltilde):
     assert w_exponent_from_sum(report) == Fraction(1, 6)
 
 
+@pytest.mark.parametrize("multiplicity", [0, -3, 2.0, True, "4"])
+def test_w_exponent_needs_a_positive_int_multiplicity(multiplicity):
+    report = SimpleNamespace(total=Fraction(3))
+    with pytest.raises(ValueError, match="positive integer"):
+        w_exponent_from_sum(report, multiplicity)
+
+
 def test_combinatorial_term_h4():
     assert combinatorial_term(Stratum((4,), 3)) == Fraction(1, 12) * Fraction(24, 5)
 

@@ -11,9 +11,10 @@ from origami_lab.orbit import (
     veech_generators,
     veech_index,
 )
-from origami_lab.origami import canonical_form
+from origami_lab.origami import Origami, canonical_form
+from origami_lab.perm import Permutation
 
-from conftest import apply_letter_raw, fixture_origami
+from conftest import apply_letter_raw, fixture_origami, large_origami
 
 T_MAT = ((1, 1), (0, 1))
 S_MAT = ((1, 0), (1, 1))
@@ -106,3 +107,13 @@ def test_sl2z_word_round_trip():
 def test_sl2z_word_rejects_non_unimodular():
     with pytest.raises(ValueError):
         sl2z_word(((2, 0), (0, 1)))
+
+
+def test_orbit_graph_holds_at_most_65536_squares():
+    o = large_origami(65536)
+    h, v = sl2z_orbit(o).tables(0)
+    assert canonical_form(o).origami == Origami(
+        Permutation([x + 1 for x in h]), Permutation([x + 1 for x in v])
+    )
+    with pytest.raises(ValueError, match="at most 65536 squares"):
+        sl2z_orbit(large_origami(65537))

@@ -10,9 +10,14 @@ chosen subset.  The staircase loops of the pool may visit a square more
 than once, so the pool uses the full phi = ind + 1 + D of
 ``crossing_oracle``; ``spin.phi_of_path`` accepts simple loops only, and
 the loops it sees are checked to be simple.
+
+The oracle for ``arf_from_data`` is a brute-force count over all 2^n
+classes: the Arf invariant is 1 exactly when q is 1 on more than half of
+them.
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -342,3 +347,53 @@ def test_quadratic_form_check_catches_a_wrong_phi(monkeypatch):
     monkeypatch.setattr(spin, "phi_of_path", lambda o, p: real_phi(o, p) ^ (p == wrong))
     with pytest.raises(AssertionError, match="not well defined"):
         quadratic_form_data(o)
+
+
+# ---------------------------------------------------------------------------
+# The Arf invariant against a brute-force count
+
+
+def brute_force_arf(phi, gram):
+    """1 exactly when q is 1 on more than half of the 2^n classes, with q
+    of every class from the quadratic relation
+    q(c + e_i) = q(c) + phi_i + <c, e_i>."""
+    n = len(phi)
+    q = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        i = mask.bit_length() - 1
+        rest = mask ^ (1 << i)
+        q[mask] = (q[rest] + phi[i] + sum(gram[i][j] for j in range(i) if rest >> j & 1)) % 2
+    return int(2 * sum(q) > len(q))
+
+
+def random_nondegenerate_form(rng, n):
+    """Random phi on n = 2k classes and G = P^T J0 P mod 2, with P a
+    random invertible F2 matrix and J0 the standard symplectic form."""
+    while True:
+        p = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
+        if f2_rank(p) == n:
+            break
+    j0 = [[int(abs(i - j) == 1 and min(i, j) % 2 == 0) for j in range(n)] for i in range(n)]
+    gram = [[x % 2 for x in row] for row in la.mat_mul(la.transpose(p), la.mat_mul(j0, p))]
+    return [rng.randint(0, 1) for _ in range(n)], gram
+
+
+def test_arf_matches_brute_force_on_random_forms():
+    rng = random.Random(22)
+    for _ in range(400):
+        n = 2 * rng.randint(1, 5)
+        phi, gram = random_nondegenerate_form(rng, n)
+        data = QuadraticFormData(la.identity_matrix(n), phi, gram)
+        assert arf_from_data(data) == brute_force_arf(phi, gram)
+
+
+@pytest.mark.parametrize("name", ("l3", "dema", "mstar", "mstarstar", "mbar_star"))
+def test_arf_matches_brute_force_on_fixtures(name):
+    data = quadratic_form_data(fixture_origami(name))
+    assert arf_from_data(data) == brute_force_arf(data.phi_values, data.intersection_mod2)
+
+
+def test_arf_rejects_a_degenerate_form():
+    zero = QuadraticFormData(la.identity_matrix(2), [1, 1], [[0, 0], [0, 0]])
+    with pytest.raises(ValueError, match="degenerate"):
+        arf_from_data(zero)
