@@ -3,9 +3,9 @@ Exact integer and rational linear algebra.
 
 Matrices are lists of lists (row major) over ``int`` or
 ``fractions.Fraction``; nothing here ever touches floating point.  This is
-the substrate for integral homology (Smith normal form, saturated kernels)
-and for the exact cocycle computations (integer inverses, characteristic
-polynomials, Lie brackets).
+the substrate for integral homology (saturated kernels by unimodular
+column elimination) and for the exact cocycle computations (integer
+inverses, characteristic polynomials, Lie brackets).
 
 The inverse and the characteristic polynomial run in integers, after
 scaling rational rows to integers: ``int_inverse`` by Bareiss
@@ -84,92 +84,57 @@ def rank(a):
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form and integral lattices
-
-
-def smith_normal_form(a):
-    """Return (d, v) with d = u @ a @ v diagonal, d[i][i] dividing
-    d[i+1][i+1], and u, v unimodular; u is not built, and v comes from
-    the column operations alone."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    d = [[int(x) for x in row] for row in a]
-    v = identity_matrix(n)
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_col(i, j, c):
-        # col i += c * col j
-        for row in d:
-            row[i] += c * row[j]
-        for row in v:
-            row[i] += c * row[j]
-
-    t = 0
-    while t < min(m, n):
-        # locate a nonzero entry of minimal absolute value in the submatrix
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = d[i][j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        d[t], d[pivot[0]] = d[pivot[0]], d[t]
-        swap_cols(t, pivot[1])
-        while True:
-            # clear column t
-            dirty = False
-            for i in range(t + 1, m):
-                if d[i][t] != 0:
-                    q = d[i][t] // d[t][t]
-                    d[i] = [x - q * y for x, y in zip(d[i], d[t])]
-                    if d[i][t] != 0:
-                        d[t], d[i] = d[i], d[t]
-                        dirty = True
-            for j in range(t + 1, n):
-                if d[t][j] != 0:
-                    q = d[t][j] // d[t][t]
-                    add_col(j, t, -q)
-                    if d[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            # pivot must divide every remaining entry
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if d[i][j] % d[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            d[t] = [x + y for x, y in zip(d[t], d[offender])]
-        if d[t][t] < 0:
-            d[t] = [-x for x in d[t]]
-        t += 1
-    return d, v
+# Integral kernels
 
 
 def kernel_basis(a):
-    """Saturated integral basis of {x : a @ x = 0}, as a list of columns."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if m == 0 or n == 0:
-        return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    d, v = smith_normal_form(a)
-    r = sum(1 for i in range(min(m, n)) if d[i][i] != 0)
-    return [[v[i][j] for i in range(n)] for j in range(r, n)]
+    """Saturated integral basis of {x : a @ x = 0}, as a list of columns.
+
+    Column echelon form by unimodular column operations on a, its rows
+    scaled to integers (which keeps the kernel), stacked over v = identity.
+    Step t pivots on the first entry in row-major order of least absolute
+    value among rows >= t and columns >= t (so the scan ends at a row with
+    a +-1), swaps it to (t, t), and clears the rest of row t by Euclid:
+    subtract q times column t, swap a nonzero remainder into column t, and
+    repeat.  Row operations would not change v, so the pivot row swap is
+    the only one.  The echelon form is zero past the last pivot, so the
+    same columns of v, unimodular, are the basis."""
+    w = _integral_rows(a)[0]
+    m = len(w)
+    n = len(w[0]) if m else 0
+    w += identity_matrix(n)
+
+    def swap_cols(i, j):
+        for row in w:
+            row[i], row[j] = row[j], row[i]
+
+    t = 0
+    while t < min(m, n):
+        pivot = None
+        for i in range(t, m):
+            for j in range(t, n):
+                x = abs(w[i][j])
+                if x and (pivot is None or x < pivot[0]):
+                    pivot = (x, i, j)
+            if pivot and pivot[0] == 1:
+                break
+        if pivot is None:
+            break
+        w[t], w[pivot[1]] = w[pivot[1]], w[t]
+        swap_cols(t, pivot[2])
+        dirty = True
+        while dirty:
+            dirty = False
+            for j in range(t + 1, n):
+                if w[t][j]:
+                    q = w[t][j] // w[t][t]
+                    for row in w:
+                        row[j] -= q * row[t]
+                    if w[t][j]:
+                        swap_cols(t, j)
+                        dirty = True
+        t += 1
+    return [[row[j] for row in w[m:]] for j in range(t, n)]
 
 
 # ---------------------------------------------------------------------------

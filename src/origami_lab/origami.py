@@ -299,13 +299,12 @@ def automorphisms(o):
 
     Each candidate image of square 1 is propagated through the action;
     consistent bijective assignments form a group containing the identity.
+    ``propagate_square_map`` pops every square once and checks
+    tau(g(s)) = g(tau(s)) for g = h and v before it returns a bijection,
+    so each map it returns already commutes with h and v.
     """
-    out = []
-    for target in range(1, o.degree + 1):
-        perm = propagate_square_map(target, ((o.h, o.h), (o.v, o.v)))
-        if perm is not None and conjugate(o.h, perm) == o.h and conjugate(o.v, perm) == o.v:
-            out.append(perm)
-    return out
+    maps = (propagate_square_map(t, ((o.h, o.h), (o.v, o.v))) for t in range(1, o.degree + 1))
+    return [perm for perm in maps if perm is not None]
 
 
 def automorphism_count(o):

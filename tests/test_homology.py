@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ from origami_lab import homology
 from origami_lab import intlinalg as la
 from origami_lab.homology import (
     Homology,
+    KzContext,
     chain_complex,
     isotypical_W,
     kz_context,
@@ -18,10 +20,10 @@ from origami_lab.homology import (
     unipotent_log,
 )
 from origami_lab.orbit import Sl2zWord, veech_generators
-from origami_lab.origami import automorphisms, genus
+from origami_lab.origami import automorphisms, canonical_form, central_involution, genus
 from origami_lab.perm import Permutation
 
-from conftest import fixture_origami
+from conftest import fixture_origami, random_origamis
 from inverse_oracle import det
 
 SMALL_FIXTURES = ("l3", "mstar", "dema", "ew")
@@ -254,3 +256,31 @@ def test_chain_map_check_rejects_a_flipped_coefficient(dema, letter):
     edges[k] = [(e, -c), other]
     with pytest.raises(AssertionError, match="not a chain map"):
         homology._homology_map(hs, ht, edges, cell)
+
+
+def subspace_bases(ctx, nodes):
+    """(node, subspace, basis) over ``nodes`` for H1_zero, and for W where
+    the surface has a central involution."""
+    subspaces = ["H1_zero"]
+    try:
+        central_involution(ctx.graph.nodes[0])
+    except ValueError:
+        pass
+    else:
+        subspaces.append("W")
+    return [(node, sub, ctx.basis(node, sub)) for node in nodes for sub in subspaces]
+
+
+def test_subspace_bases_are_pinned():
+    # the bases fix the coordinates of kz --zero and mc --subspace, so a
+    # change of kernel_basis must keep them byte for byte; the contexts are
+    # fresh, as a shared one numbers its nodes in the order walks reach them
+    fixtures = hashlib.sha256()
+    for name in ("l3", "mstar", "mstarstar", "mbar_star", "dema", "ew", "ltilde"):
+        ctx = KzContext(canonical_form(fixture_origami(name)).origami)
+        fixtures.update(repr((name, subspace_bases(ctx, range(len(ctx.graph.nodes))))).encode())
+    randoms = hashlib.sha256()
+    for o in random_origamis(60, seed=3, degrees=(3, 9)):
+        randoms.update(repr(subspace_bases(KzContext(canonical_form(o).origami), [0])).encode())
+    assert fixtures.hexdigest() == "cb15897748e0074802d9cadce357eb9a6fa2daa7561f79e1b38c261cd900e92d"
+    assert randoms.hexdigest() == "4af2be4dff0e3015f125001e9d0b7aedf150584fb6b5efdef51611be321f03f9"

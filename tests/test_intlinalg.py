@@ -1,4 +1,5 @@
 import random
+import signal
 from fractions import Fraction
 
 import numpy as np
@@ -38,28 +39,43 @@ def test_det_and_rank():
     assert la.rank(la.identity_matrix(4)) == 4
 
 
-def test_smith_normal_form_diagonalizes():
-    rng = random.Random(5)
-    cases = [[[0, 0, 0], [0, 0, 0]]]
-    for _ in range(40):
-        # a product through k columns has rank at most k, so often a kernel
-        n, k, m = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
-        cases.append(la.mat_mul(random_int_matrix(rng, n, k), random_int_matrix(rng, k, m)))
+def check_kernel(a):
+    """kernel_basis(a) is a saturated basis of the kernel: a x = 0 for each
+    column x, there are n - rank of them (rank by sympy), and the n x k
+    matrix of the columns has every nonzero invariant factor 1."""
+    n = len(a[0]) if a else 0
+    cols = la.kernel_basis(a)
+    for x in cols:
+        assert all(sum(Fraction(c) * y for c, y in zip(row, x)) == 0 for row in a)
+    assert len(cols) == n - sympy.Matrix(a).rank()
+    if cols:
+        assert set(invariant_factors(sympy.Matrix(la.transpose(cols)))) <= {0, 1}
+
+
+def random_products(seed, count, most):
+    """Products of random int matrices up to ``most`` x ``most``: a product
+    through k columns has rank at most k, so it often has a kernel."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n, k, m = (rng.randint(1, most) for _ in range(3))
+        out.append(la.mat_mul(random_int_matrix(rng, n, k), random_int_matrix(rng, k, m)))
+    return out
+
+
+def test_kernel_basis_is_saturated_and_full():
+    cases = [
+        [[0, 0, 0], [0, 0, 0]],
+        [],
+        [[2, -4, 6]],
+        [[0, 3, 5, 7]],
+        [[2], [4], [-6]],
+        [[0], [0]],
+        [[1, 2], [3, 4], [5, 6]],
+    ]
+    cases += random_products(5, 40, 4) + random_products(23, 60, 8)
     for a in cases:
-        n, m = len(a), len(a[0])
-        d, v = la.smith_normal_form(a)
-        assert all(d[i][j] == 0 for i in range(n) for j in range(m) if i != j)
-        diagonal = [d[i][i] for i in range(min(n, m))]
-        r = sum(1 for x in diagonal if x != 0)
-        assert all(x > 0 for x in diagonal[:r]) and not any(diagonal[r:])
-        for x, y in zip(diagonal[:r], diagonal[1:r]):
-            assert y % x == 0
-        assert abs(det(v)) == 1
-        # the last m - r columns of v lie in the kernel, and span it as v is unimodular
-        av = la.mat_mul(a, v)
-        assert all(av[i][j] == 0 for i in range(n) for j in range(r, m))
-        expected = [int(x) for x in invariant_factors(sympy.Matrix(a)) if x != 0]
-        assert diagonal[:r] == expected
+        check_kernel(a)
 
 
 def test_kernel_basis():
@@ -70,6 +86,43 @@ def test_kernel_basis():
         assert all(
             sum(a[i][j] * col[j] for j in range(3)) == 0 for i in range(2)
         )
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        [[Fraction(1, 2), 1]],
+        [[Fraction(1, 3), Fraction(2, 3), 1], [0, 1, Fraction(1, 2)]],
+    ],
+)
+def test_kernel_basis_clears_denominators(a):
+    # rows are scaled to integers, not truncated
+    check_kernel(a)
+
+
+def test_kernel_basis_finishes_on_a_7x5_matrix():
+    # all invariant factors 1, yet Euclid by interleaved row and column
+    # passes (a Smith normal form) grows these entries past 30 M bits
+    a = [
+        [13, 3, -3, -1, -7],
+        [-3, 3, -5, 18, 2],
+        [-4, 1, -4, -21, 6],
+        [-5, 1, -6, -7, 2],
+        [4, 2, 2, -6, -7],
+        [-2, 2, -15, -10, -8],
+        [-5, -17, -5, 4, 10],
+    ]
+
+    def late(signum, frame):
+        raise TimeoutError("kernel_basis ran past its 2 s budget")
+
+    previous = signal.signal(signal.SIGALRM, late)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        assert la.kernel_basis(a) == []
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_solve_right_and_invert():

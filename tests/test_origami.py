@@ -4,6 +4,7 @@ import pytest
 
 from origami_lab.origami import (
     Origami,
+    automorphism_count,
     automorphisms,
     canonical_form,
     corner_permutation,
@@ -16,7 +17,7 @@ from origami_lab.origami import (
 )
 from origami_lab.perm import Permutation, parse_cycles
 
-from conftest import fixture_origami, fixture_path
+from conftest import fixture_origami, fixture_path, random_origamis
 
 
 def random_connected_pair(rng, max_degree=10):
@@ -73,6 +74,17 @@ def test_reducedness():
 def test_automorphism_counts(dema, ew):
     assert len(automorphisms(dema)) == 1
     assert len(automorphisms(ew)) == 8
+
+
+def test_automorphisms_commute_with_h_and_v(ew, ltilde):
+    # automorphisms returns the maps of propagate_square_map unchecked
+    surfaces = [o for o in random_origamis(600, seed=29, degrees=(2, 8)) if automorphism_count(o) > 1]
+    assert len(surfaces) > 100
+    for o in surfaces + [ew, ltilde]:
+        auts = automorphisms(o)
+        assert len({g.images for g in auts}) == len(auts) == automorphism_count(o)
+        for g in auts:
+            assert g * o.h == o.h * g and g * o.v == o.v * g
 
 
 def test_canonical_form_fixed_seed_sweep():
