@@ -5,7 +5,9 @@ Matrices are lists of lists (row major) over ``int`` or
 ``fractions.Fraction``; nothing here ever touches floating point.  This is
 the substrate for integral homology (saturated kernels by unimodular
 column elimination) and for the exact cocycle computations (integer
-inverses, characteristic polynomials, Lie brackets).
+inverses, characteristic polynomials, Lie brackets).  ``mat_mul`` is the
+one matrix product: it runs over the nonzero entries of both factors, as
+the step matrices and intersection forms are mostly zero.
 
 The inverse and the characteristic polynomial run in integers, after
 scaling rational rows to integers: ``int_inverse`` by Bareiss
@@ -48,15 +50,25 @@ def mat_scale(c, a):
 
 
 def mat_mul(a, b):
-    n, k = len(a), len(b)
-    if any(len(row) != k for row in a):
+    """a b, over the nonzero entries of both: each row of b is listed once
+    as (column, value) pairs, and row r of the product adds x row_i(b) for
+    every nonzero x = a[r][i].  Exact over int and Fraction alike; an entry
+    that no nonzero term reaches is the int 0."""
+    n = len(b[0]) if b else 0
+    if any(len(row) != len(b) for row in a):
         raise ValueError("inner dimension mismatch")
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    if any(len(row) != n for row in b):
+        raise ValueError("rows of the right factor differ in length")
+    rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * n
+        for x, pairs in zip(row, rows):
+            if x:
+                for j, y in pairs:
+                    acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 def mat_eq(a, b):

@@ -37,26 +37,20 @@ class CenterPath:
             raise ValueError("steps must be over R, L, U, D")
 
 
-def step_square(o, square, step):
-    if step == "R":
-        return o.h(square)
-    if step == "L":
-        return o.h.inverse()(square)
-    if step == "U":
-        return o.v(square)
-    if step == "D":
-        return o.v.inverse()(square)
-    raise ValueError("bad step %r" % step)
-
-
 def follow(o, path):
     """Squares visited: list of length len(steps); entry j is the square
-    the path occupies before step j.  Raises if the path is not closed."""
+    the path occupies before step j.  Raises if the path is not closed.
+    h^-1 and v^-1 are built once, and only for a path with L or D steps."""
+    moves = {"R": o.h, "U": o.v}
+    if "L" in path.steps:
+        moves["L"] = o.h.inverse()
+    if "D" in path.steps:
+        moves["D"] = o.v.inverse()
     squares = []
     s = path.start
     for st in path.steps:
         squares.append(s)
-        s = step_square(o, s, st)
+        s = moves[st](s)
     if s != path.start:
         raise ValueError("path is not closed")
     return squares
@@ -91,15 +85,16 @@ def path_class_chain(o, path):
     n = o.degree
     chain = [0] * (2 * n)
     squares = follow(o, path)
-    for sq, st in zip(squares, path.steps):
+    # an L or D step from sq lands on h^-1(sq) or v^-1(sq), the next square
+    for sq, nxt, st in zip(squares, squares[1:] + squares[:1], path.steps):
         if st == "R":
             chain[sq - 1] += 1
         elif st == "L":
-            chain[o.h.inverse()(sq) - 1] -= 1
+            chain[nxt - 1] -= 1
         elif st == "U":
             chain[n + sq - 1] += 1
         else:  # D
-            chain[n + o.v.inverse()(sq) - 1] -= 1
+            chain[n + nxt - 1] -= 1
     return chain
 
 

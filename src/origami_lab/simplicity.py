@@ -330,15 +330,11 @@ def _cylinder_witness(ctx, g):
 
 def _image_is_lagrangian(b, form, g):
     """(rank, isotropic, lagrangian) for the image of b - Id."""
-    dim = len(b)
-    bmi = la.mat_sub(b, la.identity_matrix(dim))
-    cols = [[bmi[r][c] for r in range(dim)] for c in range(dim)]
+    bmi = la.mat_sub(b, la.identity_matrix(len(b)))
+    cols = la.transpose(bmi)
     rank = la.rank(cols)
-    isotropic = all(
-        sum(u[r] * form[r][s] * v[s] for r in range(dim) for s in range(dim)) == 0
-        for u in cols
-        for v in cols
-    )
+    gram = la.mat_mul(cols, la.mat_mul(form, bmi))
+    isotropic = all(x == 0 for row in gram for x in row)
     return rank, isotropic, (rank == g - 1 and isotropic)
 
 

@@ -126,8 +126,9 @@ def quadratic_form_data(o):
     basis = la.transpose(hom.dual_coords)
     gram = [[x % 2 for x in row] for row in basis]
     cores = cycle_loops(o)
-    for loop, x in zip(cores, hom.project_many([path_class_chain(o, p) for p in cores])):
-        support = [i for i, c in enumerate(la.mat_vec(hom.intersection, x)) if c % 2]
+    xs = hom.project_many([path_class_chain(o, p) for p in cores])
+    for loop, y in zip(cores, la.transpose(la.mat_mul(hom.intersection, la.transpose(xs)))):
+        support = [i for i, c in enumerate(y) if c % 2]
         if _quadratic_value(phis, gram, support) != phi_of_path(o, loop):
             raise AssertionError("phi is not well defined on homology classes (core loop %r)" % (loop,))
     return QuadraticFormData(basis=basis, phi_values=phis, intersection_mod2=gram)

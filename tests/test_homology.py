@@ -140,6 +140,21 @@ def test_step_matrices_chain_map_and_symplectic(name):
             assert abs(det(m)) == 1
 
 
+@pytest.mark.parametrize("name", SMALL_FIXTURES)
+def test_symplectic_check_can_fail(name):
+    # the identity chain map between two Homologys of one surface passes
+    # M^T J_t M = J_s, and fails once one entry of J_t is changed
+    o = fixture_origami(name)
+    hs, ht = Homology(o), Homology(o)
+    n = o.degree
+    edges, cell = [[(e, 1)] for e in range(2 * n)], list(range(n))
+    assert homology._homology_map(hs, ht, edges, cell) == la.identity_matrix(hs.rank)
+    last = ht.intersection[-1]
+    last[-1] += 2
+    with pytest.raises(AssertionError, match="not symplectic"):
+        homology._homology_map(hs, ht, edges, cell)
+
+
 def test_letter_round_trips_are_inverse():
     ctx = kz_context(fixture_origami("dema"))
     for node in range(len(ctx.graph.nodes)):

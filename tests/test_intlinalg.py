@@ -396,3 +396,96 @@ def test_int_inverse_matches_oracle_on_random_dual_coordinates():
         d = Homology(o).dual_coords
         check_against_oracle(d)
         assert la.int_inverse(d)[1] == 1
+
+
+# ---------------------------------------------------------------------------
+# mat_mul against the dense product it replaced
+
+
+def dense_mat_mul(a, b):
+    """The dense product ``intlinalg.mat_mul`` replaced, kept as its
+    oracle: one dot product of a row of a and a column of b per entry."""
+    if any(len(row) != len(b) for row in a):
+        raise ValueError("inner dimension mismatch")
+    bt = la.transpose(b)
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+@st.composite
+def products(draw, elements):
+    """(a, b) with a n x k and b k x m, 0 <= n, k, m <= 6, entries drawn
+    from ``elements`` or zero (so rows and columns of zeros come up)."""
+    n, k, m = (draw(st.integers(0, 6)) for _ in range(3))
+    entry = st.one_of(st.just(0), elements)
+    a = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=n, max_size=n))
+    b = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=k, max_size=k))
+    return a, b
+
+
+def check_product(a, b):
+    got = la.mat_mul(a, b)
+    assert la.mat_eq(got, dense_mat_mul(a, b))
+    assert len(got) == len(a) and all(len(row) == (len(b[0]) if b else 0) for row in got)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(products(st.one_of(st.integers(-9, 9), st.integers(-(2**64), 2**64))))
+def test_mat_mul_matches_dense_on_int_matrices(ab):
+    check_product(*ab)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    products(
+        st.one_of(
+            st.fractions(-5, 5, max_denominator=6),
+            st.fractions(-(2**45), 2**45, max_denominator=2**41),
+        )
+    )
+)
+def test_mat_mul_matches_dense_on_fraction_matrices(ab):
+    check_product(*ab)
+
+
+@pytest.mark.parametrize(
+    "a,b,want",
+    [
+        ([[0, 0], [1, 2]], [[3, 4], [5, 6]], [[0, 0], [13, 16]]),
+        ([[1, 2], [3, 4]], [[0, 0], [0, 0]], [[0, 0], [0, 0]]),
+        ([[1, 2]], [[0, 7], [0, 0]], [[0, 7]]),
+        ([], [[1, 2], [3, 4]], []),
+        ([[], []], [], [[], []]),
+        ([[1], [2]], [[]], [[], []]),
+        ([[2**40 + 1, -(2**41)]], [[2**43], [3]], [[(2**40 + 1) * 2**43 - 3 * 2**41]]),
+        (
+            [[Fraction(1, 2**40), 0], [0, Fraction(-3, 7)]],
+            [[2**40, Fraction(1, 3)], [0, 14]],
+            [[1, Fraction(1, 3 * 2**40)], [0, -6]],
+        ),
+    ],
+    ids=["zero-row", "zero-right", "one-column", "0xk", "kx0-empty-inner", "kx0", "40-bit", "fractions"],
+)
+def test_mat_mul_edge_cases(a, b, want):
+    assert la.mat_mul(a, b) == want
+    check_product(a, b)
+
+
+@pytest.mark.parametrize("b", [[[1, 2], [3]], [[1], [3, 4]], [[1, 2], []]])
+def test_mat_mul_rejects_a_ragged_right_factor(b):
+    # transpose() would cut every row to the shortest and answer [[7]]
+    with pytest.raises(ValueError, match="differ in length"):
+        la.mat_mul([[1, 2]], b)
+
+
+def test_mat_mul_rejects_an_inner_dimension_mismatch():
+    with pytest.raises(ValueError, match="inner dimension mismatch"):
+        la.mat_mul([[1, 2, 3]], [[1], [2]])
+
+
+@pytest.mark.parametrize("name", [n for n in FIXTURE_NAMES if n != "z6_origami"])
+def test_mat_mul_on_fixture_forms(name):
+    # J D = I, J = D^-1 the intersection form and D the dual coordinates
+    hom = Homology(fixture_origami(name))
+    got = la.mat_mul(hom.intersection, hom.dual_coords)
+    assert got == dense_mat_mul(hom.intersection, hom.dual_coords)
+    assert got == la.identity_matrix(hom.rank)

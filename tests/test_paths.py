@@ -11,6 +11,7 @@ from origami_lab.paths import (
 )
 from origami_lab.perm import Permutation
 
+from conftest import large_origami
 from crossing_oracle import pattern_loops, self_crossings, signed_crossings
 
 
@@ -65,6 +66,62 @@ def test_path_class_chain(l3):
     n = l3.degree
     assert chain[:n] == [1, 1, 0]
     assert chain[n:] == [0, 0, 0]
+
+
+def reference_walk(o, path):
+    """(squares, chain) by the definitions: the squares a path occupies
+    before each step, and its edge chain, where an R or U step at square
+    i adds the bottom edge sigma_i or the left edge zeta_i, and an L or D
+    step subtracts that of h^-1(i) or v^-1(i)."""
+    n = o.degree
+    squares, chain = [], [0] * (2 * n)
+    sq = path.start
+    for st in path.steps:
+        squares.append(sq)
+        if st == "R":
+            chain[sq - 1] += 1
+            sq = o.h(sq)
+        elif st == "L":
+            sq = o.h.inverse()(sq)
+            chain[sq - 1] -= 1
+        elif st == "U":
+            chain[n + sq - 1] += 1
+            sq = o.v(sq)
+        else:
+            sq = o.v.inverse()(sq)
+            chain[n + sq - 1] -= 1
+    assert sq == path.start
+    return squares, chain
+
+
+def test_long_path_builds_each_inverse_once(monkeypatch):
+    # h = (1)(2, ..., 50) and v = (1, 2)(3, 5): from square 2, L^49 and DD
+    # close up, so the path below takes 153 L and D steps
+    o = large_origami(50)
+    path = CenterPath(2, ("L" * 49 + "DD") * 3)
+    squares, chain = reference_walk(o, path)
+    real_inverse = Permutation.inverse
+    calls = []
+
+    def counting_inverse(p):
+        calls.append(p)
+        return real_inverse(p)
+
+    monkeypatch.setattr(Permutation, "inverse", counting_inverse)
+    assert path_class_chain(o, path) == chain
+    assert calls == [o.h, o.v]
+    calls.clear()
+    assert follow(o, path) == squares
+    assert calls == [o.h, o.v]
+    calls.clear()
+    assert path_class_chain(o, CenterPath(1, "R")) == [1] + [0] * 99
+    assert calls == []
+
+
+def test_paths_match_their_definitions(l3, mstar):
+    for o in (l3, mstar, large_origami(9)):
+        for loop in cycle_loops(o) + pattern_loops(o, "LD") + pattern_loops(o, "RDLU"):
+            assert (follow(o, loop), path_class_chain(o, loop)) == reference_walk(o, loop)
 
 
 def test_cycle_and_pattern_loops_close(l3):

@@ -361,3 +361,37 @@ def test_dema_certificate_json_is_unchanged(dema):
         "witness": {"kind": "cylinder", "direction": "", "dim_e": 2, "genus": 3},
     }
     assert certify_simplicity(dema, search_depth=8).dumps() == json.dumps(want, indent=2)
+
+
+def pairwise_isotropic(b, form):
+    """The isotropy test ``_image_is_lagrangian`` replaced, kept as its
+    oracle: u^T F v = 0 for every pair u, v of columns of b - Id."""
+    dim = len(b)
+    cols = [[b[r][c] - (r == c) for r in range(dim)] for c in range(dim)]
+    return all(
+        sum(u[r] * form[r][s] * v[s] for r in range(dim) for s in range(dim)) == 0
+        for u in cols
+        for v in cols
+    )
+
+
+def test_isotropy_test_matches_the_pairwise_loop():
+    # the H1_zero matrices at the basepoint of the two parabolics and of
+    # their product; on mstar the parabolics give isotropic images and
+    # their product does not
+    seen = set()
+    for name in ("dema", "mstar", "mbar_star", "ew"):
+        o = fixture_origami(name)
+        ctx = kz_context(o)
+        form = simplicity._zero_form(ctx)
+        g = genus(o)
+        words = [parabolic_word(o, d).letters for d in ("horizontal", "vertical")]
+        for letters in words + [words[0] + words[1]]:
+            node, b = ctx.word_matrix(Sl2zWord(letters), subspace="H1_zero")
+            assert node == ctx.graph.basepoint
+            rank, isotropic, lagrangian = simplicity._image_is_lagrangian(b, form, g)
+            assert isotropic == pairwise_isotropic(b, form)
+            assert rank == la.rank(la.mat_sub(b, la.identity_matrix(len(b))))
+            assert lagrangian == (rank == g - 1 and isotropic)
+            seen.add(isotropic)
+    assert seen == {True, False}

@@ -336,12 +336,9 @@ def test_quadratic_form_check_catches_a_wrong_phi(monkeypatch):
     hom = Homology(o)
     cores = cycle_loops(o)
     core_coords = hom.project_many([path_class_chain(o, p) for p in cores])
-    involved = {
-        i
-        for x in core_coords
-        for i, c in enumerate(la.mat_vec(hom.intersection, x))
-        if c % 2
-    }
+    # column c of J X^T is the dual-loop coordinate vector J x of core loop c
+    dual = la.mat_mul(hom.intersection, la.transpose(core_coords))
+    involved = {i for i, row in enumerate(dual) if any(c % 2 for c in row)}
     wrong = hom.dual_loops()[min(involved)]
     real_phi = spin.phi_of_path
     monkeypatch.setattr(spin, "phi_of_path", lambda o, p: real_phi(o, p) ^ (p == wrong))
