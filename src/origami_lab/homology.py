@@ -304,20 +304,9 @@ def tautological_split(o_or_hom):
 
 @dataclass(frozen=True)
 class CocycleMatrix:
-    matrix: tuple  # rows of ints: target coords = matrix @ source coords
-    source: object  # canonical Origami
-    target: object
+    matrix: tuple  # rows of ints, in the homology coordinates of the basepoint
     word: Sl2zWord
     ambiguity: tuple = ()  # nontrivial deck matrices, on the matrix's subspace
-
-    def to_json(self):
-        return {
-            "matrix": [list(r) for r in self.matrix],
-            "word": str(self.word),
-            "source": self.source.to_json(),
-            "target": self.target.to_json(),
-            "ambiguity": [[list(r) for r in m] for m in self.ambiguity],
-        }
 
 
 def _edge_map(o, letter, relabel):
@@ -565,8 +554,6 @@ def kz_matrix(o, word, subspace="full"):
         raise ValueError("word %s does not return to the basepoint" % word)
     return CocycleMatrix(
         matrix=tuple(tuple(row) for row in total),
-        source=ctx.graph.nodes[ctx.graph.basepoint],
-        target=ctx.graph.nodes[end],
         word=word,
         ambiguity=ctx.aut_matrices(ctx.graph.basepoint, subspace),
     )

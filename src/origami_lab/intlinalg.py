@@ -5,18 +5,18 @@ Matrices are lists of lists (row major) over ``int`` or
 ``fractions.Fraction``; nothing here ever touches floating point.  This is
 the substrate for integral homology (saturated kernels by unimodular
 column elimination) and for the exact cocycle computations (integer
-inverses, characteristic polynomials, Lie brackets).  ``mat_mul`` is the
-one matrix product: it runs over the nonzero entries of both factors, as
+inverses, characteristic polynomials, Lie brackets).  ``mat_mul`` (the
+one matrix product) and ``charpoly`` run over nonzero entries only, as
 the step matrices and intersection forms are mostly zero.
 
-The inverse and the characteristic polynomial run in integers, after
-scaling rational rows to integers: ``int_inverse`` by Bareiss
-fraction-free elimination, whose divisions are all exact, as Gauss-Jordan
-on sparse rows, pivoting on the least entry of each column so that the
-unimodular dual-coordinate matrix of ``homology`` reduces on unit pivots;
-``charpoly`` by Berkowitz's division-free recursion, which serves int and
-Fraction input alike.  There is no rational solve: rank and spans share
-one rational elimination, ``RationalSpan``.
+``int_inverse`` runs in integers, after scaling rational rows to
+integers, by Bareiss fraction-free elimination, whose divisions are all
+exact, as Gauss-Jordan on sparse rows, pivoting on the least entry of
+each column so that the unimodular dual-coordinate matrix of
+``homology`` reduces on unit pivots.  ``charpoly`` is Berkowitz's
+division-free recursion, which serves int and Fraction input alike.
+There is no rational solve: rank and spans share one rational
+elimination, ``RationalSpan``.
 """
 
 from __future__ import annotations
@@ -247,20 +247,31 @@ def charpoly(a):
     Berkowitz's division-free recursion (Inf. Proc. Letters 18, 1984) over
     the leading principal submatrices: with a_k = [[M, C], [R, d]] and
     q_j = R M^j C, the coefficients e of a_k follow from those c of M by
-    e_t = c_t - d c_(t-1) - sum_(j <= t-2) q_j c_(t-2-j).  Exact over int
-    and Fraction alike; integral coefficients are returned as ints.
+    e_t = c_t - d c_(t-1) - sum_(j <= t-2) q_j c_(t-2-j).  It runs over
+    nonzero entries only: M is kept as the (column, value) pairs of each
+    row, one column longer per step, and R M^j is formed as ``mat_mul``
+    forms a product, adding y row_i(M) for every nonzero y = (R M^(j-1))_i.
+    Exact over int and Fraction alike; integral coefficients are returned
+    as ints.
     """
-    n = _check_square(a)
+    _check_square(a)
     a = [[x if type(x) is int else Fraction(x) for x in row] for row in a]
+    block = []  # rows of M as their nonzero (column, value) pairs
     coeffs = [1]
-    for k in range(n):
-        col = [a[i][k] for i in range(k)]
+    for k, row in enumerate(a):
+        col = [(i, r[k]) for i, r in enumerate(a[:k]) if r[k]]  # C
+        u = row[:k]  # R M^j
         q = []
         for j in range(k):
             if j:
-                col = [sum(x * y for x, y in zip(a[i], col)) for i in range(k)]
-            q.append(sum(x * y for x, y in zip(a[k], col)))
-        d = a[k][k]
+                nxt = [0] * k
+                for y, pairs in zip(u, block):
+                    if y:
+                        for c, x in pairs:
+                            nxt[c] += y * x
+                u = nxt
+            q.append(sum([u[i] * x for i, x in col]))
+        d = row[k]
         c = coeffs + [0]
         coeffs = [
             c[t]
@@ -268,6 +279,9 @@ def charpoly(a):
             - sum(q[j] * c[t - 2 - j] for j in range(t - 1))
             for t in range(k + 2)
         ]
+        for i, x in col:
+            block[i].append((k, x))
+        block.append([(j, x) for j, x in enumerate(row[: k + 1]) if x])
     return [c if type(c) is int or c.denominator != 1 else int(c) for c in coeffs]
 
 

@@ -31,9 +31,10 @@ from .perm import (
     Permutation,
     compose,
     conjugate,
+    cycles_permutation,
     identity,
     is_transitive,
-    parse_cycles,
+    read_cycles,
     render_cycles,
 )
 
@@ -488,12 +489,15 @@ def parse_origami_text(text):
     else:
         v_text = body[mv.end() : mh.start()]
         h_text = body[mh.end() :]
-    h = parse_cycles(h_text, degree_hint)
-    v = parse_cycles(v_text, degree_hint)
-    if h.degree != v.degree:
-        d = max(h.degree, v.degree)
-        h = parse_cycles(h_text, d)
-        v = parse_cycles(v_text, d)
+    h_cycles, h_degree = read_cycles(h_text, degree_hint)
+    v_cycles, v_degree = read_cycles(v_text, degree_hint)
+    degree = max(h_degree, v_degree)
+    # a square that no cycle mentions is fixed by both h and v; refusing
+    # that before any image table is built bounds the tables by the text
+    if degree > 1 and degree > len({s for cyc in h_cycles + v_cycles for s in cyc}):
+        raise ValueError("the pair (h, v) is not transitive: surface disconnected")
+    h = cycles_permutation(h_cycles, degree)
+    v = cycles_permutation(v_cycles, degree)
     return Origami(h, v, label)
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 _DIRS = {"R": (1, 0), "L": (-1, 0), "U": (0, 1), "D": (0, -1)}
-_OPPOSITE = {"R": "L", "L": "R", "U": "D", "D": "U"}
 
 
 @dataclass(frozen=True)
@@ -56,30 +55,6 @@ def follow(o, path):
     return squares
 
 
-def reduce_path(path):
-    """Cancel adjacent inverse step pairs, cyclically, to a non-backtracking
-    path.  Returns None if everything cancels."""
-    steps = list(path.steps)
-    changed = True
-    while changed and steps:
-        changed = False
-        i = 0
-        while i < len(steps) - 1:
-            if steps[i + 1] == _OPPOSITE[steps[i]]:
-                del steps[i : i + 2]
-                changed = True
-                i = max(i - 1, 0)
-            else:
-                i += 1
-        if len(steps) >= 2 and steps[0] == _OPPOSITE[steps[-1]]:
-            del steps[-1]
-            del steps[0]
-            changed = True
-    if not steps:
-        return None
-    return CenterPath(path.start, "".join(steps))
-
-
 def path_class_chain(o, path):
     """Homology representative as an edge chain (length 2N)."""
     n = o.degree
@@ -100,10 +75,8 @@ def path_class_chain(o, path):
 
 def winding_index(o, path):
     """(left turns - right turns) / 4 over consecutive steps including the
-    wrap-around; the division must be exact."""
-    path = reduce_path(path)
-    if path is None:
-        raise ValueError("path reduces to nothing")
+    wrap-around, of the path as given; the division must be exact.  A step
+    followed by its inverse raises."""
     follow(o, path)  # closure check
     total = 0
     steps = path.steps
@@ -111,7 +84,7 @@ def winding_index(o, path):
         d1, d2 = _DIRS[s1], _DIRS[s2]
         cross = d1[0] * d2[1] - d1[1] * d2[0]
         if cross == 0 and d1 != d2:
-            raise ValueError("backtracking pair %s%s in a reduced path" % (s1, s2))
+            raise ValueError("backtracking pair %s%s" % (s1, s2))
         total += cross
     if total % 4 != 0:
         raise ValueError("turn sum %d is not divisible by 4" % total)

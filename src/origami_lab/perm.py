@@ -172,6 +172,12 @@ def parse_cycles(text, degree_hint=None):
     points; the degree is the larger of the maximal symbol and
     ``degree_hint``.
     """
+    return cycles_permutation(*read_cycles(text, degree_hint))
+
+
+def read_cycles(text, degree_hint=None):
+    """(cycles, degree) of a cycle text as ``parse_cycles`` reads it, each
+    cycle a list of symbols: checked, but with no image table built."""
     compact = "".join(text.split())
     cycles = []
     pos = 0
@@ -204,6 +210,11 @@ def parse_cycles(text, degree_hint=None):
         degree = max(degree, degree_hint)
     if degree == 0:
         raise ValueError("empty cycle text with no degree hint")
+    return cycles, degree
+
+
+def cycles_permutation(cycles, degree):
+    """The permutation of 1..degree with the given disjoint cycles."""
     images = list(range(1, degree + 1))
     for cyc in cycles:
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):

@@ -1,5 +1,6 @@
-r"""The crossing engine that ``paths`` used to carry, kept as a test oracle
-for the intersection form and for phi on loops that are not simple.
+r"""The crossing engine and the path reduction that ``paths`` used to
+carry, kept as a test oracle for the intersection form and for phi on
+loops that are not simple.
 
 Closed center paths are put in general position by a deterministic
 perturbation: every edge crossing event gets a distinct integer rank
@@ -18,8 +19,35 @@ any closed center path.  ``spin.phi_of_path`` evaluates it only on paths
 that visit every square at most once, where D = 0.
 """
 
-from origami_lab.paths import _DIRS, CenterPath, follow, reduce_path, winding_index
+from origami_lab.paths import _DIRS, CenterPath, follow, winding_index
 from origami_lab.perm import compose, identity
+
+
+_OPPOSITE = {"R": "L", "L": "R", "U": "D", "D": "U"}
+
+
+def reduce_path(path):
+    """Cancel adjacent inverse step pairs, cyclically, to a non-backtracking
+    path.  Returns None if everything cancels."""
+    steps = list(path.steps)
+    changed = True
+    while changed and steps:
+        changed = False
+        i = 0
+        while i < len(steps) - 1:
+            if steps[i + 1] == _OPPOSITE[steps[i]]:
+                del steps[i : i + 2]
+                changed = True
+                i = max(i - 1, 0)
+            else:
+                i += 1
+        if len(steps) >= 2 and steps[0] == _OPPOSITE[steps[-1]]:
+            del steps[-1]
+            del steps[0]
+            changed = True
+    if not steps:
+        return None
+    return CenterPath(path.start, "".join(steps))
 
 
 def _chords(o, paths):

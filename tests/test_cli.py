@@ -541,10 +541,14 @@ def test_oversized_repeat_count_is_a_domain_error(capsys, tmp_path, argv):
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
-def _disconnected(tmp_path):
-    path = tmp_path / "disconnected.txt"
-    path.write_text("h = (1,2)(3,4)\nv = (1,2)(3,4)\n")
+def _origami_file(tmp_path, text):
+    path = tmp_path / "origami.txt"
+    path.write_text(text)
     return str(path)
+
+
+def _disconnected(tmp_path):
+    return _origami_file(tmp_path, "h = (1,2)(3,4)\nv = (1,2)(3,4)\n")
 
 
 DISCONNECTED = "the pair (h, v) is not transitive: surface disconnected"
@@ -560,8 +564,25 @@ DISCONNECTED = "the pair (h, v) is not transitive: surface disconnected"
             lambda tmp: _verify_edited(tmp, "origami", "h_images", [1] * 8),
             "images (1, 1, 1, 1, 1, 1, 1, 1) are not a bijection of 1..8",
         ),
+        # more squares than symbols: rejected before a table of 10^12
+        # images is built
+        (
+            lambda tmp: ["info", _origami_file(tmp, "n = 1000000000000\nh = (1,2)\nv = (1,2)\n")],
+            DISCONNECTED,
+        ),
+        (
+            lambda tmp: ["info", _origami_file(tmp, "h = (1,1000000000000)\nv = (1,2)\n")],
+            DISCONNECTED,
+        ),
     ],
-    ids=["info-disconnected", "orbit-disconnected", "kz-disconnected", "verify-non-bijective"],
+    ids=[
+        "info-disconnected",
+        "orbit-disconnected",
+        "kz-disconnected",
+        "verify-non-bijective",
+        "info-huge-degree",
+        "info-huge-symbol",
+    ],
 )
 def test_invalid_surface_is_rejected_with_one_line(capsys, tmp_path, argv, message):
     assert run(capsys, argv(tmp_path)) == (1, "", "error: %s\n" % message)

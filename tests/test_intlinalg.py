@@ -489,3 +489,174 @@ def test_mat_mul_on_fixture_forms(name):
     got = la.mat_mul(hom.intersection, hom.dual_coords)
     assert got == dense_mat_mul(hom.intersection, hom.dual_coords)
     assert got == la.identity_matrix(hom.rank)
+
+
+# ---------------------------------------------------------------------------
+# charpoly against the dense Berkowitz loop it replaced
+
+
+def dense_charpoly(a):
+    """The dense Berkowitz loop ``intlinalg.charpoly`` replaced, kept as its
+    oracle: M^j C and R M^j C by dot products over whole rows of the
+    leading block a_k = [[M, C], [R, d]]."""
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix must be square")
+    a = [[x if type(x) is int else Fraction(x) for x in row] for row in a]
+    coeffs = [1]
+    for k in range(n):
+        col = [a[i][k] for i in range(k)]
+        q = []
+        for j in range(k):
+            if j:
+                col = [sum(x * y for x, y in zip(a[i], col)) for i in range(k)]
+            q.append(sum(x * y for x, y in zip(a[k], col)))
+        d = a[k][k]
+        c = coeffs + [0]
+        coeffs = [
+            c[t]
+            - (d * c[t - 1] if t else 0)
+            - sum(q[j] * c[t - 2 - j] for j in range(t - 1))
+            for t in range(k + 2)
+        ]
+    return [c if type(c) is int or c.denominator != 1 else int(c) for c in coeffs]
+
+
+def random_matrix(rng, n, density, bits, fractions=False):
+    """n x n with each entry nonzero with probability ``density``, of up to
+    ``bits`` bits, over a denominator up to 6 for ``fractions``."""
+
+    def entry():
+        if rng.random() >= density:
+            return 0
+        x = rng.choice((-1, 1)) * rng.randint(1, 2**bits)
+        return Fraction(x, rng.randint(1, 6)) if fractions else x
+
+    return [[entry() for _ in range(n)] for _ in range(n)]
+
+
+def with_zero_lines(rng, a):
+    """a with a random row and a random column set to zero."""
+    n = len(a)
+    i, j = rng.randrange(n), rng.randrange(n)
+    a[i] = [0] * n
+    for row in a:
+        row[j] = 0
+    return a
+
+
+def made_singular(rng, a):
+    """a with one row replaced by a combination of two others."""
+    n = len(a)
+    i, j, k = rng.sample(range(n), 3)
+    a[i] = [2 * x - 3 * y for x, y in zip(a[j], a[k])]
+    return a
+
+
+def permuted_nilpotent(rng, n, density, bits):
+    """A strictly upper triangular matrix conjugated by a random permutation:
+    nilpotent, with its nonzero entries scattered on both sides of the
+    diagonal."""
+    u = random_matrix(rng, n, density, bits)
+    p = rng.sample(range(n), n)
+    return [[u[p[i]][p[j]] if p[i] < p[j] else 0 for j in range(n)] for i in range(n)]
+
+
+def check_charpoly(a):
+    got = la.charpoly(a)
+    assert got == dense_charpoly(a)
+    assert len(got) == len(a) + 1 and got[0] == 1
+    assert all(type(c) is int for c in got if Fraction(c).denominator == 1)
+    return got
+
+
+CHARPOLY_CASES = [
+    # (n, density, bits, fractions, variant)
+    (60, 0.05, 8, False, None),
+    (60, 0.1, 40, False, None),
+    (60, 0.07, 48, False, "zero-lines"),
+    (60, 0.1, 40, False, "singular"),
+    (30, 1.0, 3, False, None),
+    (22, 1.0, 40, False, "zero-lines"),
+    (13, 1.0, 64, False, "singular"),
+    (30, 0.1, 40, True, "zero-lines"),
+    (16, 1.0, 3, True, "singular"),
+]
+
+
+def charpoly_case_id(case):
+    n, density, bits, fractions, variant = case
+    parts = ["n%d" % n, "%g" % density, "%db" % bits, "frac" if fractions else None, variant]
+    return "-".join(p for p in parts if p)
+
+
+@pytest.mark.parametrize(
+    "n,density,bits,fractions,variant", CHARPOLY_CASES, ids=map(charpoly_case_id, CHARPOLY_CASES)
+)
+def test_charpoly_matches_dense_on_random_matrices(n, density, bits, fractions, variant):
+    rng = random.Random(n * 1000 + bits)
+    a = random_matrix(rng, n, density, bits, fractions)
+    if variant == "zero-lines":
+        a = with_zero_lines(rng, a)
+    elif variant == "singular":
+        a = made_singular(rng, a)
+    got = check_charpoly(a)
+    if variant:
+        assert got[-1] == 0  # det = 0
+
+
+def test_charpoly_of_a_scaled_60x60_matrix():
+    # a = b / 6 with every entry a Fraction, zeros too: c_t(a) = c_t(b) / 6^t
+    # with c(b) from the dense loop (which is slow on Fraction input)
+    b = random_matrix(random.Random(60), 60, 0.05, 40)
+    a = [[Fraction(x, 6) for x in row] for row in b]
+    assert la.charpoly(a) == [Fraction(c, 6**t) for t, c in enumerate(dense_charpoly(b))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 60])
+def test_charpoly_of_a_nilpotent_matrix_is_x_to_the_n(n):
+    rng = random.Random(n)
+    upper = [[rng.randint(-(2**40), 2**40) if i < j else 0 for j in range(n)] for i in range(n)]
+    assert la.charpoly(upper) == [1] + [0] * n
+    scattered = permuted_nilpotent(rng, n, 0.1, 40)
+    assert check_charpoly(scattered) == [1] + [0] * n
+
+
+@st.composite
+def sparse_square_matrices(draw, elements):
+    """0 <= n <= 10, with at most n^2 / 8 + 1 entries set."""
+    n = draw(st.integers(0, 10))
+    a = [[0] * n for _ in range(n)]
+    if n:
+        index = st.integers(0, n - 1)
+        for i, j, x in draw(st.lists(st.tuples(index, index, elements), max_size=n * n // 8 + 1)):
+            a[i][j] = x
+    return a
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    sparse_square_matrices(
+        st.one_of(
+            st.integers(-9, 9),
+            st.integers(-(2**48), 2**48),
+            st.fractions(-(2**45), 2**45, max_denominator=64),
+        )
+    )
+)
+def test_charpoly_matches_dense_on_sparse_matrices(a):
+    check_charpoly(a)
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+@pytest.mark.parametrize("kind", ["sparse-40-bit", "dense", "fraction"])
+def test_charpoly_matches_sympy_up_to_12(n, kind):
+    rng = random.Random(n)
+    if kind == "sparse-40-bit":
+        a = with_zero_lines(rng, random_matrix(rng, n, 0.3, 40))
+    elif kind == "dense":
+        a = made_singular(rng, random_matrix(rng, n, 1.0, 5))
+    else:
+        a = random_matrix(rng, n, 0.5, 6, fractions=True)
+    m = sympy.Matrix(n, n, [sympy.Rational(x.numerator, x.denominator) for row in a for x in row])
+    assert la.charpoly(a) == [to_fraction(c) for c in m.charpoly().all_coeffs()]

@@ -6,13 +6,12 @@ from origami_lab.paths import (
     cycle_loops,
     follow,
     path_class_chain,
-    reduce_path,
     winding_index,
 )
 from origami_lab.perm import Permutation
 
 from conftest import large_origami
-from crossing_oracle import pattern_loops, self_crossings, signed_crossings
+from crossing_oracle import pattern_loops, reduce_path, self_crossings, signed_crossings
 
 
 def torus():
@@ -40,6 +39,17 @@ def test_winding_index_square_and_figure_eight():
     assert winding_index(o, CenterPath(1, "DLUR")) == -1
     # figure eight: total turning zero
     assert winding_index(o, CenterPath(1, "RURD")) == 0
+
+
+def test_winding_index_takes_the_path_as_given(l3):
+    # RLU reduces to U, whose index is 0, but it is not reduced here
+    with pytest.raises(ValueError, match="backtracking pair RL"):
+        winding_index(torus(), CenterPath(1, "RLU"))
+    with pytest.raises(ValueError, match="backtracking pair DU"):
+        winding_index(torus(), CenterPath(1, "URRD"))
+    with pytest.raises(ValueError, match="path is not closed"):
+        winding_index(l3, CenterPath(1, "R"))
+    assert winding_index(l3, CenterPath(1, "RR")) == 0
 
 
 def test_signed_crossings_antisymmetry():

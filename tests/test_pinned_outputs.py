@@ -4,9 +4,11 @@ Each case runs one subcommand with ``--json`` in process and compares the
 sha256 of its stdout with a digest recorded before the exact matrix
 product went over nonzero entries: ``kz``, with and without ``--zero``, on
 the first three Veech generators (``orbit.veech_generators``) of each small
-fixture, ``simplicity`` on dema, and ``mc --seed 7`` on l3 and ew.  A change
-that means to alter one of these outputs updates its digest here and says
-why.
+fixture, ``simplicity`` on dema, ``mc --seed 7`` on l3 and ew, and ``kz
+T12`` on z6 (294 x 294, charpoly coefficients of 290 bits), whose digest
+was taken with the dense Berkowitz loop that ``charpoly`` replaced.  A
+change that means to alter one of these outputs updates its digest here
+and says why.
 """
 
 import hashlib
@@ -61,6 +63,7 @@ PINNED = [
     (('simplicity', 'dema'), '9598e5b07a42e344c086d0d2073ea52fb7992a392a47f5d581e509fb364a37a8'),
     (('mc', 'l3', '--seed', '7'), 'c919bf40aae016cdd3ac6960590364d539998f91121b179e61ffe27dcba2deb4'),
     (('mc', 'ew', '--seed', '7'), 'e8f5c5416405b85d924ff42abd09c1891da0d430e5c506cd176cc040d699f090'),
+    (('kz', 'z6_origami', 'T12'), 'b81554a63cd90e45a14e8755dd034a4baaba5be4711011fc4e0be5b337274a35'),
 ]
 
 

@@ -28,7 +28,7 @@ from origami_lab import spin
 from origami_lab.homology import Homology
 from origami_lab.orbit import sl2z_orbit
 from origami_lab.origami import Origami, stratum
-from origami_lab.paths import CenterPath, cycle_loops, follow, path_class_chain, reduce_path
+from origami_lab.paths import CenterPath, cycle_loops, follow, path_class_chain
 from origami_lab.perm import Permutation, is_transitive, parse_cycles
 from origami_lab.spin import (
     QuadraticFormData,
@@ -42,7 +42,7 @@ from origami_lab.spin import (
 )
 
 from conftest import FIXTURE_NAMES, fixture_origami
-from crossing_oracle import pairing_in_basis, pattern_loops, self_crossings, signed_crossings
+from crossing_oracle import pairing_in_basis, pattern_loops, reduce_path, self_crossings, signed_crossings
 from crossing_oracle import phi as oracle_phi
 from inverse_oracle import det
 
@@ -327,6 +327,13 @@ def test_phi_of_path_rejects_a_detour_before_reduction(mstar):
     assert reduce_path(detour) == loop
     with pytest.raises(ValueError, match="visits a square twice"):
         phi_of_path(mstar, detour)
+
+
+def test_phi_of_path_rejects_a_two_step_backtrack(l3):
+    # RL visits squares 1 and 2 once each; both of its step pairs backtrack
+    assert follow(l3, CenterPath(1, "RL")) == [1, 2]
+    with pytest.raises(ValueError, match="backtracking pair"):
+        phi_of_path(l3, CenterPath(1, "RL"))
 
 
 def test_quadratic_form_check_catches_a_wrong_phi(monkeypatch):
