@@ -4,9 +4,9 @@ homeomorphisms on it.
 
 The cell structure has one vertex class per corner-permutation cycle, two
 edges per square (sigma_i: bottom edge, zeta_i: left edge) and one square
-2-cell per symbol.  Edge chains are integer vectors of length 2N with
-sigma_i at index i-1 and zeta_i at index N+i-1.  The boundary of square i
-is sigma_i + zeta_{h(i)} - sigma_{v(i)} - zeta_i.
+2-cell per symbol.  Edge chains are sparse mappings {edge: coefficient},
+with sigma_i as edge i-1 and zeta_i as edge N+i-1.  The boundary of square
+i is sigma_i + zeta_{h(i)} - sigma_{v(i)} - zeta_i.
 
 H_1 comes from a tree-cotree decomposition (Eppstein, "Dynamic generators
 of topologically embedded graphs", SODA 2003): a spanning tree T of the
@@ -15,10 +15,11 @@ the duals of T, and the 2g leftover edges.  Each leftover edge e closes a
 basis loop e + (T-path) and, through its dual edge, a dual loop
 e* + (C-path) through square centers.  Each tree is climbed once; the
 dual loops are kept as ordered (edge, +-1) crossing records, which give
-both their chains and their center paths.  Coordinates of a cycle are
-read off the leftover edges after peeling squares along C; the
-intersection form follows from the crossings of basis loops with dual
-loops.
+both their chains and their center paths.  Basis loop a crosses dual
+loop b exactly when a = b, so coordinate b of a cycle is its intersection
+number with dual loop b: a signed sum of its coefficients over the
+crossing records of that loop.  The coordinates of the dual loops invert
+to the intersection form.
 
 The complex is kept as incidences only.  A generator letter and a deck
 transformation both act through one path: a sparse edge map and a square
@@ -155,10 +156,8 @@ class Homology:
         cx = self.complex = chain_complex(o)
         tree = _spanning_tree(cx.vertices, (cx.tail, cx.head), range(2 * n))
         in_tree = {k for _child, k, _parent in tree}
-        self._cotree = _spanning_tree(
-            n, (cx.minus, cx.plus), [k for k in range(2 * n) if k not in in_tree]
-        )
-        in_cotree = {k for _child, k, _parent in self._cotree}
+        cotree = _spanning_tree(n, (cx.minus, cx.plus), [k for k in range(2 * n) if k not in in_tree])
+        in_cotree = {k for _child, k, _parent in cotree}
         self._leftover = [k for k in range(2 * n) if k not in in_tree and k not in in_cotree]
         # both trees span, so there are 2N - (V - 1) - (N - 1) = 2g
         # leftover edges by Euler's formula; the rank needs no check
@@ -167,7 +166,12 @@ class Homology:
         # and the dual loop e* + (C-path back to square minus[e]), where e*
         # crosses e from square minus[e] to square plus[e]
         self.loops = [dict(c) for c in _tree_cycles(tree, (cx.tail, cx.head), self._leftover)]
-        self._duals = _tree_cycles(self._cotree, (cx.minus, cx.plus), self._leftover)
+        self._duals = _tree_cycles(cotree, (cx.minus, cx.plus), self._leftover)
+        # per edge: the (dual loop, sign) records of the dual loops crossing it
+        self._crossings = {}
+        for b, dual in enumerate(self._duals):
+            for k, c in dual:
+                self._crossings.setdefault(k, []).append((b, c))
         # D (one column of coordinates per dual loop) and J = D^-1, checked
         # integral and skew there: det J det D = 1 in integers gives
         # det J = +-1, and det J = Pf(J)^2, so J is unimodular.  D pivots
@@ -176,9 +180,10 @@ class Homology:
         # random surface tested), and int_inverse's least-entry pivot has
         # found a 1 in every column there, so each step is x - f y on the
         # few rows meeting the pivot column, with no growth and den = 1
-        self.dual_coords, self.intersection = self._intersection_matrix(self.loops, self._duals)
-        self.taut_sigma = self.project([1] * n + [0] * n)
-        self.taut_zeta = self.project([0] * n + [1] * n)
+        self.dual_coords, self.intersection = self._intersection_matrix()
+        self.taut_sigma, self.taut_zeta = self.project_many(
+            [dict.fromkeys(range(n), 1), dict.fromkeys(range(n, 2 * n), 1)]
+        )
 
     def dual_loops(self):
         """The dual loops as closed center paths, in leftover-edge order.
@@ -198,42 +203,34 @@ class Homology:
             for e, dual in zip(self._leftover, self._duals)
         ]
 
-    def _intersection_matrix(self, loops, duals):
+    def _intersection_matrix(self):
         """Intersection form in basis coordinates.
 
         With every dual edge run from its right square to its left one
         (minus to plus), each crossing of an edge by its dual is positive,
         so <a, b> = sum_k a_k b_k for an edge cycle a and a dual cycle b;
         this is sum_i b_U(i) a_sigma(v(i)) - b_R(i) a_zeta(h(i)) in terms
-        of the up and right steps of b.  P[a][b] = <loop a, dual b> must be
-        the identity, and with D the coordinates of the dual loops,
-        J D = P gives J = D^-1.  Returns (D, J)."""
+        of the up and right steps of b.  ``project_many`` reads these
+        pairings off the crossing records, so it gives coordinates only if
+        P[a][b] = <loop a, dual b> is the identity, which is checked first.
+        With D the coordinates of the dual loops, J D = P gives J = D^-1.
+        Returns (D, J)."""
+        if self.project_many(self.loops) != la.identity_matrix(self.rank):
+            raise AssertionError("basis loops and dual loops do not cross once each")
+        # each dual chain pushed to corners: a dual edge k run minus -> plus
+        # is an up step at square minus[k] (k a sigma) or a left step into
+        # square plus[k] (k a zeta), so +zeta_{minus[k]} or -sigma_{plus[k]}
         n = self.origami.degree
-        loops_on = {}
-        for a, loop in enumerate(loops):
-            for k, c in loop.items():
-                loops_on.setdefault(k, []).append((a, c))
-        # per dual loop b: column b of P - I, summed sparsely, and its chain
-        # pushed to corners.  A dual edge k run minus -> plus is an up step
-        # at square minus[k] (k a sigma) or a left step into square plus[k]
-        # (k a zeta), so pushed to bottom-left corners these are
-        # +zeta_{minus[k]} and -sigma_{plus[k]}
         chains = []
-        for b, dual in enumerate(duals):
-            column = Counter({b: -1})
-            chain = [0] * (2 * n)
+        for dual in self._duals:
+            chain = Counter()
             for k, c in dual:
-                for a, ca in loops_on.get(k, ()):
-                    column[a] += ca * c
                 if k < n:
                     chain[n + self.complex.minus[k]] += c
                 else:
                     chain[self.complex.plus[k]] -= c
-            if any(column.values()):
-                raise AssertionError("basis loops and dual loops do not cross once each")
             chains.append(chain)
-        coords = self.project_many(chains)
-        d = [[coords[b][r] for b in range(self.rank)] for r in range(self.rank)]
+        d = la.transpose(self.project_many(chains))
         num, den = la.int_inverse(d)
         if any(x % den for row in num for x in row):
             raise AssertionError("intersection form came out non-integral")
@@ -243,30 +240,26 @@ class Homology:
         return d, j
 
     def project_many(self, chains):
-        """Coordinates of edge cycles in the H_1 basis; columns in, columns
-        out.  Square coefficients s are peeled from the root of C so that
-        chain - d2(s) vanishes on C; what is left on the leftover
-        edges are the coordinates."""
+        """Coordinates in the H_1 basis of sparse edge cycles {edge:
+        coefficient}, one coordinate list per chain.  Coordinate b is the
+        intersection number with dual loop b, the sum of c * sign over the
+        records (b, sign) of every edge the chain has with coefficient c;
+        a chain with nonzero boundary raises ``ValueError``."""
         cx = self.complex
+        crossings = self._crossings
         out = []
         for chain in chains:
             boundary = [0] * cx.vertices
-            for k, c in enumerate(chain):
+            coords = [0] * self.rank
+            for k, c in chain.items():
                 boundary[cx.head[k]] += c
                 boundary[cx.tail[k]] -= c
+                for b, sign in crossings.get(k, ()):
+                    coords[b] += c * sign
             if any(boundary):
                 raise ValueError("chain is not a cycle")
-            s = [0] * self.origami.degree
-            for child, k, parent in self._cotree:
-                if child == cx.plus[k]:
-                    s[child] = chain[k] + s[parent]
-                else:
-                    s[child] = s[parent] - chain[k]
-            out.append([chain[e] - s[cx.plus[e]] + s[cx.minus[e]] for e in self._leftover])
+            out.append(coords)
         return out
-
-    def project(self, chain):
-        return self.project_many([chain])[0]
 
     def action_matrix(self, tau):
         """Matrix on H_1 (basis coordinates) of a deck transformation tau,
@@ -364,7 +357,7 @@ def _homology_map(hs, ht, edges, cell):
         raise AssertionError("edge map is not a chain map")
     images = []
     for loop in hs.loops:
-        image = [0] * len(ct.plus)
+        image = Counter()
         for k, c in loop.items():
             for e, ce in edges[k]:
                 image[e] += c * ce

@@ -19,6 +19,7 @@ homology engine.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 _DIRS = {"R": (1, 0), "L": (-1, 0), "U": (0, 1), "D": (0, -1)}
@@ -56,9 +57,11 @@ def follow(o, path):
 
 
 def path_class_chain(o, path):
-    """Homology representative as an edge chain (length 2N)."""
+    """Homology representative as a sparse edge chain, a ``Counter``
+    {edge: coefficient} with sigma_i as edge i-1 and zeta_i as edge
+    N+i-1; an edge the path runs both ways may be listed with 0."""
     n = o.degree
-    chain = [0] * (2 * n)
+    chain = Counter()
     squares = follow(o, path)
     # an L or D step from sq lands on h^-1(sq) or v^-1(sq), the next square
     for sq, nxt, st in zip(squares, squares[1:] + squares[:1], path.steps):

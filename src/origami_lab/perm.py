@@ -198,9 +198,11 @@ def read_cycles(text, degree_hint=None):
             cycles.append(cyc)
         pos = end + 1
     symbols = [s for cyc in cycles for s in cyc]
-    if len(set(symbols)) != len(symbols):
-        dup = sorted(s for s in set(symbols) if symbols.count(s) > 1)[0]
-        raise ValueError("symbol %d repeated across cycles" % dup)
+    seen, repeated = set(), set()
+    for s in symbols:
+        (repeated if s in seen else seen).add(s)
+    if repeated:
+        raise ValueError("symbol %d repeated across cycles" % min(repeated))
     degree = max(symbols, default=0)
     if degree_hint is not None:
         if degree > degree_hint:

@@ -36,14 +36,8 @@ from .orbit import _INVERSE_LETTER, _LETTERS, Sl2zWord, _cycle_lengths, spanning
 def horizontal_cylinder_classes(hom):
     """Waist classes of the horizontal cylinders of ``hom.origami``: for
     each cycle of h, the class of the sum of the bottom edges along it."""
-    n = hom.origami.degree
-    chains = []
-    for cyc in hom.origami.h.cycles(include_fixed=True):
-        chain = [0] * (2 * n)
-        for s in cyc:
-            chain[s - 1] = 1
-        chains.append(chain)
-    return hom.project_many(chains)
+    cycles = hom.origami.h.cycles(include_fixed=True)
+    return hom.project_many([{s - 1: 1 for s in cyc} for cyc in cycles])
 
 
 def cylinder_span_dim(o, direction=None):

@@ -1,4 +1,5 @@
 import json
+import signal
 from fractions import Fraction
 
 import pytest
@@ -586,6 +587,29 @@ DISCONNECTED = "the pair (h, v) is not transitive: surface disconnected"
 )
 def test_invalid_surface_is_rejected_with_one_line(capsys, tmp_path, argv, message):
     assert run(capsys, argv(tmp_path)) == (1, "", "error: %s\n" % message)
+
+
+class OverBudget(Exception):
+    """Raised by the timer; the CLI turns no such error into an exit code."""
+
+
+def test_repeated_symbol_in_a_long_cycle_is_reported_in_time(capsys, tmp_path):
+    # an h-cycle of 30,000 symbols that repeats 1: the repeated symbol is
+    # found in one pass over the symbols, not by one count per symbol
+    cycle = ",".join(map(str, [*range(1, 30_000), 1]))
+    path = _origami_file(tmp_path, "h = (%s)\nv = (1,2)\n" % cycle)
+
+    def late(signum, frame):
+        raise OverBudget("info ran past its 2 s budget")
+
+    previous = signal.signal(signal.SIGALRM, late)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        result = run(capsys, ["info", path])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert result == (1, "", "error: symbol 1 repeated across cycles\n")
 
 
 def test_negative_depth_is_a_domain_error(capsys):

@@ -51,28 +51,47 @@ def test_homology_rank_and_intersection(name):
     assert la.mat_eq(la.transpose(j), la.mat_scale(-1, j))
 
 
-def test_non_unimodular_dual_coordinates_fail_the_integrality_check(monkeypatch):
-    # the first projection in Homology is that of the dual loops; doubling
-    # one column of D makes det D = +-2, so J = D^-1 has a half-integer row
+def corrupt_dual_coordinates(monkeypatch, corrupt):
+    """Patch ``project_many`` so that ``corrupt`` rewrites the coordinates
+    of the first dual loop, in the second projection a Homology makes (the
+    first is the P = I check on the basis loops); returns the chain count
+    of each projection made."""
     project_many = Homology.project_many
     calls = []
 
-    def doubled(self, chains):
+    def corrupted(self, chains):
         out = project_many(self, chains)
-        if not calls:
-            out[0] = [2 * x for x in out[0]]
+        if len(calls) == 1:
+            out[0] = corrupt(out[0])
         calls.append(len(chains))
         return out
 
-    monkeypatch.setattr(Homology, "project_many", doubled)
+    monkeypatch.setattr(Homology, "project_many", corrupted)
+    return calls
+
+
+def test_non_unimodular_dual_coordinates_fail_the_integrality_check(monkeypatch):
+    # doubling one column of D makes det D = +-2, so J = D^-1 has a
+    # half-integer row
+    calls = corrupt_dual_coordinates(monkeypatch, lambda col: [2 * x for x in col])
     with pytest.raises(AssertionError, match="non-integral"):
         Homology(fixture_origami("dema"))
-    assert calls == [6]
+    assert calls == [6, 6]
+
+
+def test_negated_dual_coordinates_fail_the_skew_check(monkeypatch):
+    # negating column 0 of D negates row 0 of J = D^-1 and leaves it
+    # integral; row 0 is nonzero, so J[0][b] = J[b][0] != 0 for some b
+    calls = corrupt_dual_coordinates(monkeypatch, lambda col: [-x for x in col])
+    with pytest.raises(AssertionError, match="must be skew"):
+        Homology(fixture_origami("dema"))
+    assert calls == [6, 6]
 
 
 def test_flipped_leftover_crossing_fails_the_crossing_check(monkeypatch):
     # the second climb is that of the square tree; running the first dual
-    # loop's own leftover edge backwards makes <loop 0, dual 0> = -1
+    # loop's own leftover edge backwards makes <loop 0, dual 0> = -1, so
+    # the projection of the basis loops is not the identity
     tree_cycles = homology._tree_cycles
     calls = []
 

@@ -2,10 +2,14 @@
 
 The reference for the intersection form is the crossing engine of
 ``crossing_oracle``: signed crossing numbers of closed center paths,
-computed without any homology basis.
+computed without any homology basis.  The reference for coordinates is
+the cotree peel of ``peel_oracle``, which reads no crossing record.
 """
 
+import copy
 import hashlib
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from origami_lab.perm import Permutation, is_transitive
 from conftest import FIXTURE_NAMES, fixture_origami, random_origamis
 from crossing_oracle import pairing_in_basis, pattern_loops, signed_crossings
 from inverse_oracle import det
+from peel_oracle import peel_coordinates
 
 
 @st.composite
@@ -40,16 +45,14 @@ def check_engine(o):
     j = hom.intersection
     assert la.mat_eq(la.transpose(j), la.mat_scale(-1, j))
     assert det(j) == 1
-    for col in range(hom.rank):
-        unit = [int(i == col) for i in range(hom.rank)]
-        assert hom.project([hom.loops[col].get(k, 0) for k in range(2 * o.degree)]) == unit
+    assert peel_coordinates(hom, hom.loops) == la.identity_matrix(hom.rank)
     assert pairing_in_basis(hom, hom.taut_sigma, hom.taut_zeta) == o.degree
     # a single edge between two different vertices is not a cycle
     cx = hom.complex
     for k in range(2 * o.degree):
         if cx.tail[k] != cx.head[k]:
             with pytest.raises(ValueError):
-                hom.project([int(e == k) for e in range(2 * o.degree)])
+                hom.project_many([{k: 1}])
             break
     loops = cycle_loops(o) + pattern_loops(o, "RU")
     coords = hom.project_many([path_class_chain(o, p) for p in loops])
@@ -178,3 +181,83 @@ def test_dual_coordinates_invert_the_form_on_random_surfaces():
     for hom in homs:
         check_inverse_pair(hom)
     assert homology_digest(homs) == DIGESTS["random"]
+
+
+# ---------------------------------------------------------------------------
+# Coordinates from the crossing records against the cotree peel
+
+
+def step_images(ctx, node, letter):
+    """(target Homology, the sparse images of the basis loops at ``node``)
+    for the step by ``letter``, caught as ``_homology_map`` projects them."""
+    target, _relabel = ctx.graph.step(node, letter)
+    ctx.homology(node)
+    ht = ctx.homology(target)
+    caught = []
+    ht.project_many = lambda chains: caught.append(chains) or Homology.project_many(ht, chains)
+    try:
+        ctx.step(node, letter)
+    finally:
+        del ht.project_many
+    (images,) = caught
+    return ht, images
+
+
+def random_sums(rng, chains, count=3):
+    """``count`` integer combinations of the chains, coefficients in [-3, 3]."""
+    sums = []
+    for _ in range(count):
+        total = Counter()
+        for chain in chains:
+            c = rng.randint(-3, 3)
+            for k, x in chain.items():
+                total[k] += c * x
+        sums.append(total)
+    return sums
+
+
+def surface_chains(o, rng):
+    """(Homology, cycles) pairs at the basepoint of the orbit of o: its
+    basis loops and its core loops, the step images of each letter at
+    their targets, and random sums of each family."""
+    ctx = KzContext(o)
+    base = ctx.graph.basepoint
+    hom = ctx.homology(base)
+    cores = [path_class_chain(hom.origami, p) for p in cycle_loops(hom.origami)]
+    groups = [(hom, hom.loops), (hom, cores)]
+    groups += [step_images(ctx, base, letter) for letter in "TSts"]
+    return [(h, chains + random_sums(rng, chains)) for h, chains in groups]
+
+
+def assert_records_match_peel(groups):
+    for hom, chains in groups:
+        assert hom.project_many(chains) == peel_coordinates(hom, chains)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(transitive_pairs(), st.integers(0, 2**32))
+def test_records_match_the_peel_on_random_origamis(o, seed):
+    assert_records_match_peel(surface_chains(o, random.Random(seed)))
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_records_match_the_peel_on_fixtures(name):
+    assert_records_match_peel(surface_chains(fixture_origami(name), random.Random(name)))
+
+
+def test_a_flipped_crossing_record_fails_the_peel_comparison():
+    # the core loops run over every edge, so flipping the sign of any one
+    # crossing record changes the projection of some core loop
+    groups = surface_chains(fixture_origami("dema"), random.Random(0))
+    hom = groups[0][0]
+    own = [(h, chains) for h, chains in groups if h is hom]
+    assert_records_match_peel(own)
+    flipped = 0
+    for k, records in hom._crossings.items():
+        for i, (b, sign) in enumerate(records):
+            mutant = copy.copy(hom)
+            mutant._crossings = {**hom._crossings, k: records[:i] + [(b, -sign)] + records[i + 1 :]}
+            with pytest.raises(AssertionError):
+                assert_records_match_peel([(mutant, chains) for _h, chains in own])
+            flipped += 1
+    assert flipped == sum(len(dual) for dual in hom._duals)

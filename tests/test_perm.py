@@ -59,6 +59,9 @@ def test_parse_render_round_trip():
 def test_parse_rejects_duplicates():
     with pytest.raises(ValueError, match="2"):
         parse_cycles("(1,2)(2,3)", 3)
+    # of several repeated symbols, the smallest is named
+    with pytest.raises(ValueError, match="^symbol 3 repeated across cycles$"):
+        parse_cycles("(5,4,3)(4,3,5)", 5)
 
 
 def test_parse_rejects_bad_symbols():

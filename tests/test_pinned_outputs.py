@@ -6,9 +6,11 @@ product went over nonzero entries: ``kz``, with and without ``--zero``, on
 the first three Veech generators (``orbit.veech_generators``) of each small
 fixture, ``simplicity`` on dema, ``mc --seed 7`` on l3 and ew, and ``kz
 T12`` on z6 (294 x 294, charpoly coefficients of 290 bits), whose digest
-was taken with the dense Berkowitz loop that ``charpoly`` replaced.  A
-change that means to alter one of these outputs updates its digest here
-and says why.
+was taken with the dense Berkowitz loop that ``charpoly`` replaced;
+``spin`` and ``component`` on every fixture, whose digests were taken
+while ``Homology`` still read coordinates off a cotree peel.  A change
+that means to alter one of these outputs updates its digest here and
+says why.
 """
 
 import hashlib
@@ -64,6 +66,25 @@ PINNED = [
     (('mc', 'l3', '--seed', '7'), 'c919bf40aae016cdd3ac6960590364d539998f91121b179e61ffe27dcba2deb4'),
     (('mc', 'ew', '--seed', '7'), 'e8f5c5416405b85d924ff42abd09c1891da0d430e5c506cd176cc040d699f090'),
     (('kz', 'z6_origami', 'T12'), 'b81554a63cd90e45a14e8755dd034a4baaba5be4711011fc4e0be5b337274a35'),
+    (('spin', 'dema'), 'eff18e3c6e6f9b7ff5e6655106fe6bca1b87c90961f63eea5998e8718f6a4b7b'),
+    (('spin', 'l3'), 'eff18e3c6e6f9b7ff5e6655106fe6bca1b87c90961f63eea5998e8718f6a4b7b'),
+    (('spin', 'mbar_star'), 'eff18e3c6e6f9b7ff5e6655106fe6bca1b87c90961f63eea5998e8718f6a4b7b'),
+    (('spin', 'mbar_star_3'), 'eff18e3c6e6f9b7ff5e6655106fe6bca1b87c90961f63eea5998e8718f6a4b7b'),
+    (('spin', 'mbar_star_5'), 'eff18e3c6e6f9b7ff5e6655106fe6bca1b87c90961f63eea5998e8718f6a4b7b'),
+    (('spin', 'mbar_star_7'), 'eff18e3c6e6f9b7ff5e6655106fe6bca1b87c90961f63eea5998e8718f6a4b7b'),
+    (('spin', 'mstar'), 'eff18e3c6e6f9b7ff5e6655106fe6bca1b87c90961f63eea5998e8718f6a4b7b'),
+    (('spin', 'mstarstar'), '4ad4c7f004c1334d14cfb1b4f19d8c54ada0cbe43473c28c06a8e94f0da2f137'),
+    (('component', 'dema'), '70c62bbda1c8775c0e73d955b2a3530292e7897b0bb5e979e648ceb19ddffef0'),
+    (('component', 'ew'), '429e4e933195486aa39279b1e0d58a2214582ac79d9b02567d7ed95bf248a5ee'),
+    (('component', 'l3'), 'e2c893dca7b6e6b222656a0918297f35615202f1313f4e2a5f5f5877b337c9a6'),
+    (('component', 'ltilde'), '82c39828eed3e9da0ed7c16d30df01d93f3b5afaec45fbe88311e5d2bb0a0192'),
+    (('component', 'mbar_star'), 'bcbd9d63490b9fe27a3d747b0f9058a1ac7ddf1fedfcb3f18b60b93797486fbd'),
+    (('component', 'mbar_star_3'), 'abb75b6b5f490fd5858d36f28b19578e61abf5b08345cc1dfe565e98580d66de'),
+    (('component', 'mbar_star_5'), '5fb55065ce70c1fcc2782f12cf86e14d558ffa0bc95364e7326e6b0095f607ce'),
+    (('component', 'mbar_star_7'), 'f3c1d766c645d3e52167daf31a973e4951dc066b112fd38010b9efd76459747f'),
+    (('component', 'mstar'), 'bcbd9d63490b9fe27a3d747b0f9058a1ac7ddf1fedfcb3f18b60b93797486fbd'),
+    (('component', 'mstarstar'), 'cdf46dc6b368ac39d56d2cbe593c5b178489c1c25418e898a71f3a8853d07bc5'),
+    (('component', 'z6_origami'), '0871c726f808147a249b5c7ec229e1f60183a8a8f06f7c111ef9476d84115900'),
 ]
 
 
@@ -74,3 +95,15 @@ def test_cli_output_is_pinned(capsys, command, digest):
     out, err = capsys.readouterr()
     assert err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# surfaces with a zero of odd order have no spin structure: exit 1, one
+# line on stderr and nothing on stdout
+SPIN_REFUSED = ("ew", "ltilde", "z6_origami")
+
+
+@pytest.mark.parametrize("fixture", SPIN_REFUSED)
+def test_spin_refusal_is_pinned(capsys, fixture):
+    assert cli.main(["spin", fixture_path(fixture), "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: spin structure requires all zero orders even\n")
