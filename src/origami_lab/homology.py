@@ -19,7 +19,9 @@ both their chains and their center paths.  Basis loop a crosses dual
 loop b exactly when a = b, so coordinate b of a cycle is its intersection
 number with dual loop b: a signed sum of its coefficients over the
 crossing records of that loop.  The coordinates of the dual loops invert
-to the intersection form.
+to the intersection form; both are built, and the form checked, the first
+time either is read, since most builds need only the basis and the
+coordinates.
 
 The complex is kept as incidences only.  A generator letter and a deck
 transformation both act through one path: a sparse edge map and a square
@@ -42,6 +44,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import intlinalg as la
 from .origami import automorphisms, canonical_form, central_involution, corner_permutation
@@ -148,7 +151,10 @@ def _tree_cycles(tree, ends, leftover):
 class Homology:
     """H_1(X; Z) with a fixed integral basis, intersection matrix and
     tautological data, for one origami.  ``loops[a]`` is basis loop a as
-    a sparse edge cycle {edge: coefficient}."""
+    a sparse edge cycle {edge: coefficient}.  ``dual_coords`` (D) and
+    ``intersection`` (J = D^-1) are computed on their first read, and J
+    is checked integral and skew then; a build whose J is never read
+    never proves D unimodular."""
 
     def __init__(self, o):
         self.origami = o
@@ -172,15 +178,11 @@ class Homology:
         for b, dual in enumerate(self._duals):
             for k, c in dual:
                 self._crossings.setdefault(k, []).append((b, c))
-        # D (one column of coordinates per dual loop) and J = D^-1, checked
-        # integral and skew there: det J det D = 1 in integers gives
-        # det J = +-1, and det J = Pf(J)^2, so J is unimodular.  D pivots
-        # on units: D^T J D = D^T = -D is the intersection matrix of the
-        # dual loops, sparse with entries -1, 0 and 1 (on every fixture and
-        # random surface tested), and int_inverse's least-entry pivot has
-        # found a 1 in every column there, so each step is x - f y on the
-        # few rows meeting the pivot column, with no growth and den = 1
-        self.dual_coords, self.intersection = self._intersection_matrix()
+        # project_many reads coordinates off the crossing records, so it
+        # gives coordinates only if P[a][b] = <loop a, dual b> is the
+        # identity
+        if self.project_many(self.loops) != la.identity_matrix(self.rank):
+            raise AssertionError("basis loops and dual loops do not cross once each")
         self.taut_sigma, self.taut_zeta = self.project_many(
             [dict.fromkeys(range(n), 1), dict.fromkeys(range(n, 2 * n), 1)]
         )
@@ -193,7 +195,8 @@ class Homology:
         zeta edge an L or R step.  Each is a simple cycle of squares, so a
         simple closed curve, and column b of ``dual_coords`` holds the
         coordinates of loop b; they form a Z-basis of H_1 since
-        J = D^-1."""
+        J = D^-1 is integral, which is checked when D or J is first
+        read."""
         n = self.origami.degree
         return [
             CenterPath(
@@ -203,6 +206,17 @@ class Homology:
             for e, dual in zip(self._leftover, self._duals)
         ]
 
+    @property
+    def dual_coords(self):
+        """D: column b holds the basis coordinates of dual loop b."""
+        return self._intersection_matrix[0]
+
+    @property
+    def intersection(self):
+        """J = D^-1, the intersection form in basis coordinates."""
+        return self._intersection_matrix[1]
+
+    @cached_property
     def _intersection_matrix(self):
         """Intersection form in basis coordinates.
 
@@ -210,13 +224,16 @@ class Homology:
         (minus to plus), each crossing of an edge by its dual is positive,
         so <a, b> = sum_k a_k b_k for an edge cycle a and a dual cycle b;
         this is sum_i b_U(i) a_sigma(v(i)) - b_R(i) a_zeta(h(i)) in terms
-        of the up and right steps of b.  ``project_many`` reads these
-        pairings off the crossing records, so it gives coordinates only if
-        P[a][b] = <loop a, dual b> is the identity, which is checked first.
-        With D the coordinates of the dual loops, J D = P gives J = D^-1.
-        Returns (D, J)."""
-        if self.project_many(self.loops) != la.identity_matrix(self.rank):
-            raise AssertionError("basis loops and dual loops do not cross once each")
+        of the up and right steps of b.  With D the coordinates of the
+        dual loops, J D = P = I (checked at build) gives J = D^-1, checked
+        integral and skew here: det J det D = 1 in integers gives
+        det J = +-1, and det J = Pf(J)^2, so J is unimodular.  D pivots on
+        units: D^T J D = D^T = -D is the intersection matrix of the dual
+        loops, sparse with entries -1, 0 and 1 (on every fixture and
+        random surface tested), and int_inverse's least-entry pivot has
+        found a 1 in every column there, so each step is x - f y on the
+        few rows meeting the pivot column, with no growth and den = 1.
+        Computed once, on the first read of D or J; (D, J)."""
         # each dual chain pushed to corners: a dual edge k run minus -> plus
         # is an up step at square minus[k] (k a sigma) or a left step into
         # square plus[k] (k a zeta), so +zeta_{minus[k]} or -sigma_{plus[k]}

@@ -53,15 +53,17 @@ def test_homology_rank_and_intersection(name):
 
 def corrupt_dual_coordinates(monkeypatch, corrupt):
     """Patch ``project_many`` so that ``corrupt`` rewrites the coordinates
-    of the first dual loop, in the second projection a Homology makes (the
-    first is the P = I check on the basis loops); returns the chain count
-    of each projection made."""
+    of the first dual loop, in the third projection a Homology makes (the
+    constructor makes the first two: the P = I check on the basis loops
+    and the tautological classes; the third projects the dual chains, on
+    the first read of D or J); returns the chain count of each projection
+    made."""
     project_many = Homology.project_many
     calls = []
 
     def corrupted(self, chains):
         out = project_many(self, chains)
-        if len(calls) == 1:
+        if len(calls) == 2:
             out[0] = corrupt(out[0])
         calls.append(len(chains))
         return out
@@ -74,18 +76,22 @@ def test_non_unimodular_dual_coordinates_fail_the_integrality_check(monkeypatch)
     # doubling one column of D makes det D = +-2, so J = D^-1 has a
     # half-integer row
     calls = corrupt_dual_coordinates(monkeypatch, lambda col: [2 * x for x in col])
+    hom = Homology(fixture_origami("dema"))
+    assert calls == [6, 2]
     with pytest.raises(AssertionError, match="non-integral"):
-        Homology(fixture_origami("dema"))
-    assert calls == [6, 6]
+        hom.intersection
+    assert calls == [6, 2, 6]
 
 
 def test_negated_dual_coordinates_fail_the_skew_check(monkeypatch):
     # negating column 0 of D negates row 0 of J = D^-1 and leaves it
     # integral; row 0 is nonzero, so J[0][b] = J[b][0] != 0 for some b
     calls = corrupt_dual_coordinates(monkeypatch, lambda col: [-x for x in col])
+    hom = Homology(fixture_origami("dema"))
+    assert calls == [6, 2]
     with pytest.raises(AssertionError, match="must be skew"):
-        Homology(fixture_origami("dema"))
-    assert calls == [6, 6]
+        hom.intersection
+    assert calls == [6, 2, 6]
 
 
 def test_flipped_leftover_crossing_fails_the_crossing_check(monkeypatch):

@@ -16,15 +16,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from origami_lab import cli, homology
 from origami_lab import intlinalg as la
 from origami_lab.covers import EdgeCocycle, FiniteGroupTable, group_cover, quaternion_group
-from origami_lab.homology import Homology, KzContext
+from origami_lab.homology import Homology, KzContext, tautological_split
 from origami_lab.orbit import Sl2zWord
 from origami_lab.origami import Origami, automorphisms, genus
 from origami_lab.paths import cycle_loops, path_class_chain
 from origami_lab.perm import Permutation, is_transitive
 
-from conftest import FIXTURE_NAMES, fixture_origami, random_origamis
+from conftest import FIXTURE_NAMES, fixture_origami, fixture_path, random_origamis
 from crossing_oracle import pairing_in_basis, pattern_loops, signed_crossings
 from inverse_oracle import det
 from peel_oracle import peel_coordinates
@@ -189,10 +190,14 @@ def test_dual_coordinates_invert_the_form_on_random_surfaces():
 
 def step_images(ctx, node, letter):
     """(target Homology, the sparse images of the basis loops at ``node``)
-    for the step by ``letter``, caught as ``_homology_map`` projects them."""
+    for the step by ``letter``, caught as ``_homology_map`` projects them.
+    The step reads J at both ends, so J is read here first, and the
+    projection of the target's dual chains is not caught with the
+    images."""
     target, _relabel = ctx.graph.step(node, letter)
-    ctx.homology(node)
+    ctx.homology(node).intersection
     ht = ctx.homology(target)
+    ht.intersection
     caught = []
     ht.project_many = lambda chains: caught.append(chains) or Homology.project_many(ht, chains)
     try:
@@ -261,3 +266,60 @@ def test_a_flipped_crossing_record_fails_the_peel_comparison():
                 assert_records_match_peel([(mutant, chains) for _h, chains in own])
             flipped += 1
     assert flipped == sum(len(dual) for dual in hom._duals)
+
+
+# ---------------------------------------------------------------------------
+# D and J are built on their first read only
+
+
+def count_inverses(monkeypatch):
+    """Patch ``la.int_inverse`` to record the size of every matrix it
+    inverts; returns the list of sizes."""
+    int_inverse = la.int_inverse
+    sizes = []
+
+    def counted(a):
+        sizes.append(len(a))
+        return int_inverse(a)
+
+    monkeypatch.setattr(la, "int_inverse", counted)
+    return sizes
+
+
+def test_a_build_and_its_split_invert_nothing(monkeypatch):
+    sizes = count_inverses(monkeypatch)
+    hom = Homology(fixture_origami("dema"))
+    tautological_split(hom)
+    tautological_split(fixture_origami("dema"))
+    assert sizes == []
+    j = hom.intersection
+    assert hom.intersection is j and hom.dual_coords is hom.dual_coords
+    assert sizes == [hom.rank]
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(transitive_pairs())
+def test_a_build_and_its_split_invert_nothing_on_random_origamis(o):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        sizes = count_inverses(monkeypatch)
+        tautological_split(Homology(o))
+    assert sizes == []
+
+
+def test_kz_zero_inverts_d_once_per_node_it_visits(monkeypatch, capsys):
+    # a fresh context cache, so that every node of the walk is built here;
+    # the one (2g - 2)-square inverse is the left inverse of the zero-
+    # holonomy basis at the basepoint
+    monkeypatch.setattr(homology, "_context_cache", {})
+    sizes = count_inverses(monkeypatch)
+    assert cli.main(["kz", fixture_path("dema"), "T8SSTTSS", "--zero"]) == 0
+    capsys.readouterr()
+    (ctx,) = homology._context_cache.values()
+    node = ctx.graph.basepoint
+    visited = {node}
+    for letter in reversed(Sl2zWord.parse("T8SSTTSS").letters):
+        node = ctx.graph.target(node, letter)
+        visited.add(node)
+    assert set(ctx._homology) == visited
+    rank = ctx.homology(node).rank
+    assert sorted(sizes) == [rank - 2] + [rank] * len(visited)
