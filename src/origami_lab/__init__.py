@@ -26,7 +26,6 @@ from .covers import (
 )
 from .galois import (
     ReciprocalQuartic,
-    is_galois_pinching,
     is_galois_pinching_sl2,
     is_galois_pinching_sp4,
     quartic_from_charpoly,
@@ -36,10 +35,8 @@ from .homology import (
     isotypical_W,
     kz_context,
     kz_matrix,
-    lie_algebra_dim,
     restrict,
     tautological_split,
-    unipotent_log,
 )
 from .lyapunov import EkzReport, McEstimate, ekz_sum, mc_exponents, w_exponent_from_sum
 from .orbit import Sl2zWord, sl2z_orbit, sl2z_word, veech_generators, veech_index

@@ -162,12 +162,3 @@ def is_galois_pinching_sl2(m):
     # a square and the characteristic polynomial is irreducible.
     return abs(tr) > 2
 
-
-def is_galois_pinching(m):
-    """Dispatch on matrix size; sizes other than 2 and 4 are rejected."""
-    size = len(m)
-    if size == 2:
-        return is_galois_pinching_sl2(m)
-    if size == 4:
-        return is_galois_pinching_sp4(m).pinching
-    raise ValueError("pinching criteria are implemented for sizes 2 and 4 only")

@@ -32,18 +32,16 @@ Cocycle matrices are restricted to an invariant sublattice (the
 zero-holonomy part, or the isotypical block W of a central involution) by
 an integer left inverse of its basis, with exact divisibility checks;
 ``KzContext`` holds these bases per orbit node.  All arithmetic in this
-module is exact (integers, and fractions only for unipotent logarithms and
-Lie closures); the one float array is a ``StepStack`` that a caller asks
-for with a float dtype.  ``StepStack`` is also the only user of numpy
-here, and imports it itself, so that the exact computations never pay for
-loading it.
+module is exact, in integers; the one float array is a ``StepStack``
+that a caller asks for with a float dtype.  ``StepStack`` is also the
+only user of numpy here, and imports it itself, so that the exact
+computations never pay for loading it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from . import intlinalg as la
@@ -611,56 +609,3 @@ def isotypical_W(o, tau):
         raise ValueError("tau must be an involution")
     plus_id = la.mat_add(hom.action_matrix(tau), la.identity_matrix(hom.rank))
     return la.kernel_basis(plus_id)
-
-
-# ---------------------------------------------------------------------------
-# Unipotent logarithms and Lie closures
-
-
-def _nilpotent_series(nil, coefficient, error):
-    """sum over j >= 1 of coefficient(j) nil^j, forming each power of nil
-    once and stopping at the first zero one; raises ValueError(error) if
-    nil^n is not zero, n the size of nil."""
-    n = len(nil)
-    out = la.zeros(n, n)
-    power = la.identity_matrix(n)
-    for j in range(1, n + 1):
-        power = la.mat_mul(power, nil)
-        if all(x == 0 for row in power for x in row):
-            break
-        out = la.mat_add(out, la.mat_scale(coefficient(j), power))
-    if any(x != 0 for row in power for x in row):
-        raise ValueError(error)
-    return out
-
-
-def unipotent_log(m):
-    """log(m) for unipotent m via the finite series
-    sum (-1)^(k+1) (m - Id)^k / k; exact rational output."""
-    mf = [[Fraction(x) for x in row] for row in m]
-    nil = la.mat_sub(mf, la.identity_matrix(len(m)))
-    return _nilpotent_series(nil, lambda j: Fraction((-1) ** (j + 1), j), "matrix is not unipotent")
-
-
-def lie_algebra_dim(gens):
-    """Dimension of the smallest linear space containing ``gens`` and
-    closed under the bracket [X, Y] = XY - YX."""
-    if not gens:
-        return 0
-    span = la.RationalSpan()
-    basis = []
-    queue = []
-    for g in gens:
-        gf = [[Fraction(x) for x in row] for row in g]
-        if span.add([x for row in gf for x in row]):
-            basis.append(gf)
-            queue.append(gf)
-    while queue:
-        new = queue.pop()
-        for other in list(basis):
-            for x, y in ((new, other), (other, new)):
-                br = la.bracket(x, y)
-                if span.add([c for row in br for c in row]):
-                    basis.append(br)
-                    queue.append(br)
-    return span.dim

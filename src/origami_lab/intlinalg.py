@@ -1,32 +1,26 @@
 r"""
-Exact integer and rational linear algebra.
+Exact integer linear algebra, with one rational elimination.
 
-Matrices are lists of lists (row major) over ``int`` or
-``fractions.Fraction``; nothing here ever touches floating point.  This is
-the substrate for integral homology (saturated kernels by unimodular
-column elimination) and for the exact cocycle computations (integer
-inverses, characteristic polynomials, Lie brackets).  ``mat_mul`` (the
-one matrix product) and ``charpoly`` run over nonzero entries only, as
-the step matrices and intersection forms are mostly zero.
+Matrices are lists of lists (row major); nothing here ever touches
+floating point.  This is the substrate for integral homology (saturated
+kernels by unimodular column elimination) and for the exact cocycle
+computations (integer inverses, characteristic polynomials).  ``mat_mul``
+(the one matrix product) and ``charpoly`` run over nonzero entries only,
+as the step matrices and intersection forms are mostly zero.
 
-``int_inverse`` runs in integers, after scaling rational rows to
-integers, by Bareiss fraction-free elimination, whose divisions are all
-exact, as Gauss-Jordan on sparse rows, pivoting on the least entry of
-each column so that the unimodular dual-coordinate matrix of
-``homology`` reduces on unit pivots.  ``charpoly`` is Berkowitz's
-division-free recursion, which serves int and Fraction input alike.
+``kernel_basis``, ``int_inverse`` and ``charpoly`` take int entries only
+and raise ``ValueError`` on any other.  ``int_inverse`` is Bareiss
+fraction-free elimination, whose divisions are all exact, run as
+Gauss-Jordan on sparse rows, pivoting on the least entry of each column
+so that the unimodular dual-coordinate matrix of ``homology`` reduces on
+unit pivots.  ``charpoly`` is Berkowitz's division-free recursion.
 There is no rational solve: rank and spans share one rational
 elimination, ``RationalSpan``.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-
-
-def zeros(m, n):
-    return [[0] * n for _ in range(m)]
 
 
 def identity_matrix(n):
@@ -78,11 +72,6 @@ def mat_eq(a, b):
     )
 
 
-def bracket(a, b):
-    """Lie bracket [a, b] = ab - ba."""
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
 # ---------------------------------------------------------------------------
 # Rank over the rationals
 
@@ -99,19 +88,27 @@ def rank(a):
 # Integral kernels
 
 
+def _int_rows(a):
+    """Copies of the rows of a, whose entries must all be ints."""
+    rows = [list(row) for row in a]
+    for row in rows:
+        if not all(type(x) is int for x in row):
+            raise ValueError("matrix entries must be ints")
+    return rows
+
+
 def kernel_basis(a):
     """Saturated integral basis of {x : a @ x = 0}, as a list of columns.
 
-    Column echelon form by unimodular column operations on a, its rows
-    scaled to integers (which keeps the kernel), stacked over v = identity.
-    Step t pivots on the first entry in row-major order of least absolute
-    value among rows >= t and columns >= t (so the scan ends at a row with
-    a +-1), swaps it to (t, t), and clears the rest of row t by Euclid:
-    subtract q times column t, swap a nonzero remainder into column t, and
-    repeat.  Row operations would not change v, so the pivot row swap is
+    Column echelon form by unimodular column operations on a, whose
+    entries must be ints, stacked over v = identity.  Step t pivots on
+    the first entry in row-major order of least absolute value among rows
+    >= t and columns >= t (so the scan ends at a row with a +-1), swaps it
+    to (t, t), and clears the rest of row t by Euclid: subtract q times
+    column t, swap a nonzero remainder into column t, and repeat.  Row operations would not change v, so the pivot row swap is
     the only one.  The echelon form is zero past the last pivot, so the
     same columns of v, unimodular, are the basis."""
-    w = _integral_rows(a)[0]
+    w = _int_rows(a)
     m = len(w)
     n = len(w[0]) if m else 0
     w += identity_matrix(n)
@@ -154,23 +151,6 @@ def kernel_basis(a):
 # (Berkowitz)
 
 
-def _integral_rows(a):
-    """Rows of a cleared of denominators: (rows, scales) with
-    rows[i] = scales[i] * a[i] integral.  Rows of ints come back as copies
-    with scale 1."""
-    rows, scales = [], []
-    for row in a:
-        if all(type(x) is int for x in row):
-            rows.append(list(row))
-            scales.append(1)
-            continue
-        row = [Fraction(x) for x in row]
-        d = math.lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (d // x.denominator) for x in row])
-        scales.append(d)
-    return rows, scales
-
-
 def _check_square(a):
     n = len(a)
     if any(len(row) != n for row in a):
@@ -180,24 +160,23 @@ def _check_square(a):
 
 def int_inverse(a):
     """Exact inverse as integers: (numerators, d) with a^-1 = numerators / d
-    and d a positive int.
+    and d a positive int, for a with int entries.
 
-    Fraction-free Gauss-Jordan on sparse {column: value} rows of [B | I],
-    with B = diag(s) a integral.  Each column pivots on the first entry of
-    least absolute value among the rows not yet pivoted, that row negated
-    if need be so that every pivot is positive.  With p the pivot, prev
+    Fraction-free Gauss-Jordan on sparse {column: value} rows of [a | I].
+    Each column pivots on the first entry of least absolute value among
+    the rows not yet pivoted, that row negated if need be so that every
+    pivot is positive.  With p the pivot, prev
     the one before and f a row's entry in the pivot column, a row becomes
     (p * row - f * pivot row) // prev, an exact division (Bareiss, Math.
     Comp. 22, 1968).  Where p == prev this is row - f * pivot row // p, so
     only the rows with f != 0 change; on unit pivots, as for the dual
     coordinates of ``homology``, every step is such a sparse update with
-    no growth and d = 1.  After n steps the right half is d B^-1 with d
-    the last pivot, and a^-1 = B^-1 diag(s).
+    no growth and d = 1.  After n steps the right half is d a^-1 with d
+    the last pivot.
     """
     n = _check_square(a)
-    b, scales = _integral_rows(a)
     rows = []
-    for i, row in enumerate(b):
+    for i, row in enumerate(_int_rows(a)):
         r = {j: x for j, x in enumerate(row) if x}
         r[n + i] = 1
         rows.append(r)
@@ -238,7 +217,7 @@ def int_inverse(a):
                         new[j] = new.get(j, 0) - f * y
                 rows[i] = {j: x // prev for j, x in new.items() if x}
         prev = p
-    return [[rows[i].get(n + j, 0) * s for j, s in enumerate(scales)] for i in order], prev
+    return [[rows[i].get(n + j, 0) for j in range(n)] for i in order], prev
 
 
 def charpoly(a):
@@ -251,11 +230,10 @@ def charpoly(a):
     nonzero entries only: M is kept as the (column, value) pairs of each
     row, one column longer per step, and R M^j is formed as ``mat_mul``
     forms a product, adding y row_i(M) for every nonzero y = (R M^(j-1))_i.
-    Exact over int and Fraction alike; integral coefficients are returned
-    as ints.
+    The entries of a must be ints, and so are the coefficients.
     """
     _check_square(a)
-    a = [[x if type(x) is int else Fraction(x) for x in row] for row in a]
+    a = _int_rows(a)
     block = []  # rows of M as their nonzero (column, value) pairs
     coeffs = [1]
     for k, row in enumerate(a):
@@ -282,7 +260,7 @@ def charpoly(a):
         for i, x in col:
             block[i].append((k, x))
         block.append([(j, x) for j, x in enumerate(row[: k + 1]) if x])
-    return [c if type(c) is int or c.denominator != 1 else int(c) for c in coeffs]
+    return coeffs
 
 
 def is_reciprocal(coeffs):
@@ -291,7 +269,7 @@ def is_reciprocal(coeffs):
 
 
 # ---------------------------------------------------------------------------
-# Incremental rational span (rank and Lie algebra closures)
+# Incremental rational span (rank and spans)
 
 
 class RationalSpan:

@@ -2,9 +2,8 @@
 as a test oracle: fraction-free Gauss-Jordan on dense rows of [B | I],
 pivoting on the first nonzero entry of each column, with every row
 updated at every step.  Beside it, the exact determinant and the
-``Fraction`` inverse that only the tests use."""
+``Fraction`` inverse that only the tests use.  Entries must be ints."""
 
-import math
 from fractions import Fraction
 
 from origami_lab import intlinalg as la
@@ -30,13 +29,11 @@ def _bareiss_step(rows, k, prev):
 
 
 def int_inverse_oracle(a):
-    """(numerators, d) with a^-1 = numerators / d, d = +-det of the
-    integral rows B = diag(s) a; a^-1 = B^-1 diag(s)."""
+    """(numerators, d) with a^-1 = numerators / d and d = +-det a."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix must be square")
-    b, scales = la._integral_rows(a)
-    rows = [row + unit for row, unit in zip(b, la.identity_matrix(n))]
+    rows = [list(row) + unit for row, unit in zip(a, la.identity_matrix(n))]
     prev = 1
     for k in range(n):
         pr = next((i for i in range(k, n) if rows[i][0] != 0), None)
@@ -44,7 +41,7 @@ def int_inverse_oracle(a):
             raise ValueError("matrix is singular")
         rows[k], rows[pr] = rows[pr], rows[k]
         prev, rows = rows[k][0], _bareiss_step(rows, k, prev)
-    return [[x * s for x, s in zip(row, scales)] for row in rows], prev
+    return rows, prev
 
 
 def invert(a):
@@ -54,13 +51,9 @@ def invert(a):
 
 
 def det(a):
-    """Exact determinant by Bareiss fraction-free elimination.
-
-    Rational rows are first scaled to integers and the result divided by
-    the product of the scales; an integral result is returned as an int.
-    """
+    """Exact determinant by Bareiss fraction-free elimination."""
     n = la._check_square(a)
-    rows, scales = la._integral_rows(a)
+    rows = [list(row) for row in a]
     sign, prev = 1, 1
     for _ in range(n):
         pr = next((i for i, row in enumerate(rows) if row[0] != 0), None)
@@ -70,5 +63,4 @@ def det(a):
             rows[0], rows[pr] = rows[pr], rows[0]
             sign = -sign
         prev, rows = rows[0][0], _bareiss_step(rows, 0, prev)[1:]
-    d = Fraction(sign * prev, math.prod(scales))
-    return int(d) if d.denominator == 1 else d
+    return sign * prev

@@ -7,7 +7,6 @@ import sympy
 from origami_lab.galois import (
     ReciprocalQuartic,
     has_real_simple_roots,
-    is_galois_pinching,
     is_galois_pinching_sl2,
     is_galois_pinching_sp4,
     is_irreducible,
@@ -60,9 +59,10 @@ def test_sl2_pinching():
         is_galois_pinching_sl2([[2, 0], [0, 1]])
 
 
-def test_dispatcher_rejects_other_sizes():
-    with pytest.raises(ValueError):
-        is_galois_pinching([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+def test_pinching_tests_reject_other_sizes():
+    for test in (is_galois_pinching_sl2, is_galois_pinching_sp4):
+        with pytest.raises(ValueError, match="sizes 2 and 4 only"):
+            test([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 def _sympy_irreducible(q):

@@ -14,10 +14,8 @@ from origami_lab.homology import (
     isotypical_W,
     kz_context,
     kz_matrix,
-    lie_algebra_dim,
     restrict,
     tautological_split,
-    unipotent_log,
 )
 from origami_lab.orbit import Sl2zWord, veech_generators
 from origami_lab.origami import automorphisms, canonical_form, central_involution, genus
@@ -25,6 +23,7 @@ from origami_lab.perm import Permutation
 
 from conftest import fixture_origami, random_origamis
 from inverse_oracle import det
+from lie_oracle import _nilpotent_series, lie_algebra_dim, unipotent_log
 
 SMALL_FIXTURES = ("l3", "mstar", "dema", "ew")
 
@@ -237,7 +236,7 @@ def test_dema_pinching_word_charpoly(dema):
 def exp_nilpotent(m):
     """exp of a nilpotent rational matrix, on the series that
     ``unipotent_log`` sums; raises ValueError if m is not nilpotent."""
-    series = homology._nilpotent_series(
+    series = _nilpotent_series(
         m, lambda j: Fraction(1, math.factorial(j)), "matrix is not nilpotent"
     )
     return la.mat_add(la.identity_matrix(len(m)), series)
@@ -265,7 +264,11 @@ def test_exp_nilpotent_rejects_a_non_nilpotent_matrix(m):
 def test_lie_algebra_dim_sl2():
     e = [[0, 1], [0, 0]]
     f = [[0, 0], [1, 0]]
+    h = [[1, 0], [0, -1]]
     assert lie_algebra_dim([e, f]) == 3
+    # the Borel subalgebra: [e, h] = -2e closes it at 2, while a bracket
+    # ab + ba (ef + fe = I, eh + he = 0, hh + hh = 2I) closes both at 3
+    assert lie_algebra_dim([e, h]) == 2
 
 
 def test_isotypical_w_requires_automorphism(ew, dema):
