@@ -326,8 +326,11 @@ def _cmd_cover(args):
         if not isinstance(spec, dict) or any(k not in spec for k in ("group", "wh", "wv")):
             raise ValueError('cocycle file must hold a JSON object with "group", "wh" and "wv"')
         groups = {"quaternion": quaternion_group, "trivial": trivial_group}
-        if spec["group"] not in groups:
+        if not isinstance(spec["group"], str) or spec["group"] not in groups:
             raise ValueError("cocycle group must be one of: %s" % ", ".join(groups))
+        for key in ("wh", "wv"):
+            if not isinstance(spec[key], list):
+                raise ValueError("cocycle %s must be a list, not %r" % (key, spec[key]))
         grp = groups[spec["group"]]()
         from .covers import group_cover
 

@@ -18,7 +18,6 @@ is Delta1 and whose values at y = +-2 multiply to Delta2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 
 from . import intlinalg as la
@@ -72,9 +71,8 @@ def quartic_from_charpoly(coeffs):
         raise ValueError("expected degree 4 (5 coefficients), got %d" % (len(coeffs) - 1))
     if coeffs[0] != 1:
         raise ValueError("polynomial must be monic")
-    if any(Fraction(c).denominator != 1 for c in coeffs):
+    if any(type(c) is not int for c in coeffs):
         raise ValueError("coefficients must be integers")
-    coeffs = [int(c) for c in coeffs]
     if not la.is_reciprocal(coeffs):
         raise ValueError("polynomial must be reciprocal (palindromic)")
     return ReciprocalQuartic(a=coeffs[1], b=coeffs[2])

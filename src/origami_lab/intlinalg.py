@@ -1,5 +1,5 @@
 r"""
-Exact integer linear algebra, with one rational elimination.
+Exact integer linear algebra.
 
 Matrices are lists of lists (row major); nothing here ever touches
 floating point.  This is the substrate for integral homology (saturated
@@ -8,19 +8,17 @@ computations (integer inverses, characteristic polynomials).  ``mat_mul``
 (the one matrix product) and ``charpoly`` run over nonzero entries only,
 as the step matrices and intersection forms are mostly zero.
 
-``kernel_basis``, ``int_inverse`` and ``charpoly`` take int entries only
-and raise ``ValueError`` on any other.  ``int_inverse`` is Bareiss
-fraction-free elimination, whose divisions are all exact, run as
-Gauss-Jordan on sparse rows, pivoting on the least entry of each column
-so that the unimodular dual-coordinate matrix of ``homology`` reduces on
-unit pivots.  ``charpoly`` is Berkowitz's division-free recursion.
-There is no rational solve: rank and spans share one rational
-elimination, ``RationalSpan``.
+``kernel_basis``, ``int_inverse``, ``rank`` and ``charpoly`` take int
+entries only and raise ``ValueError`` on any other.  ``int_inverse`` and
+``rank`` share one elimination, ``_eliminate``: Bareiss fraction-free
+elimination, whose divisions are all exact, run as Gauss-Jordan on
+sparse rows, pivoting on the least entry of each column so that the
+unimodular dual-coordinate matrix of ``homology`` reduces on unit
+pivots.  ``charpoly`` is Berkowitz's division-free recursion.  There is
+no rational solve, and no rational elimination.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 def identity_matrix(n):
@@ -73,18 +71,6 @@ def mat_eq(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Rank over the rationals
-
-
-def rank(a):
-    """Rank over Q: the dimension of the ``RationalSpan`` of the rows."""
-    span = RationalSpan()
-    for row in a:
-        span.add(row)
-    return span.dim
-
-
-# ---------------------------------------------------------------------------
 # Integral kernels
 
 
@@ -105,9 +91,10 @@ def kernel_basis(a):
     the first entry in row-major order of least absolute value among rows
     >= t and columns >= t (so the scan ends at a row with a +-1), swaps it
     to (t, t), and clears the rest of row t by Euclid: subtract q times
-    column t, swap a nonzero remainder into column t, and repeat.  Row operations would not change v, so the pivot row swap is
-    the only one.  The echelon form is zero past the last pivot, so the
-    same columns of v, unimodular, are the basis."""
+    column t, swap a nonzero remainder into column t, and repeat.  Row
+    operations would not change v, so the pivot row swap is the only one.
+    The echelon form is zero past the last pivot, so the same columns of
+    v, unimodular, are the basis."""
     w = _int_rows(a)
     m = len(w)
     n = len(w[0]) if m else 0
@@ -147,8 +134,8 @@ def kernel_basis(a):
 
 
 # ---------------------------------------------------------------------------
-# Fraction-free kernels: inverse (Bareiss), characteristic polynomial
-# (Berkowitz)
+# Fraction-free kernels: elimination (Bareiss) for the inverse and the
+# rank, characteristic polynomial (Berkowitz)
 
 
 def _check_square(a):
@@ -158,36 +145,31 @@ def _check_square(a):
     return n
 
 
-def int_inverse(a):
-    """Exact inverse as integers: (numerators, d) with a^-1 = numerators / d
-    and d a positive int, for a with int entries.
+def _eliminate(rows, width):
+    """Fraction-free Gauss-Jordan on the sparse {column: value} int rows
+    ``rows`` (changed in place) over columns 0 .. width - 1.  Returns the
+    pivot rows in pivot order, each without its pivot entry, and the last
+    pivot (1 if there is none).
 
-    Fraction-free Gauss-Jordan on sparse {column: value} rows of [a | I].
     Each column pivots on the first entry of least absolute value among
     the rows not yet pivoted, that row negated if need be so that every
-    pivot is positive.  With p the pivot, prev
-    the one before and f a row's entry in the pivot column, a row becomes
-    (p * row - f * pivot row) // prev, an exact division (Bareiss, Math.
-    Comp. 22, 1968).  Where p == prev this is row - f * pivot row // p, so
-    only the rows with f != 0 change; on unit pivots, as for the dual
+    pivot is positive; a column with no such entry is skipped.  With p
+    the pivot, prev the one before and f a row's entry in the pivot
+    column, a row becomes (p * row - f * pivot row) // prev, an exact
+    division (Bareiss, Math. Comp. 22, 1968): every entry is, up to sign,
+    a minor of the input.  Where p == prev this is row - f * pivot row // p, so only
+    the rows with f != 0 change; on unit pivots, as for the dual
     coordinates of ``homology``, every step is such a sparse update with
-    no growth and d = 1.  After n steps the right half is d a^-1 with d
-    the last pivot.
+    no growth.
     """
-    n = _check_square(a)
-    rows = []
-    for i, row in enumerate(_int_rows(a)):
-        r = {j: x for j, x in enumerate(row) if x}
-        r[n + i] = 1
-        rows.append(r)
-    pivoted = [False] * n
+    pivoted = [False] * len(rows)
     order = []
     prev = 1
-    for k in range(n):
+    for k in range(width):
         hits = [i for i, row in enumerate(rows) if k in row]
         pr = min((i for i in hits if not pivoted[i]), key=lambda i: abs(rows[i][k]), default=None)
         if pr is None:
-            raise ValueError("matrix is singular")
+            continue
         pivot = rows[pr]
         if pivot[k] < 0:
             pivot = rows[pr] = {j: -x for j, x in pivot.items()}
@@ -217,7 +199,35 @@ def int_inverse(a):
                         new[j] = new.get(j, 0) - f * y
                 rows[i] = {j: x // prev for j, x in new.items() if x}
         prev = p
-    return [[rows[i].get(n + j, 0) for j in range(n)] for i in order], prev
+    return [rows[i] for i in order], prev
+
+
+def int_inverse(a):
+    """Exact inverse as integers: (numerators, d) with a^-1 = numerators / d
+    and d a positive int, for a with int entries.
+
+    ``_eliminate`` on [a | I] over the columns of a; fewer than n pivots
+    raise ``ValueError("matrix is singular")``.  After n pivots the right
+    half is d a^-1 with d the last pivot, which is 1 on the unit pivots
+    of the dual coordinates of ``homology``.
+    """
+    n = _check_square(a)
+    rows = []
+    for i, row in enumerate(_int_rows(a)):
+        r = {j: x for j, x in enumerate(row) if x}
+        r[n + i] = 1
+        rows.append(r)
+    pivots, d = _eliminate(rows, n)
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
+    return [[r.get(n + j, 0) for j in range(n)] for r in pivots], d
+
+
+def rank(a):
+    """Rank over Q of a, whose entries must be ints: the number of pivots
+    ``_eliminate`` finds on its rows."""
+    rows = [{j: x for j, x in enumerate(row) if x} for row in _int_rows(a)]
+    return len(_eliminate(rows, len(a[0]) if a else 0)[0])
 
 
 def charpoly(a):
@@ -266,40 +276,3 @@ def charpoly(a):
 def is_reciprocal(coeffs):
     """True iff the coefficient list is palindromic."""
     return list(coeffs) == list(reversed(coeffs))
-
-
-# ---------------------------------------------------------------------------
-# Incremental rational span (rank and spans)
-
-
-class RationalSpan:
-    """A growing subspace of Q^n kept in reduced row echelon form."""
-
-    def __init__(self):
-        self.rows = []  # rref rows
-        self.pivots = []
-
-    @property
-    def dim(self):
-        return len(self.rows)
-
-    def add(self, vec):
-        """Add a vector; returns True if it enlarged the span."""
-        v = [Fraction(x) for x in vec]
-        for row, p in zip(self.rows, self.pivots):
-            if v[p] != 0:
-                f = v[p]
-                v = [x - f * y for x, y in zip(v, row)]
-        p = next((i for i, x in enumerate(v) if x != 0), None)
-        if p is None:
-            return False
-        inv = 1 / v[p]
-        v = [x * inv for x in v]
-        for row in self.rows:
-            if row[p] != 0:
-                f = row[p]
-                for i in range(len(row)):
-                    row[i] -= f * v[i]
-        self.rows.append(v)
-        self.pivots.append(p)
-        return True

@@ -411,7 +411,7 @@ def certificate_from_json(obj):
         if key in obj["quartic"] and obj["quartic"][key] != value:
             raise ValueError("certificate %s does not match (a, b)" % key)
     w = _require(obj["witness"], ("kind",), "witness")
-    if w["kind"] not in _WITNESS_KEYS:
+    if not isinstance(w["kind"], str) or w["kind"] not in _WITNESS_KEYS:
         raise ValueError("unknown witness kind %r" % w["kind"])
     _require(w, _WITNESS_KEYS[w["kind"]], "%s witness" % w["kind"])
     if w["kind"] == "unipotent":

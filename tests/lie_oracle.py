@@ -3,11 +3,13 @@ as test oracles: the sp(4) Zariski-density check on ``mstar`` reads the
 dimension of the Lie algebra that the logarithms of conjugate unipotent
 cocycle matrices generate.  Products go through ``intlinalg.mat_mul``,
 which is exact over ``Fraction`` entries; spans through
-``intlinalg.RationalSpan``."""
+``span_oracle.RationalSpan``."""
 
 from fractions import Fraction
 
 from origami_lab import intlinalg as la
+
+from span_oracle import RationalSpan
 
 
 def bracket(a, b):
@@ -45,7 +47,7 @@ def lie_algebra_dim(gens):
     closed under the bracket [X, Y] = XY - YX."""
     if not gens:
         return 0
-    span = la.RationalSpan()
+    span = RationalSpan()
     basis = []
     queue = []
     for g in gens:

@@ -1,10 +1,13 @@
 """The rational restriction that ``homology.restrict`` replaced, kept as a
 test oracle: a Gauss-Jordan solve over Q of  Z_t R = M Z_s  through
-``RationalSpan``, then an integrality check on the solution."""
+``span_oracle.RationalSpan``, then an integrality check on the
+solution."""
 
 from fractions import Fraction
 
 from origami_lab import intlinalg as la
+
+from span_oracle import RationalSpan
 
 
 def solve_right(a, b):
@@ -12,7 +15,7 @@ def solve_right(a, b):
     particular solution (free variables zero) or None if inconsistent."""
     n = len(a[0]) if a else 0
     k = len(b[0]) if b else 0
-    span = la.RationalSpan()
+    span = RationalSpan()
     for row_a, row_b in zip(a, b):
         span.add(list(row_a) + list(row_b))
     if any(p >= n for p in span.pivots):

@@ -481,12 +481,16 @@ def _verify_edited(tmp_path, section, key, value):
         lambda tmp: ["galois", _write(tmp, "m.json", [[1, "a"], [0, 1]])],
         lambda tmp: _cover(tmp, {"group": "quaternion", "wh": [2]}),
         lambda tmp: _cover(tmp, {"group": "quaternion", "wh": ["x"], "wv": [4]}),
+        lambda tmp: _cover(tmp, {"group": ["trivial"], "wh": [0], "wv": [0]}),
+        lambda tmp: _cover(tmp, {"group": "trivial", "wh": 5, "wv": [0]}),
+        lambda tmp: _cover(tmp, {"group": "trivial", "wh": [0], "wv": None}),
         lambda tmp: ["verify", _write(tmp, "cert.json", {"origami": {}})],
         lambda tmp: _verify_edited(tmp, "quartic", "a", "x"),
         lambda tmp: _verify_edited(tmp, "witness", "dim_e", True),
         lambda tmp: _verify_edited(tmp, None, "pinching_word", 5),
         lambda tmp: _verify_edited(tmp, "witness", "direction", 5),
         lambda tmp: _verify_edited(tmp, "origami", "h_images", 5),
+        lambda tmp: _verify_edited(tmp, "witness", "kind", ["cylinder"]),
         lambda tmp: ["mc", fixture_path("l3"), "--trials", "0", "--seed", "1"],
         lambda tmp: ["mc", fixture_path("l3"), "--steps", "0", "--seed", "1"],
     ],
@@ -494,12 +498,16 @@ def _verify_edited(tmp_path, section, key, value):
         "galois-non-integer",
         "cover-without-wv",
         "cover-string-cocycle-value",
+        "cover-list-group",
+        "cover-number-wh",
+        "cover-null-wv",
         "verify-empty-origami",
         "verify-string-quartic",
         "verify-bool-dim-e",
         "verify-number-pinching-word",
         "verify-number-direction",
         "verify-number-h-images",
+        "verify-list-witness-kind",
         "mc-zero-trials",
         "mc-zero-steps",
     ],

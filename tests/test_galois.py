@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -27,6 +28,13 @@ def test_quartic_from_charpoly_round_trip():
     assert q.coefficients == [1, -2, -30, -2, 1]
     with pytest.raises(ValueError):
         quartic_from_charpoly([1, -2, -30, -3, 1])  # not reciprocal
+
+
+@pytest.mark.parametrize("c", [Fraction(-2), -2.0], ids=["fraction", "float"])
+def test_quartic_from_charpoly_rejects_a_non_int_coefficient(c):
+    # integral in value, but not an int
+    with pytest.raises(ValueError, match="coefficients must be integers"):
+        quartic_from_charpoly([1, c, -30, c, 1])
 
 
 def test_dema_word_deltas():

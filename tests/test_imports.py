@@ -1,11 +1,17 @@
-"""numpy stays off the import path of the exact subcommands.
+"""numpy stays off the import path of the exact subcommands, and
+``fractions`` out of every module but ``lyapunov``.
 
 Only the Monte Carlo walk (``mc``) and the batched word search
 (``simplicity``) use numpy, and they import it inside the functions that
 run them.  Each check runs in a fresh interpreter, because the test
 process itself has numpy loaded already.
+
+The exact layers run on ints; the only rationals in the library are the
+exponent sums of ``lyapunov``, so no other module reads ``fractions``.
 """
 
+import ast
+import glob
 import json
 import os
 import subprocess
@@ -82,3 +88,24 @@ def test_mc_and_simplicity_load_numpy():
         report = _report([argv])
         assert report["after_import"] is False
         assert report["runs"] == [[argv[0], 0, True]]
+
+
+def _imports_fractions(path):
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "fractions" for name in names):
+            return True
+    return False
+
+
+def test_only_lyapunov_imports_fractions():
+    paths = glob.glob(os.path.join(SRC, "origami_lab", "*.py"))
+    found = sorted(os.path.basename(p) for p in paths if _imports_fractions(p))
+    assert found == ["lyapunov.py"]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import sympy
 from sympy.matrices.normalforms import invariant_factors
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from origami_lab import intlinalg as la
@@ -17,6 +17,7 @@ from conftest import FIXTURE_NAMES, fixture_origami, random_origamis
 from inverse_oracle import det, int_inverse_oracle, invert
 from lie_oracle import bracket
 from restrict_oracle import solve_right
+from span_oracle import RationalSpan
 
 
 def random_int_matrix(rng, n, m, lo=-5, hi=5):
@@ -143,7 +144,7 @@ def span_contains(span, vec):
 
 
 def test_rational_span():
-    span = la.RationalSpan()
+    span = RationalSpan()
     assert span.add([1, 0, 0])
     assert span.add([0, 1, 0])
     assert not span.add([2, 3, 0])
@@ -231,12 +232,49 @@ def test_kernels_on_edge_cases(a):
 
 
 @pytest.mark.parametrize("entry", [Fraction(1, 2), 0.5], ids=["fraction", "float"])
-@pytest.mark.parametrize("kernel", [la.charpoly, la.int_inverse, la.kernel_basis], ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "kernel", [la.charpoly, la.int_inverse, la.kernel_basis, la.rank], ids=lambda f: f.__name__
+)
 def test_kernels_reject_a_non_int_entry(kernel, entry):
     # one non-int entry in an invertible matrix; charpoly would return a
     # result for it
     with pytest.raises(ValueError, match="matrix entries must be ints"):
         kernel([[1, 1], [0, entry]])
+
+
+@st.composite
+def rank_matrices(draw):
+    """n x m int matrices, 0 <= n, m <= 9: random entries, or a product
+    A B through k <= 9 columns (rank at most k, often below n and m), with
+    up to two rows and two columns then set to zero."""
+    n, m = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    entries = st.integers(-9, 9)
+
+    def matrix(rows, cols):
+        return draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 9))
+        a, b = matrix(n, k), matrix(k, m)
+        out = [[sum(row[t] * b[t][j] for t in range(k)) for j in range(m)] for row in a]
+    else:
+        out = matrix(n, m)
+    zero_rows = draw(st.sets(st.integers(0, n - 1), max_size=2)) if n else set()
+    zero_cols = draw(st.sets(st.integers(0, m - 1), max_size=2)) if m else set()
+    return [
+        [0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+        for i, row in enumerate(out)
+    ]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rank_matrices())
+@example([])
+@example([[]])
+@example([[0, 0, 3], [0, 0, 6]])
+def test_rank_matches_sympy(a):
+    m = len(a[0]) if a else 0
+    assert la.rank(a) == sympy.Matrix(len(a), m, [x for row in a for x in row]).rank()
 
 
 def test_kernels_on_mbar_star_7_form():
