@@ -8,14 +8,15 @@ computations (integer inverses, characteristic polynomials).  ``mat_mul``
 (the one matrix product) and ``charpoly`` run over nonzero entries only,
 as the step matrices and intersection forms are mostly zero.
 
-``kernel_basis``, ``int_inverse``, ``rank`` and ``charpoly`` take int
-entries only and raise ``ValueError`` on any other.  ``int_inverse`` and
-``rank`` share one elimination, ``_eliminate``: Bareiss fraction-free
-elimination, whose divisions are all exact, run as Gauss-Jordan on
-sparse rows, pivoting on the least entry of each column so that the
-unimodular dual-coordinate matrix of ``homology`` reduces on unit
-pivots.  ``charpoly`` is Berkowitz's division-free recursion.  There is
-no rational solve, and no rational elimination.
+``kernel_basis``, ``int_inverse``, ``rank`` and ``charpoly`` take rows
+of one length with int entries only, and raise ``ValueError`` on any
+other.  ``int_inverse`` and ``rank`` share one elimination,
+``_eliminate``: Bareiss fraction-free elimination, whose divisions are
+all exact, run as Gauss-Jordan on sparse rows, pivoting on the least
+entry of each column so that the unimodular dual-coordinate matrix of
+``homology`` reduces on unit pivots.  ``charpoly`` is Berkowitz's
+division-free recursion.  There is no rational solve, and no rational
+elimination.
 """
 
 from __future__ import annotations
@@ -75,11 +76,13 @@ def mat_eq(a, b):
 
 
 def _int_rows(a):
-    """Copies of the rows of a, whose entries must all be ints."""
+    """Copies of the rows of a, which must have one length and int entries
+    only."""
     rows = [list(row) for row in a]
-    for row in rows:
-        if not all(type(x) is int for x in row):
-            raise ValueError("matrix entries must be ints")
+    if len(set(map(len, rows))) > 1:
+        raise ValueError("matrix rows differ in length")
+    if not all(type(x) is int for row in rows for x in row):
+        raise ValueError("matrix entries must be ints")
     return rows
 
 

@@ -19,15 +19,22 @@ letters in bulk from its own generator, the same letters
 ``randrange(4)`` would give one by one.  The trials walk side by side, a
 chunk of 50 QR periods of 20 steps at a time: one Python pass per trial
 turns the chunk's letters into rows of the step stack, gathered into one
-(chunk, trials) index array; each period then gathers its float step
-matrices as a (period, trials, d, d) block, each step is one batched
-product on the (trials, d, d) stack, and the period ends with one
-batched QR.  Besides the chunk the walk keeps one float d x d matrix per
-(node, letter) it has reached; nothing grows with the number of steps.
-The walk law is not the harmonic measure of the Teichmueller flow, so
-only law-independent conclusions (zero blocks, symmetry of the spectrum)
-should be drawn.  Only the walk uses numpy, and its functions import it
-themselves, so that the exact sum formula never loads it.
+(chunk, trials) index array.  Whole periods are then gathered in groups,
+as many as fit in ``_GATHER_BYTES`` and at least one, as a (periods, 20,
+trials, d, d) float block of step matrices, which batched products halve
+along its step axis, each later step on the left, down to one product
+per period; each period then takes one batched product with the
+(trials, d, d) frame and one batched QR, ``_qr``.  The step matrices are
+integers, so a period's product is exact in float64 while the entries of
+the product of the steps' absolute values, which bound every partial
+product and partial sum, stay below 2**53; the frame is rounded once per
+period, not once per step.  Besides the chunk and one group the walk
+keeps one float d x d matrix per (node, letter) it has reached; nothing
+grows with the number of steps.  The walk law is not the harmonic
+measure of the Teichmueller flow, so only law-independent conclusions
+(zero blocks, symmetry of the spectrum) should be drawn.  Only the walk
+uses numpy, and its functions import it themselves, so that the exact
+sum formula never loads it.
 """
 
 from __future__ import annotations
@@ -46,6 +53,9 @@ _QR_PERIOD = 20
 # QR periods walked per pass: the rows of a chunk are found before its
 # products are taken
 _CHUNK_PERIODS = 50
+# bytes of gathered step matrices multiplied out at once: a group of as
+# many whole QR periods as fit, and at least one
+_GATHER_BYTES = 1 << 20
 # 32-bit generator words drawn per refill of a trial's letters
 _REFILL_WORDS = 512
 # the most trials one estimate walks: every trial's generator, frame
@@ -164,6 +174,17 @@ class _LetterStream:
         return letters[:count].tolist()
 
 
+def _qr(a):
+    """Q and diag(R) of ``np.linalg.qr(a)`` for a float64 stack a, by the
+    two LAPACK gufuncs it calls, without its copy of a, its ``triu`` of R
+    and its errstate guard (geqrf and orgqr fail only on bad arguments).
+    a is overwritten with the raw factor, whose diagonal is diag(R)."""
+    from numpy.linalg import _umath_linalg
+
+    tau = _umath_linalg.qr_r_raw(a)
+    return _umath_linalg.qr_reduced(a, tau), a.diagonal(axis1=-2, axis2=-1)
+
+
 def mc_exponents(o, subspace="full", steps=10000, trials=10, seed=None):
     """Monte Carlo Lyapunov exponents of the uniform generator walk.
 
@@ -180,8 +201,13 @@ def mc_exponents(o, subspace="full", steps=10000, trials=10, seed=None):
     node and its d x d QR frame.  The walk goes a chunk of
     ``_CHUNK_PERIODS`` QR periods (1,000 steps) at a time; a chunk holds
     one row index per step and trial (a list and a (1000, trials) intp
-    array, about 16 KB per trial) and, per period, a (period, trials, d,
-    d) float block of the gathered step matrices.
+    array, about 16 KB per trial) and one group of periods at a time: a
+    (periods, 20, trials, d, d) float block of the gathered step matrices,
+    of at most ``_GATHER_BYTES`` (1 MiB) or else of one period, and the
+    products that halve it, at most as large again.  A period's product
+    of integer steps is exact while the entries of the product of their
+    absolute values stay below 2**53, so the frame is rounded once per
+    period.
     """
     import numpy as np
 
@@ -214,6 +240,8 @@ def mc_exponents(o, subspace="full", steps=10000, trials=10, seed=None):
     q = np.tile(np.eye(dim), (trials, 1, 1))
     sums = np.zeros((trials, dim))
     chunk_steps = _CHUNK_PERIODS * _QR_PERIOD
+    group = max(1, _GATHER_BYTES // max(1, _QR_PERIOD * trials * dim * dim * stack.mats.itemsize))
+    tiny = np.finfo(float).tiny
     for chunk_start in range(0, steps, chunk_steps):
         chunk = min(chunk_steps, steps - chunk_start)
         picked = []
@@ -228,19 +256,32 @@ def mc_exponents(o, subspace="full", steps=10000, trials=10, seed=None):
                 node = targets[row]
             nodes[trial] = node
         walk = np.array(picked, dtype=np.intp).reshape(trials, chunk).T
-        for start in range(0, chunk, _QR_PERIOD):
-            period = min(_QR_PERIOD, chunk - start)
-            block = stack.mats[walk[start : start + period]]
-            for j in range(period):
-                q = np.matmul(block[j], q)
-            q, r = np.linalg.qr(q)
-            r_diag = np.diagonal(r, axis1=1, axis2=2)
-            diag = np.abs(r_diag)
-            diag[diag == 0] = np.finfo(float).tiny
-            sums += np.log(diag)
-            signs = np.sign(r_diag)
-            signs[signs == 0] = 1.0
-            q = q * signs[:, None, :]
+        # (first step, periods, period length) of each group: whole periods,
+        # then a partial last period of the walk on its own
+        whole, rest = divmod(chunk, _QR_PERIOD)
+        spans = [
+            (start, min(group, whole - start // _QR_PERIOD), _QR_PERIOD)
+            for start in range(0, whole * _QR_PERIOD, group * _QR_PERIOD)
+        ]
+        if rest:
+            spans.append((whole * _QR_PERIOD, 1, rest))
+        for start, periods, length in spans:
+            block = stack.mats[walk[start : start + periods * length].reshape(periods, length, trials)]
+            # halve the step axis, each later step on the left of the one
+            # before it; an odd last step waits at the end for the next level
+            while length > 1:
+                half = np.matmul(block[:, 1::2], block[:, : length - 1 : 2])
+                if length % 2:
+                    half = np.concatenate([half, block[:, -1:]], axis=1)
+                block, length = half, (length + 1) // 2
+            for product in block[:, 0]:
+                q, r_diag = _qr(np.matmul(product, q))
+                diag = np.abs(r_diag)
+                diag[diag == 0] = tiny
+                sums += np.log(diag)
+                signs = np.sign(r_diag)
+                signs[signs == 0] = 1.0
+                q = q * signs[:, None, :]
     # QR column order need not be the order of the exponents, so each
     # trial is sorted before the trials are averaged; the copy is C-ordered,
     # so the reductions below add the trials in the order they always have

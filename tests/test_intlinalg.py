@@ -496,6 +496,22 @@ def test_mat_mul_rejects_a_ragged_right_factor(b):
         la.mat_mul([[1, 2]], b)
 
 
+@pytest.mark.parametrize(
+    "kernel, a",
+    [
+        (la.rank, [[0], [0, 1]]),
+        (la.rank, [[1, 2], [3]]),
+        (la.kernel_basis, [[1], [2, 3]]),
+        (la.kernel_basis, [[1, 2], [3]]),
+    ],
+)
+def test_ragged_rows_are_rejected(kernel, a):
+    # the width was read off the first row: these gave 0, 2, [] and an
+    # IndexError
+    with pytest.raises(ValueError, match="differ in length"):
+        kernel(a)
+
+
 def test_mat_mul_rejects_an_inner_dimension_mismatch():
     with pytest.raises(ValueError, match="inner dimension mismatch"):
         la.mat_mul([[1, 2, 3]], [[1], [2]])

@@ -5,7 +5,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
+from origami_lab import intlinalg as la
 from origami_lab import lyapunov
 from origami_lab.homology import kz_context
 from origami_lab.lyapunov import (
@@ -239,36 +241,33 @@ def test_letter_stream_on_boundary_words():
     assert sum(_letter_takes(_rng_emitting(words), counts), []) == expected
 
 
-def _mc_reference(o, subspace, steps, trials, seed):
-    """The trial-by-trial Monte Carlo walk: one product per step and one
-    QR per period for each trial in turn.  Returns (estimates,
+def _walk_trials(o, subspace, steps, trials, seed, apply_period):
+    """The trial-by-trial Monte Carlo walk: each trial in turn walks its
+    steps, and for each period of 20 of them (the last may be shorter)
+    replaces its frame q by ``apply_period(mats, q)``, with mats the int
+    step matrices of the period, and takes one QR.  Returns (estimates,
     std_errors).  The QR period is written out, so that a changed
     ``_QR_PERIOD`` fails the comparison."""
     ctx = kz_context(o)
     dim = len(ctx.basis(ctx.graph.basepoint, subspace))
-    step_mats = {}
     per_trial = []
     for trial in range(trials):
         rng = random.Random((int(seed) << 32) ^ trial)
         node = ctx.graph.basepoint
+        taken = []
+        for _ in range(steps):
+            node, m = ctx.step(node, _LETTERS[rng.randrange(4)], subspace)
+            taken.append(m)
         q = np.eye(dim)
         sums = np.zeros(dim)
-        for step_index in range(1, steps + 1):
-            key = (node, _LETTERS[rng.randrange(4)])
-            step = step_mats.get(key)
-            if step is None:
-                target, m = ctx.step(*key, subspace)
-                step = step_mats[key] = (target, np.array(m, dtype=float))
-            node, m = step
-            q = m @ q
-            if step_index % 20 == 0 or step_index == steps:
-                q, r = np.linalg.qr(q)
-                diag = np.abs(np.diag(r))
-                diag[diag == 0] = np.finfo(float).tiny
-                sums += np.log(diag)
-                signs = np.sign(np.diag(r))
-                signs[signs == 0] = 1.0
-                q = q * signs
+        for start in range(0, steps, 20):
+            q, r = np.linalg.qr(apply_period(taken[start : start + 20], q))
+            diag = np.abs(np.diag(r))
+            diag[diag == 0] = np.finfo(float).tiny
+            sums += np.log(diag)
+            signs = np.sign(np.diag(r))
+            signs[signs == 0] = 1.0
+            q = q * signs
         per_trial.append(np.sort(sums / steps)[::-1])
     data = np.array(per_trial)
     means = data.mean(axis=0)
@@ -279,20 +278,88 @@ def _mc_reference(o, subspace, steps, trials, seed):
     return [float(x) for x in means], [float(x) for x in errs]
 
 
+def _exact_period(mats, q):
+    """P q, with P the period's product formed in Python ints, each later
+    step on the left, and converted to floats once; every entry of P must
+    be below 2**53, so that the conversion is exact."""
+    product = mats[0]
+    for m in mats[1:]:
+        product = la.mat_mul(m, product)
+    assert all(abs(x) < 2**53 for row in product for x in row)
+    return np.array(product, dtype=float) @ q
+
+
+def _per_step_period(mats, q):
+    """q multiplied by each step of the period in turn, in floats."""
+    for m in mats:
+        q = np.array(m, dtype=float) @ q
+    return q
+
+
+def _mc_reference(o, subspace, steps, trials, seed):
+    return _walk_trials(o, subspace, steps, trials, seed, _exact_period)
+
+
+def _mc_per_step_reference(o, subspace, steps, trials, seed):
+    return _walk_trials(o, subspace, steps, trials, seed, _per_step_period)
+
+
+_MC_CASES = [("l3", "full"), ("dema", "full"), ("dema", "H1_zero"), ("ew", "H1_zero"), ("ew", "W")]
+
+
 # 999, 1000 and 1001 steps end just before, at and just after the end of
 # the first 50-period chunk; 2021 spans three chunks and, in every trial,
 # several letter refills whose leftovers carry over between chunks
 @pytest.mark.parametrize("steps", [1, 19, 20, 21, 500, 999, 1000, 1001, 2021])
-@pytest.mark.parametrize(
-    "name, subspace",
-    [("l3", "full"), ("dema", "full"), ("dema", "H1_zero"), ("ew", "H1_zero"), ("ew", "W")],
-)
+@pytest.mark.parametrize("name, subspace", _MC_CASES)
 def test_mc_matches_trial_by_trial_reference(name, subspace, steps):
     o = fixture_origami(name)
     for trials in (1, 3):
         seed = 1000 * steps + trials
         est = mc_exponents(o, subspace=subspace, steps=steps, trials=trials, seed=seed)
         assert (est.estimates, est.std_errors) == _mc_reference(o, subspace, steps, trials, seed)
+
+
+# a group of 1 or 3 periods: 3 periods split a 50-period chunk into 16
+# groups and a last one of 2
+@pytest.mark.parametrize("periods", [1, 3])
+@pytest.mark.parametrize("steps", [19, 41, 1001, 2021])
+@pytest.mark.parametrize("name, subspace", _MC_CASES)
+def test_mc_matches_reference_with_small_groups(name, subspace, steps, periods, monkeypatch):
+    o = fixture_origami(name)
+    ctx = kz_context(o)
+    dim = len(ctx.basis(ctx.graph.basepoint, subspace))
+    for trials in (1, 3):
+        period_bytes = 20 * trials * dim * dim * 8
+        # one byte short of the next period, which must not fit
+        monkeypatch.setattr(lyapunov, "_GATHER_BYTES", (periods + 1) * period_bytes - 1)
+        seed = 1000 * steps + trials
+        est = mc_exponents(o, subspace=subspace, steps=steps, trials=trials, seed=seed)
+        assert (est.estimates, est.std_errors) == _mc_reference(o, subspace, steps, trials, seed)
+
+
+@pytest.mark.parametrize("name, subspace", _MC_CASES)
+def test_mc_near_the_per_step_product(name, subspace):
+    # the exact period product rounds the frame once per period, where a
+    # product per step rounds it 20 times; the estimates move in the last
+    # bits only
+    o = fixture_origami(name)
+    est = mc_exponents(o, subspace=subspace, steps=2021, trials=3, seed=11)
+    estimates, errs = _mc_per_step_reference(o, subspace, 2021, 3, 11)
+    assert est.estimates == pytest.approx(estimates, rel=0, abs=1e-12)
+    assert est.std_errors == pytest.approx(errs, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("dim", [0, 1, 4, 22])
+def test_raw_qr_matches_numpy_qr(dim):
+    # the two LAPACK gufuncs behind np.linalg.qr, called directly: a numpy
+    # that changes them fails here
+    rng = np.random.default_rng(dim)
+    for a in (rng.standard_normal((3, dim, dim)), rng.integers(-3, 4, (3, dim, dim)).astype(float)):
+        q, r = np.linalg.qr(a)
+        raw_q, raw_diag = lyapunov._qr(a.copy())
+        assert raw_q.shape == q.shape and np.array_equal(raw_q, q)
+        assert np.array_equal(raw_diag, np.diagonal(r, axis1=1, axis2=2))
 
 
 @pytest.mark.parametrize("trials", [1, 3])
@@ -321,20 +388,40 @@ def test_mc_rejects_non_int_arguments(l3, argument, value):
         mc_exponents(l3, **kwargs)
 
 
+def _gather_groups(steps, trials, dim):
+    """The groups of periods ``mc_exponents`` gathers: per 1,000-step
+    chunk, its whole periods in groups of as many as fit in
+    ``_GATHER_BYTES``, and a partial last period on its own."""
+    group = max(1, lyapunov._GATHER_BYTES // (20 * trials * dim * dim * 8))
+    count = 0
+    for start in range(0, steps, 1000):
+        whole, rest = divmod(min(1000, steps - start), 20)
+        count += math.ceil(whole / group) + (rest > 0)
+    return count
+
+
 def test_mc_batches_trials(l3, dema, monkeypatch):
-    # one QR per period whatever the number of trials, and each step
-    # matrix fetched once per call ("full", where KzContext.step makes no
-    # nested step call)
-    real_qr = np.linalg.qr
+    # one raw QR per period whatever the number of trials, one product
+    # per period with the frame and five halving levels per group, each a
+    # single batched product; and each step matrix fetched once per call
+    # ("full", where KzContext.step makes no nested step call)
+    real_qr_r_raw, real_matmul = _umath_linalg.qr_r_raw, np.matmul
     qr_calls = []
+    matmul_calls = []
 
-    def counting_qr(a):
+    def counting_qr_r_raw(a, **kwargs):
         qr_calls.append(a.shape)
-        return real_qr(a)
+        return real_qr_r_raw(a, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    def counting_matmul(*args, **kwargs):
+        matmul_calls.append(1)
+        return real_matmul(*args, **kwargs)
+
+    monkeypatch.setattr(_umath_linalg, "qr_r_raw", counting_qr_r_raw)
+    monkeypatch.setattr(np, "matmul", counting_matmul)
     for o in (l3, dema):
         ctx = kz_context(o)
+        dim = len(ctx.basis(ctx.graph.basepoint, "full"))
         real_step = ctx.step
         step_calls = []
 
@@ -343,11 +430,14 @@ def test_mc_batches_trials(l3, dema, monkeypatch):
             return real_step(*args)
 
         monkeypatch.setattr(ctx, "step", counting_step)
-        for steps in (1, 20, 21, 500):
+        for steps in (1, 20, 21, 500, 1001):
             for trials in (2, 5):
                 qr_calls.clear()
+                matmul_calls.clear()
                 step_calls.clear()
                 mc_exponents(o, subspace="full", steps=steps, trials=trials, seed=steps)
-                assert len(qr_calls) == math.ceil(steps / 20)
+                periods = math.ceil(steps / 20)
+                assert len(qr_calls) == periods
                 assert all(shape[0] == trials for shape in qr_calls)
+                assert len(matmul_calls) <= periods + 5 * _gather_groups(steps, trials, dim)
                 assert step_calls and len(step_calls) == len(set(step_calls))
