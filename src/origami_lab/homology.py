@@ -23,10 +23,13 @@ to the intersection form; both are built, and the form checked, the first
 time either is read, since most builds need only the basis and the
 coordinates.
 
-The complex is kept as incidences only.  A generator letter and a deck
-transformation both act through one path: a sparse edge map and a square
-map, the chain-map law checked per square, the sparse basis loops pushed
-through and projected, and M^T J' M = J checked.
+The complex is kept as incidences only, read off the 0-based image
+tables of h and v.  A generator letter and a deck transformation both act
+through one path: a sparse edge map and a square map, the chain-map law
+checked per square, the sparse basis loops pushed through and projected,
+and M^T J' M = J checked.  The checks d1 d2 = 0 and the chain-map law add
+their contributions into a dict keyed by one int (square * V + vertex,
+square * E + edge), so they hold memory linear in the contributions.
 
 Cocycle matrices are restricted to an invariant sublattice (the
 zero-holonomy part, or the isotypical block W of a central involution) by
@@ -45,7 +48,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import intlinalg as la
-from .origami import automorphisms, canonical_form, central_involution, corner_permutation
+from .origami import automorphisms, canonical_form, central_involution
 from .orbit import _LETTERS, Sl2zWord, sl2z_orbit
 from .paths import CenterPath
 from .perm import conjugate
@@ -71,31 +74,56 @@ class ChainComplexData:
 
 
 def chain_complex(o):
+    """The incidences of the cell complex of ``o``, with d1 d2 = 0 checked.
+    Vertex classes are the cycles of the corner permutation c = v h v^-1
+    h^-1, numbered by their least square."""
     n = o.degree
-    vertex_of = [0] * n
-    for idx, cyc in enumerate(corner_permutation(o).cycles(include_fixed=True)):
-        for s in cyc:
-            vertex_of[s - 1] = idx
-    squares = range(1, n + 1)
-    hi, vi = o.h.inverse(), o.v.inverse()
+    h = [j - 1 for j in o.h.images]
+    v = [j - 1 for j in o.v.images]
+    hi, vi = [0] * n, [0] * n
+    for i in range(n):
+        hi[h[i]] = i
+        vi[v[i]] = i
+    vertex_of = [-1] * n
+    vertices = 0
+    for start in range(n):
+        if vertex_of[start] < 0:
+            j = start
+            while vertex_of[j] < 0:
+                vertex_of[j] = vertices
+                j = v[h[vi[hi[j]]]]
+            vertices += 1
     # sigma_i runs from the corner of square i to the corner of h(i), with
     # square i above it; zeta_i runs from the corner of square i to the
     # corner of v(i), with square i to its right
-    tail = vertex_of * 2
-    head = [vertex_of[o.h(i) - 1] for i in squares] + [vertex_of[o.v(i) - 1] for i in squares]
-    plus = [i - 1 for i in squares] + [hi(i) - 1 for i in squares]
-    minus = [vi(i) - 1 for i in squares] + [i - 1 for i in squares]
+    cx = ChainComplexData(
+        vertices,
+        tail=vertex_of * 2,
+        head=[vertex_of[j] for j in h] + [vertex_of[j] for j in v],
+        plus=list(range(n)) + hi,
+        minus=vi + list(range(n)),
+    )
+    _check_complex(cx)
+    return cx
 
-    # d1(d2(square)) from the incidences: the entry of the product at
-    # (vertex, square), without forming the V x N product
-    composed = Counter()
-    for k in range(2 * n):
-        for square, sign in ((plus[k], 1), (minus[k], -1)):
-            composed[square, head[k]] += sign
-            composed[square, tail[k]] -= sign
+
+def _check_complex(cx):
+    """Raise unless d1(d2(square)) = 0 on the incidences of ``cx``: every
+    contribution to the entry of the product at (vertex, square) is added
+    under the key square * V + vertex, without forming the V x N
+    product."""
+    nv = cx.vertices
+    composed = {}
+    get = composed.get
+    for p, m, hd, tl in zip(cx.plus, cx.minus, cx.head, cx.tail):
+        p *= nv
+        m *= nv
+        composed[p + hd] = get(p + hd, 0) + 1
+        composed[p + tl] = get(p + tl, 0) - 1
+        composed[m + hd] = get(m + hd, 0) - 1
+        composed[m + tl] = get(m + tl, 0) + 1
     if any(composed.values()):
         raise AssertionError("boundary maps do not compose to zero")
-    return ChainComplexData(max(vertex_of) + 1, tail, head, plus, minus)
 
 
 def _spanning_tree(count, ends, edges):
@@ -284,7 +312,7 @@ class Homology:
         if conjugate(o.h, tau) != o.h or conjugate(o.v, tau) != o.v:
             raise ValueError("tau is not a deck transformation of the origami")
         n = o.degree
-        cell = [tau(i) - 1 for i in range(1, n + 1)]
+        cell = [j - 1 for j in tau.images]
         edges = [[(j, 1)] for j in cell] + [[(n + j, 1)] for j in cell]
         return _homology_map(self, self, edges, cell)
 
@@ -322,34 +350,53 @@ def _edge_map(o, letter, relabel):
     ``relabel``: per source edge (sigma_i at i-1, zeta_i at N+i-1) its image
     as a list of (target edge, coefficient) pairs, and per source square
     (0-based) its target square."""
+    if letter not in _LETTERS:
+        raise ValueError("unknown letter %r" % letter)
     n = o.degree
-    h, v, r = o.h, o.v, relabel
-    hi, vi = h.inverse(), v.inverse()
-    edges = [None] * (2 * n)
-    cell = [0] * n
-    for i in range(1, n + 1):
-        sigma, zeta = i - 1, n + i - 1
-        if letter == "T":
-            # sigma_i -> sigma'_{r(i)}; zeta_i -> sigma'_{r(i)} + zeta'_{r(h(i))}
-            edges[sigma] = [(r(i) - 1, 1)]
-            edges[zeta] = [(r(i) - 1, 1), (n + r(h(i)) - 1, 1)]
-            cell[i - 1] = r(h(i)) - 1
-        elif letter == "t":
-            edges[sigma] = [(r(i) - 1, 1)]
-            edges[zeta] = [(n + r(hi(i)) - 1, 1), (r(hi(i)) - 1, -1)]
-            cell[i - 1] = r(hi(i)) - 1
-        elif letter == "S":
-            # zeta_i -> zeta'_{r(i)}; sigma_i -> zeta'_{r(i)} + sigma'_{r(v(i))}
-            edges[zeta] = [(n + r(i) - 1, 1)]
-            edges[sigma] = [(n + r(i) - 1, 1), (r(v(i)) - 1, 1)]
-            cell[i - 1] = r(v(i)) - 1
-        elif letter == "s":
-            edges[zeta] = [(n + r(i) - 1, 1)]
-            edges[sigma] = [(r(vi(i)) - 1, 1), (n + r(vi(i)) - 1, -1)]
-            cell[i - 1] = r(vi(i)) - 1
-        else:
-            raise ValueError("unknown letter %r" % letter)
+    r = [j - 1 for j in relabel.images]
+    # the square i moves to: r(h(i)) for T, r(h^-1(i)) for t, r(v(i)) for
+    # S and r(v^-1(i)) for s
+    moved = (o.h if letter in ("T", "t") else o.v).images
+    if letter in ("T", "S"):
+        cell = [r[j - 1] for j in moved]
+    else:
+        cell = [0] * n
+        for i, j in enumerate(moved):
+            cell[j - 1] = r[i]
+    if letter == "T":
+        # sigma_i -> sigma'_{r(i)}; zeta_i -> sigma'_{r(i)} + zeta'_{r(h(i))}
+        edges = [[(x, 1)] for x in r] + [[(x, 1), (n + c, 1)] for x, c in zip(r, cell)]
+    elif letter == "t":
+        edges = [[(x, 1)] for x in r] + [[(n + c, 1), (c, -1)] for c in cell]
+    elif letter == "S":
+        # zeta_i -> zeta'_{r(i)}; sigma_i -> zeta'_{r(i)} + sigma'_{r(v(i))}
+        edges = [[(n + x, 1), (c, 1)] for x, c in zip(r, cell)] + [[(n + x, 1)] for x in r]
+    else:
+        edges = [[(c, 1), (n + c, -1)] for c in cell] + [[(n + x, 1)] for x in r]
     return edges, cell
+
+
+def _check_chain_map(cs, ct, edges, cell):
+    """Raise unless f(d2(i)) = d2(cell[i]) for every source square i, for
+    the chain map f of ``_homology_map`` between the complexes cs and ct:
+    every contribution to f(d2(i)) - d2(cell[i]) is added under the key
+    (target square) * E + (target edge), E the target edge count."""
+    ne = len(ct.plus)
+    law = {}
+    get = law.get
+    for p, m, image in zip(cs.plus, cs.minus, edges):
+        p = cell[p] * ne
+        m = cell[m] * ne
+        for e, c in image:
+            law[p + e] = get(p + e, 0) + c
+            law[m + e] = get(m + e, 0) - c
+    for e, (p, m) in enumerate(zip(ct.plus, ct.minus)):
+        p = p * ne + e
+        m = m * ne + e
+        law[p] = get(p, 0) - 1
+        law[m] = get(m, 0) + 1
+    if any(law.values()):
+        raise AssertionError("edge map is not a chain map")
 
 
 def _homology_map(hs, ht, edges, cell):
@@ -358,18 +405,7 @@ def _homology_map(hs, ht, edges, cell):
     in edges[k] and source square i to target square cell[i] (0-based, a
     bijection).  Checks f(d2(i)) = d2(cell[i]) on the incidences and
     M^T J_t M = J_s."""
-    cs, ct = hs.complex, ht.complex
-    # f(d2(i)) - d2(cell[i]) as (target square, target edge) entries
-    law = Counter()
-    for k, image in enumerate(edges):
-        for square, sign in ((cs.plus[k], 1), (cs.minus[k], -1)):
-            for e, c in image:
-                law[cell[square], e] += sign * c
-    for e in range(len(ct.plus)):
-        law[ct.plus[e], e] -= 1
-        law[ct.minus[e], e] += 1
-    if any(law.values()):
-        raise AssertionError("edge map is not a chain map")
+    _check_chain_map(hs.complex, ht.complex, edges, cell)
     images = []
     for loop in hs.loops:
         image = Counter()

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -18,7 +19,13 @@ from origami_lab.homology import (
     tautological_split,
 )
 from origami_lab.orbit import Sl2zWord, veech_generators
-from origami_lab.origami import automorphisms, canonical_form, central_involution, genus
+from origami_lab.origami import (
+    automorphisms,
+    canonical_form,
+    central_involution,
+    corner_permutation,
+    genus,
+)
 from origami_lab.perm import Permutation
 
 from conftest import fixture_origami, random_origamis
@@ -38,6 +45,54 @@ def test_chain_complex_is_a_complex(name):
     d2 = [[(cc.plus[k] == i) - (cc.minus[k] == i) for i in range(o.degree)] for k in edges]
     prod = la.mat_mul(d1, d2)
     assert all(x == 0 for row in prod for x in row)
+
+
+# l3 has one vertex, so every edge is a loop and d1 = 0
+@pytest.mark.parametrize("name", ("mstar", "dema", "ew", "ltilde"))
+def test_corrupted_incidences_fail_the_complex_check(name):
+    cx = chain_complex(fixture_origami(name))
+    homology._check_complex(cx)
+    n = len(cx.plus) // 2
+    # moving the plus or minus square of an edge changes d1(d2) at the
+    # square it left by +-(head - tail), nonzero off a loop edge; swapping
+    # its ends changes it at plus[k] by twice that, unless the same square
+    # lies on both sides and its two contributions cancel
+    swapped = 0
+    for k in (k for k in range(2 * n) if cx.head[k] != cx.tail[k]):
+        plus, minus = list(cx.plus), list(cx.minus)
+        plus[k] = (plus[k] + 1) % n
+        minus[k] = (minus[k] + 1) % n
+        corruptions = [dataclasses.replace(cx, plus=plus), dataclasses.replace(cx, minus=minus)]
+        if cx.plus[k] != cx.minus[k]:
+            tail, head = list(cx.tail), list(cx.head)
+            tail[k], head[k] = head[k], tail[k]
+            corruptions.append(dataclasses.replace(cx, tail=tail, head=head))
+            swapped += 1
+        for corrupted in corruptions:
+            with pytest.raises(AssertionError, match="boundary maps do not compose to zero"):
+                homology._check_complex(corrupted)
+    assert swapped
+
+
+def test_homology_layer_makes_no_permutation_calls(monkeypatch, dema):
+    # the incidences, edge maps and checks read image tables converted
+    # once per permutation; a per-square Permutation call counts here
+    ctx = KzContext(canonical_form(dema).origami)
+    call = Permutation.__call__
+    calls = []
+
+    def counted(self, i):
+        calls.append(i)
+        return call(self, i)
+
+    monkeypatch.setattr(Permutation, "__call__", counted)
+    hom = Homology(dema)
+    tautological_split(hom)
+    ctx.step(0, "T")
+    assert calls == []
+    # the count sees a per-symbol walk
+    corner_permutation(dema).cycles()
+    assert calls
 
 
 @pytest.mark.parametrize("name", SMALL_FIXTURES)
@@ -297,6 +352,20 @@ def test_chain_map_check_rejects_a_flipped_coefficient(dema, letter):
     k = next(k for k, image in enumerate(edges) if len(image) == 2)
     (e, c), other = edges[k]
     edges[k] = [(e, -c), other]
+    with pytest.raises(AssertionError, match="not a chain map"):
+        homology._homology_map(hs, ht, edges, cell)
+
+
+@pytest.mark.parametrize("letter", "TSts")
+def test_chain_map_check_rejects_a_moved_square(dema, letter):
+    ctx = kz_context(dema)
+    target, relabel = ctx.graph.step(0, letter)
+    edges, cell = homology._edge_map(ctx.graph.nodes[0], letter, relabel)
+    hs, ht = ctx.homology(0), ctx.homology(target)
+    homology._check_chain_map(hs.complex, ht.complex, edges, cell)
+    # squares 0 and 1 trade targets: f(d2(0)) = d2(cell[0]) now lands on
+    # cell[1], whose boundary differs
+    cell[0], cell[1] = cell[1], cell[0]
     with pytest.raises(AssertionError, match="not a chain map"):
         homology._homology_map(hs, ht, edges, cell)
 

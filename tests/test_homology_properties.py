@@ -3,10 +3,13 @@
 The reference for the intersection form is the crossing engine of
 ``crossing_oracle``: signed crossing numbers of closed center paths,
 computed without any homology basis.  The reference for coordinates is
-the cotree peel of ``peel_oracle``, which reads no crossing record.
+the cotree peel of ``peel_oracle``, which reads no crossing record.  The
+reference for the incidences, the edge maps and the two checks on them
+is ``homology_oracle``, built over ``Permutation`` calls and ``Counter``s.
 """
 
 import copy
+import dataclasses
 import hashlib
 import random
 from collections import Counter
@@ -20,12 +23,13 @@ from origami_lab import cli, homology
 from origami_lab import intlinalg as la
 from origami_lab.covers import EdgeCocycle, FiniteGroupTable, group_cover, quaternion_group
 from origami_lab.homology import Homology, KzContext, tautological_split
-from origami_lab.orbit import Sl2zWord
+from origami_lab.orbit import Sl2zWord, apply_letter
 from origami_lab.origami import Origami, automorphisms, genus
 from origami_lab.paths import cycle_loops, path_class_chain
 from origami_lab.perm import Permutation, is_transitive
 
 from conftest import FIXTURE_NAMES, fixture_origami, fixture_path, random_origamis
+import homology_oracle
 from crossing_oracle import pairing_in_basis, pattern_loops, signed_crossings
 from inverse_oracle import det
 from peel_oracle import peel_coordinates
@@ -323,3 +327,74 @@ def test_kz_zero_inverts_d_once_per_node_it_visits(monkeypatch, capsys):
     assert set(ctx._homology) == visited
     rank = ctx.homology(node).rank
     assert sorted(sizes) == [rank - 2] + [rank] * len(visited)
+
+
+# ---------------------------------------------------------------------------
+# The incidence layer against the Counter-keyed oracle
+
+
+def corrupt_complex(cx, rng):
+    """``cx`` with one random entry of tail, head, plus or minus replaced
+    by a random value in its range (possibly the same value)."""
+    name = rng.choice(("tail", "head", "plus", "minus"))
+    values = list(getattr(cx, name))
+    bound = cx.vertices if name in ("tail", "head") else len(values) // 2
+    values[rng.randrange(len(values))] = rng.randrange(bound)
+    return dataclasses.replace(cx, **{name: values})
+
+
+def corrupt_map(edges, cell, rng, target_edges):
+    """(edges, cell) with one random entry replaced: the target square of
+    one source square, or the target edge or the coefficient of one term
+    of one edge image."""
+    edges = [list(image) for image in edges]
+    cell = list(cell)
+    kind = rng.randrange(3)
+    if kind == 0:
+        cell[rng.randrange(len(cell))] = rng.randrange(len(cell))
+    else:
+        image = edges[rng.randrange(len(edges))]
+        t = rng.randrange(len(image))
+        e, c = image[t]
+        image[t] = (rng.randrange(target_edges), c) if kind == 1 else (e, rng.randint(-2, 2))
+    return edges, cell
+
+
+def fires(check, *args):
+    try:
+        check(*args)
+    except AssertionError:
+        return True
+    return False
+
+
+def check_against_oracle(o, rng, corruptions=20):
+    """The incidences and the edge map of each letter equal the oracle's,
+    both checks pass on them, and each check fails exactly where the
+    oracle's does on random single-entry corruptions."""
+    cx = homology.chain_complex(o)
+    assert cx == homology_oracle.chain_complex(o)
+    for _ in range(corruptions):
+        bad = corrupt_complex(cx, rng)
+        assert fires(homology._check_complex, bad) != homology_oracle.composes_to_zero(bad)
+    for letter in "TSts":
+        _raw, canon, relabel = apply_letter(o, letter)
+        edges, cell = homology._edge_map(o, letter, relabel)
+        assert (edges, cell) == homology_oracle.edge_map(o, letter, relabel)
+        ct = homology.chain_complex(canon)
+        assert homology_oracle.is_chain_map(cx, ct, edges, cell)
+        homology._check_chain_map(cx, ct, edges, cell)
+        for _ in range(corruptions):
+            bad = corrupt_map(edges, cell, rng, len(ct.plus))
+            assert fires(homology._check_chain_map, cx, ct, *bad) != homology_oracle.is_chain_map(cx, ct, *bad)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_incidences_and_checks_match_the_oracle_on_fixtures(name):
+    check_against_oracle(fixture_origami(name), random.Random(name))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(transitive_pairs(), st.integers(0, 2**32))
+def test_incidences_and_checks_match_the_oracle_on_random_origamis(o, seed):
+    check_against_oracle(o, random.Random(seed))
