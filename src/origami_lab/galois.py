@@ -122,17 +122,28 @@ class Sp4PinchingReport:
 def is_galois_pinching_sp4(m):
     """Pinching test for a 4x4 integral matrix of determinant one.
 
-    Returns an Sp4PinchingReport; pinching holds iff the characteristic
-    polynomial is an irreducible reciprocal quartic with four real simple
-    roots and none of Delta1, Delta2, Delta3 is a perfect square.  The
-    final loop tests only Delta2 and Delta3: a square Delta1 has already
-    returned "characteristic polynomial reducible".  det(m) is read off
-    the constant term of the (even degree) characteristic polynomial.
+    Returns the Sp4PinchingReport of ``sp4_pinching_report`` for the
+    characteristic polynomial of m, formed by ``la.charpoly``.
     """
     m = [list(r) for r in m]
     if len(m) != 4 or any(len(r) != 4 for r in m):
         raise ValueError("pinching criteria are implemented for sizes 2 and 4 only")
-    cp = la.charpoly(m)
+    return sp4_pinching_report(la.charpoly(m))
+
+
+def sp4_pinching_report(cp):
+    """Pinching test for the characteristic polynomial [1, c1, .., c4] of
+    a 4x4 integral matrix of determinant one.
+
+    Returns an Sp4PinchingReport; pinching holds iff cp is an irreducible
+    reciprocal quartic with four real simple roots and none of Delta1,
+    Delta2, Delta3 is a perfect square.  The final loop tests only Delta2
+    and Delta3: a square Delta1 has already returned "characteristic
+    polynomial reducible".  The determinant is read off the constant term
+    of the (even degree) polynomial, and every coefficient must be an int.
+    """
+    if len(cp) != 5:
+        raise ValueError("pinching criteria are implemented for sizes 2 and 4 only")
     if cp[-1] != 1:
         raise ValueError("matrix must have determinant 1 (symplectic)")
     if not la.is_reciprocal(cp):

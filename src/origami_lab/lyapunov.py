@@ -218,7 +218,13 @@ def mc_exponents(o, subspace="full", steps=10000, trials=10, seed=None):
     absolute values stay below 2**53, so the frame is rounded once per
     period.  The bound is not checked: on ``z6`` and ``ltilde`` a 20-step
     period can pass it (up to 2**75.9 on ``ltilde`` ``H1_zero``), and the
-    product is then rounded as well.  The per-trial state above does not
+    product is then rounded as well.  After each period's QR the frame's
+    columns are negated in place where diag(R) is negative, which is
+    ``np.sign``'s flip for every diagonal but NaN, whose column it leaves
+    as it is; the diagonals of a group's periods are stored in one
+    (periods + 1, trials, d) block behind the running sums, and their
+    logs (of ``tiny`` where a diagonal is 0) are taken once per group and
+    added in period order.  The per-trial state above does not
     grow with ``steps``, but the context's caches do, by each node and
     step the walk reaches for the first time (about 2.45 MB and 1.37 MB
     on ``z6``), until it has reached them all.
@@ -288,14 +294,18 @@ def mc_exponents(o, subspace="full", steps=10000, trials=10, seed=None):
                 if length % 2:
                     half = np.concatenate([half, block[:, -1:]], axis=1)
                 block, length = half, (length + 1) // 2
-            for product in block[:, 0]:
-                q, r_diag = _qr(np.matmul(product, q))
-                diag = np.abs(r_diag)
-                diag[diag == 0] = tiny
-                sums += np.log(diag)
-                signs = np.sign(r_diag)
-                signs[signs == 0] = 1.0
-                q = q * signs[:, None, :]
+            # row 0 is the running sums, row k diag(R) of period k and
+            # then its log; accumulate adds the rows in order, as a
+            # running += would
+            logs = np.empty((periods + 1, trials, dim))
+            logs[0] = sums
+            for k, product in enumerate(block[:, 0], 1):
+                q, logs[k] = _qr(np.matmul(product, q))
+                np.negative(q, out=q, where=(logs[k] < 0)[:, None, :])
+            diag = np.abs(logs[1:])
+            diag[diag == 0] = tiny
+            np.log(diag, out=logs[1:])
+            sums = np.add.accumulate(logs, axis=0)[-1]
     # QR column order need not be the order of the exponents, so each
     # trial is sorted before the trials are averaged; the copy is C-ordered,
     # so the reductions below add the trials in the order they always have

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import intlinalg as la
-from .galois import is_galois_pinching_sp4
+from .galois import is_galois_pinching_sp4, sp4_pinching_report
 from .homology import StepStack, kz_context
 from .origami import Origami, automorphism_count, canonical_form, genus, is_reduced
 from .orbit import _INVERSE_LETTER, _LETTERS, Sl2zWord, _cycle_lengths, spanning_tree
@@ -180,6 +180,40 @@ def _products(steps, mats, bound):
     return np.matmul(steps, mats), bound
 
 
+def _power_traces(mats, bound):
+    """The traces of M, M^2, .., M^d, one row per matrix M of a stack of
+    d x d integer matrices, given a bound on their entries.  The entries
+    of M^k, every partial sum that forms one and its trace are at most
+    d^k bound^k, so the powers are formed in int64 while d^d bound^d is
+    below 2**63, which is then exact, else in Python ints (dtype=object)."""
+    import numpy as np
+
+    d = mats.shape[-1]
+    if (d * bound) ** d >= _INT64_LIMIT:
+        mats = mats.astype(object)
+    power = mats
+    traces = [power.trace(axis1=1, axis2=2)]
+    for _ in range(d - 1):
+        power = np.matmul(mats, power)
+        traces.append(power.trace(axis1=1, axis2=2))
+    return np.stack(traces, axis=1)
+
+
+def _charpolys(mats, bound):
+    """The characteristic polynomials [1, c1, .., cd], in Python ints, of
+    a stack of d x d integer matrices, given a bound on their entries:
+    Newton's identities k c_k = -(c_(k-1) p_1 + c_(k-2) p_2 + .. + c_0 p_k),
+    with c_0 = 1 and p_k the trace of M^k, in exact division."""
+    d = mats.shape[-1]
+    polys = []
+    for p in _power_traces(mats, bound).tolist():
+        c = [1]
+        for k in range(1, d + 1):
+            c.append(-sum([x * y for x, y in zip(reversed(c), p)]) // k)
+        polys.append(c)
+    return polys
+
+
 def _matrix_keys(mats):
     """One key per matrix of a stack, equal exactly when the matrices are,
     whatever their dtype: the bytes of its entries in int64, or the tuple
@@ -249,15 +283,20 @@ def _search_pinching_word(o, search_depth):
         nodes = [targets[picks[c]] for c in kept]
         lasts = [letters[c] for c in kept]
         paths = [paths[parents[c]] + (_LETTERS[letters[c]],) for c in kept]
+        # the closed states not yet rejected, one per matrix, in kept order
+        closed = {}
         for i, child in enumerate(kept):
-            if nodes[i] != base or keys[child] in rejected:
-                continue
-            report = is_galois_pinching_sp4(frontier[i].tolist())
+            if nodes[i] == base and keys[child] not in rejected:
+                closed.setdefault(keys[child], i)
+        picked = list(closed.values())
+        polys = _charpolys(frontier[picked], bound) if picked else []
+        for key, i, cp in zip(closed, picked, polys):
+            report = sp4_pinching_report(cp)
             if report.pinching:
                 # the word's leftmost letter acts last: reverse the path
                 found = Sl2zWord(tuple(reversed(paths[i]))), report
                 break
-            rejected.add(keys[child])
+            rejected.add(key)
         if found is not None:
             break
     return found, {"exhausted": exhausted, "words": words, "states": len(seen)}
@@ -291,9 +330,20 @@ def find_pinching_word(o, search_depth):
     it by the largest absolute row sum of the steps it used, which
     bounds every entry of the new products and every partial sum that
     forms one.  Once the bound reaches 2**63 the rest of the search
-    runs in Python ints (a dtype=object array).  Only the closed
-    matrices at the basepoint are turned into Python ints, for the
-    pinching test.
+    runs in Python ints (a dtype=object array).
+
+    The closed matrices of a length at the basepoint are tested as one
+    batch as well: those whose matrix was not found not pinching at a
+    shorter length, one per matrix, in the order they were kept.
+    ``_charpolys`` forms their characteristic polynomials from the
+    traces of their first d powers, taken by batched products, with
+    Newton's identities in Python ints; the powers are int64 while
+    d^d bound^d, which bounds their entries, partial sums and traces, is
+    below 2**63, else Python ints.  The reports are then read off the
+    coefficient lists in that order, up to the first pinching one, so
+    the word and report are those a test of one matrix at a time would
+    give.  ``verify_certificate`` re-derives the report of the word it
+    is given with Berkowitz's recursion instead.
 
     Memory is one d x d matrix per kept state: one key of node, matrix
     bytes and last letter per distinct state, and the array of the

@@ -2,9 +2,11 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 
+from origami_lab import intlinalg as la
 from origami_lab.galois import (
     ReciprocalQuartic,
     has_real_simple_roots,
@@ -13,6 +15,7 @@ from origami_lab.galois import (
     is_irreducible,
     is_perfect_square,
     quartic_from_charpoly,
+    sp4_pinching_report,
 )
 
 
@@ -30,7 +33,9 @@ def test_quartic_from_charpoly_round_trip():
         quartic_from_charpoly([1, -2, -30, -3, 1])  # not reciprocal
 
 
-@pytest.mark.parametrize("c", [Fraction(-2), -2.0], ids=["fraction", "float"])
+@pytest.mark.parametrize(
+    "c", [Fraction(-2), -2.0, np.int64(-2)], ids=["fraction", "float", "numpy-int64"]
+)
 def test_quartic_from_charpoly_rejects_a_non_int_coefficient(c):
     # integral in value, but not an int
     with pytest.raises(ValueError, match="coefficients must be integers"):
@@ -57,6 +62,8 @@ def test_sp4_pinching_on_dema_word():
 def test_sp4_rejects_non_unimodular():
     with pytest.raises(ValueError):
         is_galois_pinching_sp4([[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    with pytest.raises(ValueError, match="determinant 1"):
+        sp4_pinching_report([1, -5, 9, -7, 2])
 
 
 def test_sl2_pinching():
@@ -68,7 +75,8 @@ def test_sl2_pinching():
 
 
 def test_pinching_tests_reject_other_sizes():
-    for test in (is_galois_pinching_sl2, is_galois_pinching_sp4):
+    from_charpoly = lambda m: sp4_pinching_report(la.charpoly(m))  # noqa: E731
+    for test in (is_galois_pinching_sl2, is_galois_pinching_sp4, from_charpoly):
         with pytest.raises(ValueError, match="sizes 2 and 4 only"):
             test([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
@@ -129,3 +137,4 @@ def test_sp4_reasons(m, reason):
     report = is_galois_pinching_sp4(m)
     assert report.reason == reason
     assert report.pinching == (reason == "ok")
+    assert sp4_pinching_report(la.charpoly(m)) == report

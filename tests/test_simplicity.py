@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from origami_lab import homology, orbit, simplicity
+from origami_lab import galois, homology, orbit, simplicity
 from origami_lab import intlinalg as la
 from origami_lab.galois import is_galois_pinching_sp4
 from origami_lab.homology import kz_context, kz_matrix
@@ -286,6 +286,31 @@ def test_products_switch_to_python_ints_where_int64_would_wrap():
     assert products[0].tolist() == [[2**63 - 4] * 4] * 4
 
 
+@pytest.mark.parametrize("d", range(1, 7))
+def test_charpolys_match_berkowitz(d):
+    def check(mats, bound):
+        polys = simplicity._charpolys(mats, bound)
+        assert polys == [la.charpoly(m) for m in mats.tolist()]
+        assert all(type(c) is int for cp in polys for c in cp)
+
+    rng = np.random.default_rng(d)
+    check(rng.integers(-9, 10, size=(50, d, d)), 9)
+    # the least bound at which d^d bound^d reaches 2**63, from the least
+    # root r with r^d >= 2**63: the all-``bound`` matrix has trace (d bound)^d
+    # at its d-th power, which wraps in int64 from there on
+    root = round(2 ** (63 / d))
+    root += (root**d < 2**63) - ((root - 1) ** d >= 2**63)
+    assert (root - 1) ** d < 2**63 <= root**d
+    switch = -(-root // d)
+    assert (d * (switch - 1)) ** d < 2**63 <= (d * switch) ** d
+    for bound, dtype in ((switch - 1, np.int64), (switch, object)):
+        assert simplicity._power_traces(np.ones((1, d, d), dtype=np.int64), bound).dtype == dtype
+        stored = np.int64 if bound < 2**63 else object
+        full = np.full((1, d, d), bound, dtype=stored)
+        rand = rng.integers(-bound, min(bound, 2**63 - 1), size=(20, d, d))
+        check(np.concatenate([full, -full, rand.astype(stored)]), bound)
+
+
 def test_matrix_keys_agree_across_dtypes():
     small = np.arange(16, dtype=np.int64).reshape(1, 4, 4)
     huge = small.astype(object) * 2**70
@@ -307,10 +332,25 @@ def test_word_search_past_the_int64_bound_matches_dfs(monkeypatch, text, depth):
     want = _search_pinching_word(o, depth)
     monkeypatch.setattr(simplicity, "_INT64_LIMIT", 8)
     levels = _spy_products(monkeypatch)
+    batches = []  # (levels formed so far, bound, dtype) per charpoly batch
+    real_traces = simplicity._power_traces
+
+    def spy_traces(mats, bound):
+        traces = real_traces(mats, bound)
+        batches.append((len(levels), bound, traces.dtype))
+        return traces
+
+    monkeypatch.setattr(simplicity, "_power_traces", spy_traces)
     assert _search_pinching_word(o, depth) == want
     dtypes = [products.dtype for products, _bound in levels]
     first = dtypes.index(object)
     assert 0 < first <= 2 and dtypes[first:] == [object] * (len(dtypes) - first)
+    # each batch is bounded by its length's products, and 4^4 bound^4 is
+    # past the lowered limit from the first length on: every batch runs in
+    # Python ints, those after the products switch included
+    assert any(level > first for level, _bound, _dtype in batches)
+    for level, bound, dtype in batches:
+        assert bound == levels[level - 1][1] and dtype == object
     assert find_pinching_word(o, depth) == _dfs_pinching_word(o, depth)
 
 
@@ -330,6 +370,9 @@ def test_word_search_is_batched(monkeypatch, dema):
     def no_mat_mul(*args):
         raise AssertionError("the word search formed a product in Python")
 
+    def no_charpoly(*args):
+        raise AssertionError("the word search formed a characteristic polynomial per matrix")
+
     ctx = kz_context(dema)
     real_step = ctx.step
     step_calls = []
@@ -339,6 +382,9 @@ def test_word_search_is_batched(monkeypatch, dema):
         return real_step(*args)
 
     monkeypatch.setattr(la, "mat_mul", no_mat_mul)
+    monkeypatch.setattr(la, "charpoly", no_charpoly)
+    monkeypatch.setattr(galois, "is_galois_pinching_sp4", no_charpoly)
+    monkeypatch.setattr(simplicity, "is_galois_pinching_sp4", no_charpoly)
     monkeypatch.setattr(ctx, "step", counting_step)
     assert _search_pinching_word(dema, 8) == (found, stats)
     assert step_calls and len(step_calls) == len(set(step_calls))
