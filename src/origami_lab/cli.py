@@ -134,7 +134,7 @@ def _cmd_info(args):
     payload = {
         "label": o.label,
         "degree": o.degree,
-        "genus": genus(o),
+        "genus": st.genus,
         "stratum": str(st),
         "reduced": is_reduced(o),
         "automorphisms": automorphism_count(o),

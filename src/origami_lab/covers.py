@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .origami import Origami, genus, stratum
+from .origami import Origami, stratum
 from .perm import Permutation
 
 
@@ -267,7 +267,8 @@ def quotient_origami(o, central):
 def quotient_dims_check(o, central):
     """Degree, genus and stratum of the quotient by an automorphism."""
     q = quotient_origami(o, central)
-    return {"degree": q.degree, "genus": genus(q), "stratum": str(stratum(q))}
+    st = stratum(q)
+    return {"degree": q.degree, "genus": st.genus, "stratum": str(st)}
 
 
 def quaternionic_block_report():

@@ -14,36 +14,12 @@ The Monte Carlo estimator runs a uniform random walk over the four
 generator letters, accumulates the corresponding cocycle matrices
 restricted to a chosen subspace (full homology, the zero-holonomy part,
 or the (-1)-isotypical part W of a central involution), and extracts
-exponents by periodic QR re-orthonormalization.  Each trial draws its
-letters in bulk from its own generator, the same letters
-``randrange(4)`` would give one by one.  The trials walk side by side, a
-chunk of 50 QR periods of 20 steps at a time: one Python pass per trial
-turns the chunk's letters into rows of the step stack, gathered into one
-(chunk, trials) index array.  Whole periods are then gathered in groups,
-as many as fit in ``_GATHER_BYTES`` and at least one, as a (periods, 20,
-trials, d, d) float block of step matrices, which batched products halve
-along its step axis, each later step on the left, down to one product
-per period; each period then takes one batched product with the
-(trials, d, d) frame and one batched QR, ``_qr``.  The step matrices are
-integers, so a period's product is exact in float64 while the entries of
-the product of the steps' absolute values, which bound every partial
-product and partial sum, stay below 2**53; the frame is rounded once per
-period, not once per step.  That bound is not checked, and it does not
-always hold: along random 20-step walks it was passed at step 13 on
-``z6`` (``full``) and reached 2**75.9 on ``ltilde`` (``H1_zero``), while
-on l3, dema, ew and mstar it stayed at or below 2**32.  Where it is
-passed the period product is rounded too, and the estimates are those of
-a float QR in any case.  Besides the chunk and one group the walk keeps
-one float d x d matrix per (node, letter) it has reached, and the
-context keeps each node's homology and each step's integer matrix, so
-memory stops growing with the number of steps only once the walk has
-reached every node and step of the orbit: on ``z6`` a new node holds
-about 2.45 MB and a new step about 1.37 MB (0.68 MB of integer matrix
-and 0.69 MB of float copy).  The walk law is not the harmonic
-measure of the Teichmueller flow, so only law-independent conclusions
-(zero blocks, symmetry of the spectrum) should be drawn.  Only the walk
-uses numpy, and its functions import it themselves, so that the exact
-sum formula never loads it.
+exponents by periodic QR re-orthonormalization; ``mc_exponents`` tells
+how the trials are walked side by side and what the walk holds.  The
+walk law is not the harmonic measure of the Teichmueller flow, so only
+law-independent conclusions (zero blocks, symmetry of the spectrum)
+should be drawn.  Only the walk uses numpy, and its functions import it
+themselves, so that the exact sum formula never loads it.
 """
 
 from __future__ import annotations
@@ -51,24 +27,21 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .homology import StepStack, kz_context
 from .orbit import _cycle_lengths
-from .origami import automorphism_count, is_reduced, stratum
+from .origami import is_reduced, stratum
 
 _QR_PERIOD = 20
-# QR periods walked per pass: the rows of a chunk are found before its
-# products are taken
-_CHUNK_PERIODS = 50
-# bytes of gathered step matrices multiplied out at once: a group of as
+# bytes of step matrices and row indices a group of the walk gathers: as
 # many whole QR periods as fit, and at least one
 _GATHER_BYTES = 1 << 20
 # 32-bit generator words drawn per refill of a trial's letters
 _REFILL_WORDS = 512
 # the most trials one estimate walks: every trial's generator, frame
-# and chunk rows are held at once
+# and group rows are held at once
 MAX_TRIALS = 1000
 
 
@@ -194,6 +167,22 @@ def _qr(a):
     return _umath_linalg.qr_reduced(a, tau), a.diagonal(axis1=-2, axis2=-1)
 
 
+def _period_products(block):
+    """The product of each period of a (periods, length, trials, d, d)
+    block of steps, each later step on the left of the one before it.
+    Batched products halve the step axis; an odd last step waits at the
+    end for the next level."""
+    import numpy as np
+
+    length = block.shape[1]
+    while length > 1:
+        half = np.matmul(block[:, 1::2], block[:, : length - 1 : 2])
+        if length % 2:
+            half = np.concatenate([half, block[:, -1:]], axis=1)
+        block, length = half, (length + 1) // 2
+    return block[:, 0]
+
+
 def mc_exponents(o, subspace="full", steps=10000, trials=10, seed=None):
     """Monte Carlo Lyapunov exponents of the uniform generator walk.
 
@@ -207,27 +196,42 @@ def mc_exponents(o, subspace="full", steps=10000, trials=10, seed=None):
     every word ``w < 2**31``, which is what ``randrange(4)`` returns for
     that word (it rejects the rest).  A trial holds its generator, fewer
     than ``_REFILL_WORDS`` buffered letters (4 bytes each), its current
-    node and its d x d QR frame.  The walk goes a chunk of
-    ``_CHUNK_PERIODS`` QR periods (1,000 steps) at a time; a chunk holds
-    one row index per step and trial (a list and a (1000, trials) intp
-    array, about 16 KB per trial) and one group of periods at a time: a
-    (periods, 20, trials, d, d) float block of the gathered step matrices,
-    of at most ``_GATHER_BYTES`` (1 MiB) or else of one period, and the
-    products that halve it, at most as large again.  A period's product
-    of integer steps is exact while the entries of the product of their
-    absolute values stay below 2**53, so the frame is rounded once per
-    period.  The bound is not checked: on ``z6`` and ``ltilde`` a 20-step
-    period can pass it (up to 2**75.9 on ``ltilde`` ``H1_zero``), and the
-    product is then rounded as well.  After each period's QR the frame's
-    columns are negated in place where diag(R) is negative, which is
-    ``np.sign``'s flip for every diagonal but NaN, whose column it leaves
-    as it is; the diagonals of a group's periods are stored in one
-    (periods + 1, trials, d) block behind the running sums, and their
-    logs (of ``tiny`` where a diagonal is 0) are taken once per group and
-    added in period order.  The per-trial state above does not
-    grow with ``steps``, but the context's caches do, by each node and
-    step the walk reaches for the first time (about 2.45 MB and 1.37 MB
-    on ``z6``), until it has reached them all.
+    node and its d x d QR frame.
+
+    The trials walk side by side, one group of whole 20-step QR periods
+    at a time; only the walk's last group may end in a partial period.
+    A group has as many periods as fit in ``_GATHER_BYTES`` (1 MiB), and
+    at least one, charged per step and trial for one row index, held as
+    a list entry and as an intp, and one d x d float step matrix.  Each
+    trial takes the group's letters at once and turns them into rows of
+    the step stack in one Python pass; the rows make one (steps, trials)
+    index array, which gathers one block of step matrices.  Batched
+    products halve the block's step axis within each period, each later
+    step on the left, down to one product per period; they hold at most
+    as much again as the block.  Each period then takes one batched
+    product with the (trials, d, d) frame and one batched QR, ``_qr``.
+
+    A period's product of integer steps is exact while the entries of
+    the product of their absolute values, which bound every partial
+    product and partial sum, stay below 2**53, so the frame is rounded
+    once per period, not once per step.  The bound is not checked, and
+    it does not always hold: along random 20-step walks it was passed at
+    step 13 on ``z6`` (``full``) and reached 2**75.9 on ``ltilde``
+    (``H1_zero``), while on l3, dema, ew and mstar it stayed at or below
+    2**32; where it is passed the product is rounded as well.  After
+    each period's QR the frame's columns are negated in place where
+    diag(R) is negative, which is ``np.sign``'s flip for every diagonal
+    but NaN, whose column it leaves as it is; the diagonals of a group's
+    periods are stored in one (periods + 1, trials, d) block behind the
+    running sums, and their logs (of ``tiny`` where a diagonal is 0) are
+    taken once per group and added in period order.
+
+    The state above does not grow with ``steps``, but the walk keeps one
+    float d x d matrix per (node, letter) it has reached, and the context
+    each node's homology and each step's integer matrix, so memory stops
+    growing only once the walk has reached every node and step of the
+    orbit: on ``z6`` a new node holds about 2.45 MB and a new step about
+    1.37 MB (0.68 MB of integer matrix and 0.69 MB of float copy).
     """
     import numpy as np
 
@@ -250,7 +254,7 @@ def mc_exponents(o, subspace="full", steps=10000, trials=10, seed=None):
     stack = StepStack(ctx, subspace, float)
     rows, targets, dim = stack.rows, stack.targets, stack.dim
     note = ""
-    if automorphism_count(ctx.graph.nodes[ctx.graph.basepoint]) > 1:
+    if not ctx.graph.rigid[ctx.graph.basepoint]:
         note = (
             "nontrivial deck transformations: cocycle matrices are only "
             "defined up to the automorphism action"
@@ -259,53 +263,43 @@ def mc_exponents(o, subspace="full", steps=10000, trials=10, seed=None):
     nodes = [ctx.graph.basepoint] * trials
     q = np.tile(np.eye(dim), (trials, 1, 1))
     sums = np.zeros((trials, dim))
-    chunk_steps = _CHUNK_PERIODS * _QR_PERIOD
-    group = max(1, _GATHER_BYTES // max(1, _QR_PERIOD * trials * dim * dim * stack.mats.itemsize))
+    # a list entry is a pointer, as wide as an intp
+    step_bytes = trials * (2 * np.dtype(np.intp).itemsize + dim * dim * stack.mats.itemsize)
+    group_steps = _QR_PERIOD * max(1, _GATHER_BYTES // (_QR_PERIOD * step_bytes))
     tiny = np.finfo(float).tiny
-    for chunk_start in range(0, steps, chunk_steps):
-        chunk = min(chunk_steps, steps - chunk_start)
+    get = rows.get
+    for start in range(0, steps, group_steps):
+        count = min(group_steps, steps - start)
         picked = []
-        get, append = rows.get, picked.append
+        append = picked.append
         for trial, stream in enumerate(streams):
             node = nodes[trial]
-            for letter in stream.take(chunk):
+            for letter in stream.take(count):
                 row = get(4 * node + letter)
                 if row is None:
                     row = stack.add(node, letter)
                 append(row)
                 node = targets[row]
             nodes[trial] = node
-        walk = np.array(picked, dtype=np.intp).reshape(trials, chunk).T
-        # (first step, periods, period length) of each group: whole periods,
-        # then a partial last period of the walk on its own
-        whole, rest = divmod(chunk, _QR_PERIOD)
-        spans = [
-            (start, min(group, whole - start // _QR_PERIOD), _QR_PERIOD)
-            for start in range(0, whole * _QR_PERIOD, group * _QR_PERIOD)
-        ]
+        block = stack.mats[np.array(picked, dtype=np.intp).reshape(trials, count).T]
+        whole, rest = divmod(count, _QR_PERIOD)
+        products = []
+        if whole:
+            periods = block[: count - rest].reshape(whole, _QR_PERIOD, trials, dim, dim)
+            products.extend(_period_products(periods))
         if rest:
-            spans.append((whole * _QR_PERIOD, 1, rest))
-        for start, periods, length in spans:
-            block = stack.mats[walk[start : start + periods * length].reshape(periods, length, trials)]
-            # halve the step axis, each later step on the left of the one
-            # before it; an odd last step waits at the end for the next level
-            while length > 1:
-                half = np.matmul(block[:, 1::2], block[:, : length - 1 : 2])
-                if length % 2:
-                    half = np.concatenate([half, block[:, -1:]], axis=1)
-                block, length = half, (length + 1) // 2
-            # row 0 is the running sums, row k diag(R) of period k and
-            # then its log; accumulate adds the rows in order, as a
-            # running += would
-            logs = np.empty((periods + 1, trials, dim))
-            logs[0] = sums
-            for k, product in enumerate(block[:, 0], 1):
-                q, logs[k] = _qr(np.matmul(product, q))
-                np.negative(q, out=q, where=(logs[k] < 0)[:, None, :])
-            diag = np.abs(logs[1:])
-            diag[diag == 0] = tiny
-            np.log(diag, out=logs[1:])
-            sums = np.add.accumulate(logs, axis=0)[-1]
+            products.extend(_period_products(block[None, count - rest :]))
+        # row 0 is the running sums, row k diag(R) of period k and then
+        # its log; accumulate adds the rows in order, as a running += would
+        logs = np.empty((len(products) + 1, trials, dim))
+        logs[0] = sums
+        for k, product in enumerate(products, 1):
+            q, logs[k] = _qr(np.matmul(product, q))
+            np.negative(q, out=q, where=(logs[k] < 0)[:, None, :])
+        diag = np.abs(logs[1:])
+        diag[diag == 0] = tiny
+        np.log(diag, out=logs[1:])
+        sums = np.add.accumulate(logs, axis=0)[-1]
     # QR column order need not be the order of the exponents, so each
     # trial is sorted before the trials are averaged; the copy is C-ordered,
     # so the reductions below add the trials in the order they always have

@@ -141,7 +141,8 @@ class OrbitGraph:
     Node i is one key: its canonical 0-based h-table followed by its
     v-table, as ``bytes`` while the degree is at most 256 and as the bytes
     of an ``array('H')`` above that, up to 65,536; a larger degree raises
-    ValueError.  A dict maps each key to its node id.
+    ValueError.  A dict maps each key to its node id, and ``rigid[i]`` is
+    1 when node i has no automorphism but the identity, else 0.
     The edge targets are one ``array('l')`` with 4 entries per node, for
     the letters T, S, t, s in that order, -1 while an edge is open.  The
     edge relabels are one flat buffer of N 0-based labels per edge: the
@@ -163,7 +164,7 @@ class OrbitGraph:
         )
         self._keys = []
         self._index = {}
-        self._rigid = bytearray()
+        self.rigid = bytearray()
         self._targets = array("l")
         self._labels = bytearray() if n <= _BYTE_DEGREE else array("H")
         self._blank = bytes(4 * n)
@@ -180,7 +181,7 @@ class OrbitGraph:
         """Give a new canonical key the next node id, with open edges."""
         j = self._index[key] = len(self._keys)
         self._keys.append(key)
-        self._rigid.append(ties == 1)
+        self.rigid.append(ties == 1)
         self._targets.extend((-1, -1, -1, -1))
         self._labels.extend(self._blank)
         return j
@@ -209,7 +210,7 @@ class OrbitGraph:
             j = self._add(key, ties)
         self._set(edge, j, label)
         back = 4 * j + (slot ^ 2)  # the inverse letter's slot at j
-        if self._rigid[i] and self._targets[back] < 0:
+        if self.rigid[i] and self._targets[back] < 0:
             inverse = [0] * self.degree
             for old, new in enumerate(label):
                 inverse[new] = old

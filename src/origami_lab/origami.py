@@ -158,29 +158,23 @@ def corner_permutation(o):
 
 def singularities(o):
     """Multiset {l - 1 : l >= 2 cycle length of the corner permutation}."""
-    c = corner_permutation(o)
-    return tuple(
-        sorted(
-            (len(cyc) - 1 for cyc in c.cycles(include_fixed=True) if len(cyc) > 1),
-            reverse=True,
-        )
-    )
+    return stratum(o).orders
 
 
 def genus(o):
-    c = corner_permutation(o)
-    n_vertices = len(c.cycles(include_fixed=True))
-    two_g_minus_2 = o.degree - n_vertices
-    if two_g_minus_2 % 2 != 0:
-        raise AssertionError("N - V must be even")
-    g = 1 + two_g_minus_2 // 2
-    if sum(singularities(o)) != 2 * g - 2:
-        raise AssertionError("cone-angle and Euler-characteristic genus disagree")
-    return g
+    return stratum(o).genus
 
 
 def stratum(o):
-    return Stratum(singularities(o), genus(o))
+    cycles = corner_permutation(o).cycles(include_fixed=True)
+    orders = tuple(sorted((len(cyc) - 1 for cyc in cycles if len(cyc) > 1), reverse=True))
+    two_g_minus_2 = o.degree - len(cycles)
+    if two_g_minus_2 % 2 != 0:
+        raise AssertionError("N - V must be even")
+    g = 1 + two_g_minus_2 // 2
+    if sum(orders) != 2 * g - 2:
+        raise AssertionError("cone-angle and Euler-characteristic genus disagree")
+    return Stratum(orders, g)
 
 
 def square_positions(o):

@@ -224,9 +224,9 @@ def cycles_permutation(cycles, degree):
     return Permutation(images)
 
 
-def render_cycles(p, include_fixed=True):
+def render_cycles(p):
     """Canonical cycle string; ``parse_cycles(render_cycles(p)) == p``."""
-    cycles = p.cycles(include_fixed=include_fixed)
+    cycles = p.cycles(include_fixed=True)
     if not cycles:
         return "()"
     return "".join("(" + ",".join(str(s) for s in c) + ")" for c in cycles)

@@ -29,7 +29,7 @@ from typing import Optional
 from . import intlinalg as la
 from .galois import is_galois_pinching_sp4, sp4_pinching_report
 from .homology import StepStack, kz_context
-from .origami import Origami, automorphism_count, canonical_form, genus, is_reduced
+from .origami import Origami, genus, is_reduced
 from .orbit import _INVERSE_LETTER, _LETTERS, Sl2zWord, _cycle_lengths, spanning_tree
 
 
@@ -40,14 +40,16 @@ def horizontal_cylinder_classes(hom):
     return hom.project_many([{s - 1: 1 for s in cyc} for cyc in cycles])
 
 
+def _span_dim(ctx, node):
+    """Rank of the waist classes of the horizontal cylinders at a node."""
+    return la.rank(horizontal_cylinder_classes(ctx.homology(node)))
+
+
 def cylinder_span_dim(o, direction=None):
     """Rank of the waist classes of the horizontal cylinders of the
     origami reached by applying ``direction`` (an Sl2zWord) to o."""
     ctx = kz_context(o)
-    node = ctx.graph.basepoint
-    if direction is not None:
-        node = ctx.graph.trace(node, direction)
-    return la.rank(horizontal_cylinder_classes(ctx.homology(node)))
+    return _span_dim(ctx, ctx.graph.trace(ctx.graph.basepoint, direction or Sl2zWord(())))
 
 
 def parabolic_word(o, direction="horizontal"):
@@ -55,8 +57,12 @@ def parabolic_word(o, direction="horizontal"):
     for vertical) stabilizing the canonical form of o, as a word."""
     if direction not in ("horizontal", "vertical"):
         raise ValueError("direction must be 'horizontal' or 'vertical'")
-    letter = "T" if direction == "horizontal" else "S"
-    graph = kz_context(o).graph
+    return _parabolic_word(kz_context(o).graph, "T" if direction == "horizontal" else "S")
+
+
+def _parabolic_word(graph, letter):
+    """Smallest power of the letter T or S stabilizing the basepoint of
+    an orbit graph, as a word."""
     base = graph.basepoint
     # T^L (h, v) = (h, v h^-L) is (h, v) once h^L = id, and likewise
     # S^L (h, v) once v^L = id
@@ -145,12 +151,16 @@ class NotFound:
 
 
 def _check_preconditions(o):
+    """The context of o, once o is known to be reduced, with trivial
+    automorphisms and of genus 3, checked in that order."""
     if not is_reduced(o):
         raise ValueError("simplicity certification requires a reduced origami")
-    if automorphism_count(o) != 1:
+    ctx = kz_context(o)
+    if not ctx.graph.rigid[ctx.graph.basepoint]:
         raise ValueError("simplicity certification requires trivial automorphisms")
     if genus(o) != 3:
         raise ValueError("simplicity certification is implemented for genus 3 only")
+    return ctx
 
 
 # products are formed in int64 only while a bound on their entries stays
@@ -232,8 +242,9 @@ def _matrix_keys(mats):
     return keys
 
 
-def _search_pinching_word(o, search_depth):
-    """Breadth-first search behind find_pinching_word.
+def _search_pinching_word(ctx, search_depth):
+    """Breadth-first search behind find_pinching_word, at the basepoint
+    of a context.
 
     Returns (found, stats): found is (word, Sp4PinchingReport) or None,
     stats the ``exhausted``, ``words`` and ``states`` fields of NotFound.
@@ -242,7 +253,6 @@ def _search_pinching_word(o, search_depth):
 
     if search_depth < 0:
         raise ValueError("search depth must be non-negative, not %d" % search_depth)
-    ctx = kz_context(o)
     base = ctx.graph.basepoint
     table = StepStack(ctx, "H1_zero", np.int64)
     rows, targets = table.rows, table.targets
@@ -355,7 +365,7 @@ def find_pinching_word(o, search_depth):
 
     Returns (word, Sp4PinchingReport) or None.
     """
-    return _search_pinching_word(o, search_depth)[0]
+    return _search_pinching_word(kz_context(o), search_depth)[0]
 
 
 def _cylinder_witness(ctx, g):
@@ -363,7 +373,7 @@ def _cylinder_witness(ctx, g):
     span E has 1 < dim E < g, if one exists."""
     graph = ctx.graph
     for node, path in spanning_tree(graph, _LETTERS).items():
-        dim_e = la.rank(horizontal_cylinder_classes(ctx.homology(node)))
+        dim_e = _span_dim(ctx, node)
         if 1 < dim_e < g:
             # word applying path letters in order: first letter acts first
             word = Sl2zWord(tuple(reversed(path)))
@@ -385,8 +395,8 @@ def _image_is_lagrangian(b, form, g):
 def _unipotent_witness(ctx, g):
     base = ctx.graph.basepoint
     form = _zero_form(ctx)
-    for direction in ("horizontal", "vertical"):
-        word = parabolic_word(ctx.graph.nodes[base], direction)
+    for letter in ("T", "S"):
+        word = _parabolic_word(ctx.graph, letter)
         node, mat = ctx.word_matrix(word, subspace="H1_zero")
         if node != base:
             raise AssertionError("parabolic word did not close up")
@@ -402,22 +412,19 @@ def certify_simplicity(o, search_depth=12):
     """Search for a complete simplicity certificate; NotFound (which is
     not a disproof) when no pinching word of length up to
     ``search_depth`` or no witness is found."""
-    _check_preconditions(o)
-    canon = canonical_form(o).origami
-    found, stats = _search_pinching_word(canon, search_depth)
+    ctx = _check_preconditions(o)
+    found, stats = _search_pinching_word(ctx, search_depth)
     if found is None:
         return NotFound(explored_depth=search_depth, **stats)
     word, report = found
-    ctx = kz_context(canon)
-    g = genus(canon)
-    witness = _cylinder_witness(ctx, g)
-    if witness is None:
-        witness = _unipotent_witness(ctx, g)
+    # the preconditions hold, so the genus is 3
+    witness = _cylinder_witness(ctx, 3) or _unipotent_witness(ctx, 3)
     if witness is None:
         return NotFound(explored_depth=search_depth, **stats)
-    return SimplicityCertificate(
-        origami=canon, pinching_word=word, quartic=report.quartic, witness=witness
-    )
+    # the context is shared across labels: the certificate keeps o's
+    node = ctx.graph.nodes[ctx.graph.basepoint]
+    canon = Origami._trusted(node.h, node.v, o.label)
+    return SimplicityCertificate(canon, word, report.quartic, witness)
 
 
 def _require(obj, keys, what):
@@ -473,9 +480,8 @@ def certificate_from_json(obj):
             isotropic=w["isotropic"],
         )
     elif w["kind"] == "cylinder":
-        direction = Sl2zWord.parse(w["direction"]) if w["direction"] else Sl2zWord(())
         witness = CylinderWitness(
-            direction=direction,
+            direction=Sl2zWord.parse(w["direction"]),
             dim_e=_integer(w["dim_e"], "witness dim_e"),
             genus=_integer(w["genus"], "witness genus"),
         )
@@ -487,10 +493,7 @@ def certificate_from_json(obj):
 def verify_certificate(cert):
     """Re-derive every claim in a certificate from scratch."""
     try:
-        o = cert.origami
-        _check_preconditions(o)
-        canon = canonical_form(o).origami
-        ctx = kz_context(canon)
+        ctx = _check_preconditions(cert.origami)
         base = ctx.graph.basepoint
         node, mat = ctx.word_matrix(cert.pinching_word, subspace="H1_zero")
         if node != base:
@@ -502,12 +505,12 @@ def verify_certificate(cert):
         # deltas; certificate_from_json rejects tampered JSON deltas.
         if (report.quartic.a, report.quartic.b) != (cert.quartic.a, cert.quartic.b):
             return False
-        g = genus(canon)
+        g = 3  # the preconditions hold
         w = cert.witness
         if isinstance(w, CylinderWitness):
             if w.genus != g:
                 return False
-            dim_e = cylinder_span_dim(canon, w.direction)
+            dim_e = _span_dim(ctx, ctx.graph.trace(base, w.direction))
             return dim_e == w.dim_e and 1 < dim_e < g
         if isinstance(w, UnipotentWitness):
             node, mat = ctx.word_matrix(w.word, subspace="H1_zero")

@@ -518,6 +518,16 @@ def test_bad_input_is_a_domain_error(capsys, tmp_path, argv):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("direction", [None, 0, False, []], ids=["null", "zero", "false", "list"])
+def test_verify_rejects_a_falsy_direction(capsys, tmp_path, direction):
+    # dema's cylinder witness is in the horizontal direction, the empty
+    # string; a falsy value that is not a string is not that direction
+    argv = _verify_edited(tmp_path, "witness", "direction", direction)
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

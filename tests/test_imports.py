@@ -1,5 +1,6 @@
-"""numpy stays off the import path of the exact subcommands, and
-``fractions`` out of every module but ``lyapunov``.
+"""numpy stays off the import path of the exact subcommands,
+``fractions`` out of every module but ``lyapunov``, and the walk layer
+reaches a surface's canonical form only through ``kz_context``.
 
 Only the Monte Carlo walk (``mc``) and the batched word search
 (``simplicity``) use numpy, and they import it inside the functions that
@@ -8,6 +9,11 @@ process itself has numpy loaded already.
 
 The exact layers run on ints; the only rationals in the library are the
 exponent sums of ``lyapunov``, so no other module reads ``fractions``.
+
+``simplicity`` and ``lyapunov`` canonicalize a surface once per call, by
+its ``kz_context``, and read the canonical form and rigidity off the
+context's orbit graph; neither imports ``canonical_form`` or
+``automorphism_count``, which would canonicalize it again.
 """
 
 import ast
@@ -90,22 +96,34 @@ def test_mc_and_simplicity_load_numpy():
         assert report["runs"] == [[argv[0], 0, True]]
 
 
-def _imports_fractions(path):
+def _imports(path):
+    """The (module, name) pairs a source file imports: (module, None) for
+    ``import module``, (module, name) for ``from module import name``."""
     with open(path, encoding="utf-8") as fh:
         tree = ast.parse(fh.read(), filename=path)
+    found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
+            found.update((alias.name, None) for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
-            names = [node.module or ""]
-        else:
-            continue
-        if any(name.split(".")[0] == "fractions" for name in names):
-            return True
-    return False
+            found.update((node.module or "", alias.name) for alias in node.names)
+    return found
 
 
 def test_only_lyapunov_imports_fractions():
     paths = glob.glob(os.path.join(SRC, "origami_lab", "*.py"))
-    found = sorted(os.path.basename(p) for p in paths if _imports_fractions(p))
+    found = sorted(
+        os.path.basename(p)
+        for p in paths
+        if any(module.split(".")[0] == "fractions" for module, _name in _imports(p))
+    )
     assert found == ["lyapunov.py"]
+
+
+def test_walk_layer_canonicalizes_only_through_kz_context():
+    path = os.path.join(SRC, "origami_lab", "%s.py")
+    banned = {"canonical_form", "automorphism_count"}
+    for module in ("simplicity", "lyapunov"):
+        assert not {name for _module, name in _imports(path % module)} & banned, module
+    # the check can fail: the CLI imports automorphism_count for ``info``
+    assert ("origami", "automorphism_count") in _imports(path % "cli")

@@ -307,9 +307,10 @@ def _mc_per_step_reference(o, subspace, steps, trials, seed):
 _MC_CASES = [("l3", "full"), ("dema", "full"), ("dema", "H1_zero"), ("ew", "H1_zero"), ("ew", "W")]
 
 
-# 999, 1000 and 1001 steps end just before, at and just after the end of
-# the first 50-period chunk; 2021 spans three chunks and, in every trial,
-# several letter refills whose leftovers carry over between chunks
+# 999, 1000 and 1001 steps end one step before, at and one step after a
+# period boundary; 2021 takes several letter refills per trial and, on a
+# 6-dimensional subspace with 3 trials, spans two groups of 57 periods
+# (1,140 steps), so that refill leftovers carry over between groups
 @pytest.mark.parametrize("steps", [1, 19, 20, 21, 500, 999, 1000, 1001, 2021])
 @pytest.mark.parametrize("name, subspace", _MC_CASES)
 def test_mc_matches_trial_by_trial_reference(name, subspace, steps):
@@ -320,8 +321,8 @@ def test_mc_matches_trial_by_trial_reference(name, subspace, steps):
         assert (est.estimates, est.std_errors) == _mc_reference(o, subspace, steps, trials, seed)
 
 
-# a group of 1 or 3 periods: 3 periods split a 50-period chunk into 16
-# groups and a last one of 2
+# a group of 1 or 3 periods: 3 periods split 1001 steps into 16 groups of
+# 60 steps and a last one of 41, two whole periods and a partial one
 @pytest.mark.parametrize("periods", [1, 3])
 @pytest.mark.parametrize("steps", [19, 41, 1001, 2021])
 @pytest.mark.parametrize("name, subspace", _MC_CASES)
@@ -330,7 +331,9 @@ def test_mc_matches_reference_with_small_groups(name, subspace, steps, periods, 
     ctx = kz_context(o)
     dim = len(ctx.basis(ctx.graph.basepoint, subspace))
     for trials in (1, 3):
-        period_bytes = 20 * trials * dim * dim * 8
+        # per step and trial: a list entry and an intp of row index, and
+        # one float d x d step matrix
+        period_bytes = 20 * trials * (16 + dim * dim * 8)
         # one byte short of the next period, which must not fit
         monkeypatch.setattr(lyapunov, "_GATHER_BYTES", (periods + 1) * period_bytes - 1)
         seed = 1000 * steps + trials
@@ -389,15 +392,46 @@ def test_mc_rejects_non_int_arguments(l3, argument, value):
 
 
 def _gather_groups(steps, trials, dim):
-    """The groups of periods ``mc_exponents`` gathers: per 1,000-step
-    chunk, its whole periods in groups of as many as fit in
-    ``_GATHER_BYTES``, and a partial last period on its own."""
-    group = max(1, lyapunov._GATHER_BYTES // (20 * trials * dim * dim * 8))
-    count = 0
-    for start in range(0, steps, 1000):
-        whole, rest = divmod(min(1000, steps - start), 20)
-        count += math.ceil(whole / group) + (rest > 0)
-    return count
+    """The blocks of periods ``mc_exponents`` halves: the whole periods
+    of each group of as many as fit in ``_GATHER_BYTES``, charged a list
+    entry and an intp of row index and one float d x d step matrix per
+    step and trial, and the partial last period of the walk."""
+    group = max(1, lyapunov._GATHER_BYTES // (20 * trials * (16 + dim * dim * 8)))
+    whole, rest = divmod(steps, 20)
+    return math.ceil(whole / group) + (rest > 0)
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+@pytest.mark.parametrize("name, dim", [("torus", 0), ("dema", 4)])
+def test_mc_groups_stay_within_the_gather_budget(name, dim, trials, monkeypatch):
+    # a budget one byte short of 9 periods: every group but the last is
+    # 8 whole periods, and none gathers more row indices and H1_zero step
+    # matrices than the budget allows; on a 0-dimensional subspace the
+    # row indices alone bound the group
+    if name == "torus":
+        o = Origami(Permutation([1]), Permutation([1]))
+    else:
+        o = fixture_origami(name)
+    step_bytes = trials * (16 + dim * dim * 8)
+    budget = 9 * 20 * step_bytes - 1
+    monkeypatch.setattr(lyapunov, "_GATHER_BYTES", budget)
+    takes = []
+    real_take = lyapunov._LetterStream.take
+
+    def counting_take(stream, count):
+        takes.append(count)
+        return real_take(stream, count)
+
+    monkeypatch.setattr(lyapunov._LetterStream, "take", counting_take)
+    est = mc_exponents(o, subspace="H1_zero", steps=1001, trials=trials, seed=5)
+    # each trial takes a group's letters at once, trial after trial
+    groups = takes[::trials]
+    assert takes == [count for count in groups for _ in range(trials)]
+    assert sum(groups) == 1001
+    assert all(count * step_bytes <= budget for count in groups)
+    assert groups[:-1] == [160] * 6 and groups[-1] == 41
+    want = _mc_reference(o, "H1_zero", 1001, trials, 5) if dim else ([], [])
+    assert (est.estimates, est.std_errors) == want
 
 
 def test_mc_batches_trials(l3, dema, monkeypatch):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from origami_lab import origami
 from origami_lab.origami import (
     Origami,
     automorphism_count,
@@ -69,6 +70,19 @@ def test_reducedness():
     # doubling the torus horizontally is not reduced
     o = Origami(parse_cycles("(1,2)", 2), parse_cycles("(1)(2)", 2))
     assert not is_reduced(o)
+
+
+def test_stratum_and_genus_build_the_corner_cycles_once(monkeypatch, dema):
+    built = []
+    real = origami.corner_permutation
+
+    def counted(o):
+        built.append(o)
+        return real(o)
+
+    monkeypatch.setattr(origami, "corner_permutation", counted)
+    assert str(stratum(dema)) == "H(2,2)" and len(built) == 1
+    assert genus(dema) == 3 and len(built) == 2
 
 
 def test_automorphism_counts(dema, ew):

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from origami_lab import galois, homology, orbit, simplicity
+from origami_lab import galois, homology, orbit, origami, simplicity
 from origami_lab import intlinalg as la
 from origami_lab.galois import is_galois_pinching_sp4
 from origami_lab.homology import kz_context, kz_matrix
+from origami_lab.lyapunov import mc_exponents
 from origami_lab.origami import Origami, automorphisms, genus, is_reduced, parse_origami_text
 from origami_lab.perm import Permutation, is_transitive
 from origami_lab.simplicity import (
@@ -121,6 +122,30 @@ def test_z6_parabolic_words_come_back_fast(monkeypatch):
         assert str(word) == letter * 12
 
 
+@pytest.mark.parametrize("entry", ["certify", "verify", "mc"])
+def test_warm_entry_points_canonicalize_once(monkeypatch, dema, entry):
+    # the one labelling is kz_context's: the preconditions, the word
+    # search, the witnesses and the checks all reuse its context
+    cert = certify_simplicity(dema, search_depth=9)
+    run = {
+        "certify": lambda: certify_simplicity(dema, search_depth=9) == cert,
+        "verify": lambda: verify_certificate(cert),
+        "mc": lambda: mc_exponents(dema, steps=200, trials=2, seed=3).estimates != [],
+    }[entry]
+    assert run()  # warms the context
+    labellings = []
+    canonical_labelling = origami.canonical_labelling
+
+    def counted(h, v):
+        labellings.append(len(h))
+        return canonical_labelling(h, v)
+
+    monkeypatch.setattr(origami, "canonical_labelling", counted)
+    monkeypatch.setattr(orbit, "canonical_labelling", counted)
+    assert run()
+    assert labellings == [dema.degree]
+
+
 @pytest.mark.parametrize("name", ["dema", "mstar", "mstarstar", "mbar_star"])
 def test_certificate_does_not_depend_on_earlier_walks(monkeypatch, name):
     # a walk numbers the orbit nodes in the order it reaches them, which
@@ -188,6 +213,22 @@ def test_preconditions():
         certify_simplicity(fixture_origami("ew"))  # |Aut| = 8
 
 
+@pytest.mark.parametrize(
+    "h, v, message",
+    [
+        # a 2-square horizontal strip: not reduced, |Aut| = 2, genus 1
+        ([2, 1], [1, 2], "reduced origami"),
+        # reduced, |Aut| = 2, genus 2
+        ([4, 1, 2, 3], [1, 4, 3, 2], "trivial automorphisms"),
+        ([1], [1], "genus 3"),
+    ],
+)
+def test_preconditions_are_checked_in_order(h, v, message):
+    o = Origami(Permutation(h), Permutation(v))
+    with pytest.raises(ValueError, match=message):
+        certify_simplicity(o)
+
+
 def test_deterministic(dema):
     a = certify_simplicity(dema, search_depth=8)
     b = certify_simplicity(dema, search_depth=8)
@@ -225,11 +266,11 @@ def test_word_search_matches_dfs_through_tied_states(text):
 def test_word_search_exhausts_ew(ew):
     # ew's cocycle acts through a finite group: its 384 states are all
     # reached by length 8, and length 9 adds none
-    found, stats = _search_pinching_word(ew, 8)
+    found, stats = _search_pinching_word(kz_context(ew), 8)
     assert found is None and stats["exhausted"] is False
-    found, at_9 = _search_pinching_word(ew, 9)
+    found, at_9 = _search_pinching_word(kz_context(ew), 9)
     assert found is None and at_9["exhausted"] is True
-    found, at_20 = _search_pinching_word(ew, 20)
+    found, at_20 = _search_pinching_word(kz_context(ew), 20)
     assert found is None and at_20 == at_9
     assert at_9["states"] == 384
     assert find_pinching_word(ew, 20) is None
@@ -237,7 +278,7 @@ def test_word_search_exhausts_ew(ew):
 
 def test_not_found_carries_the_search_counters(dema):
     result = certify_simplicity(dema, search_depth=3)
-    found, stats = _search_pinching_word(dema, 3)
+    found, stats = _search_pinching_word(kz_context(dema), 3)
     assert found is None
     assert result == NotFound(explored_depth=3, **stats)
     assert stats["exhausted"] is False
@@ -329,7 +370,7 @@ def test_word_search_past_the_int64_bound_matches_dfs(monkeypatch, text, depth):
     # with the limit lowered the bound passes it after a level or two, and
     # every later level is formed in Python ints
     o = fixture_origami(text) if text in ("dema", "ew") else parse_origami_text(text)
-    want = _search_pinching_word(o, depth)
+    want = _search_pinching_word(kz_context(o), depth)
     monkeypatch.setattr(simplicity, "_INT64_LIMIT", 8)
     levels = _spy_products(monkeypatch)
     batches = []  # (levels formed so far, bound, dtype) per charpoly batch
@@ -341,7 +382,7 @@ def test_word_search_past_the_int64_bound_matches_dfs(monkeypatch, text, depth):
         return traces
 
     monkeypatch.setattr(simplicity, "_power_traces", spy_traces)
-    assert _search_pinching_word(o, depth) == want
+    assert _search_pinching_word(kz_context(o), depth) == want
     dtypes = [products.dtype for products, _bound in levels]
     first = dtypes.index(object)
     assert 0 < first <= 2 and dtypes[first:] == [object] * (len(dtypes) - first)
@@ -357,7 +398,7 @@ def test_word_search_past_the_int64_bound_matches_dfs(monkeypatch, text, depth):
 @pytest.mark.parametrize("name", ["dema", "mstarstar"])
 def test_word_search_bound_holds_every_entry(monkeypatch, name):
     levels = _spy_products(monkeypatch)
-    _search_pinching_word(fixture_origami(name), 8)
+    _search_pinching_word(kz_context(fixture_origami(name)), 8)
     assert len(levels) >= 7
     for products, bound in levels:
         assert products.dtype == np.int64
@@ -365,7 +406,7 @@ def test_word_search_bound_holds_every_entry(monkeypatch, name):
 
 
 def test_word_search_is_batched(monkeypatch, dema):
-    found, stats = _search_pinching_word(dema, 8)  # warms the H1_zero steps
+    found, stats = _search_pinching_word(kz_context(dema), 8)  # warms the H1_zero steps
 
     def no_mat_mul(*args):
         raise AssertionError("the word search formed a product in Python")
@@ -386,7 +427,7 @@ def test_word_search_is_batched(monkeypatch, dema):
     monkeypatch.setattr(galois, "is_galois_pinching_sp4", no_charpoly)
     monkeypatch.setattr(simplicity, "is_galois_pinching_sp4", no_charpoly)
     monkeypatch.setattr(ctx, "step", counting_step)
-    assert _search_pinching_word(dema, 8) == (found, stats)
+    assert _search_pinching_word(ctx, 8) == (found, stats)
     assert step_calls and len(step_calls) == len(set(step_calls))
     monkeypatch.undo()
     quartic = certify_simplicity(dema, search_depth=8).quartic
