@@ -181,7 +181,7 @@ class OrbitGraph:
         """Give a new canonical key the next node id, with open edges."""
         j = self._index[key] = len(self._keys)
         self._keys.append(key)
-        self.rigid.append(ties == 1)
+        self.rigid.append(len(ties) == 1)
         self._targets.extend((-1, -1, -1, -1))
         self._labels.extend(self._blank)
         return j

@@ -5,8 +5,8 @@ h(i) is the square to the right of square i, v(i) the square on top of it,
 and two origamis are isomorphic iff the pairs are simultaneously conjugate.
 
 Provides singularity data (corner permutation, stratum, genus), the
-reduction test, deck transformations and their count, and a canonical
-labeling.
+reduction test, a canonical labeling, and the isomorphisms between two
+origamis that it gives, deck transformations and their count among them.
 
 An origami is validated once, at the boundary.  ``Origami(...)``,
 ``Origami.from_json``, ``parse_origami_text`` and ``load_origami`` check
@@ -15,9 +15,10 @@ origami the library derives from a valid one is built by
 ``Origami._trusted``, which checks nothing: a relabelling (simultaneous
 conjugation keeps both bijectivity and transitivity), a canonical form
 (``canonical_labelling`` raises on a pair that is not transitive, and its
-tables are a conjugate of its input), and the orbit's letter images and
+tables are a conjugate of its input), the orbit's letter images and
 nodes (each letter replaces (h, v) by pairs like (h, v h^-1), which
-generate the same group).
+generate the same group), and the rotated pair (h^-1, v^-1) that
+``spin`` compares an origami with (it generates the same group too).
 """
 
 from __future__ import annotations
@@ -265,49 +266,43 @@ def _xgcd(a, b):
     return old_r, old_p, old_q
 
 
-def propagate_square_map(target, pairs):
-    """The square map tau with tau(1) = target and tau(g(s)) = g'(tau(s))
-    for every pair (g, g') in ``pairs``, propagated from square 1; None
-    when the rules contradict each other or tau is not a bijection of
-    1..N.  The first members of the pairs must act transitively."""
-    n = pairs[0][0].degree
-    tau = [0] * (n + 1)
-    tau[1] = target
-    queue = [1]
-    while queue:
-        s = queue.pop()
-        for gen, image_gen in pairs:
-            t, image = gen(s), image_gen(tau[s])
-            if tau[t] == 0:
-                tau[t] = image
-                queue.append(t)
-            elif tau[t] != image:
-                return None
-    if set(tau[1:]) != set(range(1, n + 1)):
-        return None
-    # the test above is the bijection check
-    return Permutation._trusted(tuple(tau[1:]))
-
-
 def automorphisms(o):
-    """All deck transformations: permutations commuting with both h and v.
-
-    Each candidate image of square 1 is propagated through the action;
-    consistent bijective assignments form a group containing the identity.
-    ``propagate_square_map`` pops every square once and checks
-    tau(g(s)) = g(tau(s)) for g = h and v before it returns a bijection,
-    so each map it returns already commutes with h and v.
-    """
-    maps = (propagate_square_map(t, ((o.h, o.h), (o.v, o.v))) for t in range(1, o.degree + 1))
-    return [perm for perm in maps if perm is not None]
+    """All deck transformations, the permutations commuting with both h
+    and v, sorted by their image of square 1: the isomorphisms of the
+    origami onto itself, one per tied start of its one canonical
+    labelling (see ``_isomorphisms``)."""
+    return _isomorphisms(o, o)
 
 
 def automorphism_count(o):
     """The order of the deck group, without listing it: the number of
-    tied starts of ``canonical_labelling``.  Deck transformations act
-    freely, and two starts give equal tables exactly when one of them
-    maps the first start to the second."""
-    return _labelling(o)[3]
+    tied starts of ``canonical_labelling``, one per deck transformation."""
+    return len(_labelling(o)[3])
+
+
+def _isomorphisms(a, b):
+    """Every square map tau from origami a onto origami b, with
+    tau(a.h(s)) = b.h(tau(s)) and tau(a.v(s)) = b.v(tau(s)) for every s,
+    sorted by tau(1); [] when a and b are not isomorphic.  For ``b is a``
+    these are the deck transformations, from one labelling.
+
+    Each canonical labelling conjugates its pair onto the canonical
+    tables, so an isomorphism exists exactly when the tables of a and b
+    are equal.  Then for each tied order of b, tau sends the square with
+    new label k in a's best order to the square with new label k in that
+    order, and conjugates a onto b.  These are all of them: an
+    isomorphism carries the breadth-first search from a's best start to
+    the search from its image, which therefore ties, and it is fixed by
+    that one image since the pair is transitive.
+    """
+    h, v, label, ties = _labelling(a)
+    if b is not a:
+        h_b, v_b, _label, ties = _labelling(b)
+        if (h_b, v_b) != (h, v):
+            return []
+    # tau(s) = order[label[s]] is one bijection after another
+    maps = [_trusted_permutation([order[k] for k in label]) for order in ties]
+    return sorted(maps, key=lambda tau: tau(1))
 
 
 def central_involution(o):
@@ -346,15 +341,20 @@ def canonical_labelling(h, v):
     h-entry is the label of h^2(start): 0 on a 2-cycle, and at least 2
     otherwise, since h^2(start) is then neither the start nor h(start).
     A skipped start thus has a strictly larger h-table than a kept one.
-    Starts with equal tables all lie in the kept set, so ``ties`` is
-    unchanged.  (Keeping only the starts on the shortest h-cycles is not
-    sound: from a longer cycle, the next labels can come out smaller.)
+    Starts with equal tables all lie in the kept set, so ``ties`` holds
+    every one of them, and ``_isomorphisms`` (hence the deck group and
+    its order) misses none.  (Keeping only the starts on the shortest
+    h-cycles is not sound: from a longer cycle, the next labels can come
+    out smaller.)
 
     Returns (h-table, v-table, label, ties) with new square label[s] for
-    old square s, all 0-based; ``ties`` counts the starts that give the
-    smallest tables, which is the order of the automorphism group.
-    Raises ValueError when the pair is not transitive (the search from
-    the first start tried misses a square).
+    old square s, all 0-based.  ``ties`` lists, in the order tried, the
+    breadth-first order (old squares by new label) of each start that
+    gives the smallest tables; ``label`` inverts the first of them.  Two
+    tied orders differ by a deck transformation, so there is one per
+    element of the automorphism group.  Raises ValueError when the pair
+    is not transitive (the search from the first start tried misses a
+    square).
     """
     n = len(h)
     hi = [0] * n
@@ -363,7 +363,7 @@ def canonical_labelling(h, v):
         hi[h[s]] = s
         vi[v[s]] = s
     neighbors = list(zip(h, v, hi, vi))
-    best_h = best_v = best_order = None
+    best_h = best_v = None
     # one label buffer serves every start: from the start with base
     # start * n, square t is labelled iff mark[t] >= base, with label
     # mark[t] - base
@@ -396,12 +396,12 @@ def canonical_labelling(h, v):
                 raise ValueError("the pair (h, v) is not transitive: surface disconnected")
             v_row = [mark[v[s]] - base for s in order]
             if smaller or v_row < best_v:
-                best_h, best_v, best_order = h_row, v_row, order
-                ties = 1
+                best_h, best_v = h_row, v_row
+                ties = [order]
             elif v_row == best_v:
-                ties += 1
+                ties.append(order)
     label = [0] * n
-    for new, old in enumerate(best_order):
+    for new, old in enumerate(ties[0]):
         label[old] = new
     return tuple(best_h), tuple(best_v), label, ties
 

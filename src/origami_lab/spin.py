@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from . import intlinalg as la
 from .homology import Homology
-from .origami import corner_permutation, genus, propagate_square_map, singularities, stratum
+from .origami import Origami, _isomorphisms, corner_permutation, genus, singularities, stratum
 from .paths import cycle_loops, follow, path_class_chain, winding_index
 
 
@@ -154,18 +154,19 @@ def hyperelliptic_involution(o):
     counted from the in-square rules (square centers with rho(i) = i,
     horizontal edge midpoints with v(rho(i)) = i, vertical edge midpoints
     with h(rho(i)) = i, and vertex classes preserved by the induced
-    vertex map).  Returns (rho, fixed point count) for the first rho whose
-    count equals 2g + 2, else None.
+    vertex map).  The candidates are the isomorphisms from (h, v) onto
+    (h^-1, v^-1), from the two canonical labellings.  Returns (rho, fixed
+    point count) for the first rho by rho(1) whose count equals 2g + 2,
+    else None.
     """
     g = genus(o)
-    pairs = ((o.h, o.h.inverse()), (o.v, o.v.inverse()))
-    for target in range(1, o.degree + 1):
-        perm = propagate_square_map(target, pairs)
-        if perm is None or not (perm * perm).is_identity():
-            continue
-        count = _rotation_fixed_points(o, perm)
-        if count == 2 * g + 2:
-            return perm, count
+    # the inverses generate the same group, so the pair is transitive
+    rotated = Origami._trusted(o.h.inverse(), o.v.inverse())
+    for rho in _isomorphisms(o, rotated):
+        if (rho * rho).is_identity():
+            count = _rotation_fixed_points(o, rho)
+            if count == 2 * g + 2:
+                return rho, count
     return None
 
 

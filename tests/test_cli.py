@@ -454,6 +454,21 @@ def test_buser_bad_trace(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["buser", "1" + "0" * 400],
+        ["buser", "--trace", "1" + "0" * 400],
+        ["buser", "--trace", "-" + "9" * 401],
+    ],
+)
+def test_buser_beyond_floats_is_an_error(capsys, argv):
+    # k and |t| / 2 are taken as floats, which end near 1.8e308
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def _write(tmp_path, name, payload):
     f = tmp_path / name
     f.write_text(json.dumps(payload))

@@ -14,6 +14,10 @@ exponent sums of ``lyapunov``, so no other module reads ``fractions``.
 its ``kz_context``, and read the canonical form and rigidity off the
 context's orbit graph; neither imports ``canonical_form`` or
 ``automorphism_count``, which would canonicalize it again.
+
+Isomorphisms of origamis come from one engine, the tied starts of the
+canonical labelling: no module propagates square maps of its own, and
+``spin`` reads its rotations off ``origami``'s isomorphisms.
 """
 
 import ast
@@ -127,3 +131,13 @@ def test_walk_layer_canonicalizes_only_through_kz_context():
         assert not {name for _module, name in _imports(path % module)} & banned, module
     # the check can fail: the CLI imports automorphism_count for ``info``
     assert ("origami", "automorphism_count") in _imports(path % "cli")
+
+
+def test_isomorphisms_come_only_from_the_canonical_labelling():
+    paths = glob.glob(os.path.join(SRC, "origami_lab", "*.py"))
+    for p in paths:
+        with open(p, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=p)
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert "propagate_square_map" not in defined, os.path.basename(p)
+    assert ("origami", "_isomorphisms") in _imports(os.path.join(SRC, "origami_lab", "spin.py"))

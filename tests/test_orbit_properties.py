@@ -5,7 +5,9 @@ The oracle for ``canonical_form`` is the full-key search: every start
 square builds both relabeled image tables, and the start with the
 lexicographically smallest (h-table, v-table) wins, ties keeping the
 first start; the number of tied starts must be the number of
-automorphisms.  The reference orbit is a breadth-first closure over
+automorphisms, and the isomorphisms read off the tied starts must be the
+maps that ``isomorphism_oracle`` propagates, in the same order.  The
+reference orbit is a breadth-first closure over
 ``apply_letter``, with every raw image checked against
 ``apply_letter_raw`` and every canonical form against the oracle.
 The packed orbit graph must give its nodes, every ``step`` and its JSON,
@@ -26,6 +28,7 @@ from origami_lab.lyapunov import ekz_sum
 from origami_lab.orbit import Sl2zWord, apply_letter, sl2z_orbit, veech_generators
 from origami_lab.origami import (
     Origami,
+    _isomorphisms,
     automorphism_count,
     automorphisms,
     canonical_form,
@@ -33,7 +36,9 @@ from origami_lab.origami import (
     is_reduced,
 )
 from origami_lab.perm import Permutation, is_transitive
+from origami_lab.spin import hyperelliptic_involution
 
+import isomorphism_oracle as oracle
 from conftest import FIXTURE_NAMES, apply_letter_raw, fixture_origami
 
 # surfaces with nontrivial automorphisms, where several starts tie
@@ -119,8 +124,8 @@ def reference_stabilizer_words(edges):
 
 
 @st.composite
-def transitive_pairs(draw, max_degree=10):
-    n = draw(st.integers(1, max_degree))
+def transitive_pairs(draw, max_degree=10, min_degree=1):
+    n = draw(st.integers(min_degree, max_degree))
     h = Permutation(draw(st.permutations(range(1, n + 1))))
     v = Permutation(draw(st.permutations(range(1, n + 1))))
     assume(is_transitive([h, v]))
@@ -162,7 +167,8 @@ def check_canonical_form(o):
     assert relabel == want_relabel
     assert o.relabel(relabel) == canon
     ties = canonical_labelling([x - 1 for x in o.h.images], [x - 1 for x in o.v.images])[3]
-    assert ties == automorphism_count(o) == len(automorphisms(o))
+    assert len(ties) == automorphism_count(o) == len(automorphisms(o))
+    assert len(ties) == len(oracle.automorphisms(o))
 
 
 def reference_json(nodes, edges):
@@ -294,6 +300,54 @@ def test_tied_h_tables(h, v):
     o = Origami(Permutation(h), Permutation(v))
     check_canonical_form(o)
     check_orbit(o)
+
+
+def check_isomorphisms(o, copy):
+    """The deck groups and hyperelliptic involutions of o and a relabelled
+    copy, and the isomorphisms between them both ways, against the
+    propagation oracle, in order."""
+    for a, b in ((o, copy), (copy, o)):
+        assert [g.images for g in automorphisms(a)] == [g.images for g in oracle.automorphisms(a)]
+        assert hyperelliptic_involution(a) == oracle.hyperelliptic_involution(a)
+        maps = _isomorphisms(a, b)
+        assert [g.images for g in maps] == [g.images for g in oracle.isomorphisms(a, b)]
+        assert maps and all(a.relabel(g) == b for g in maps)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(transitive_pairs(max_degree=8), st.data())
+def test_isomorphisms_match_the_propagation_oracle(o, data):
+    images = data.draw(st.permutations(range(1, o.degree + 1)))
+    check_isomorphisms(o, relabelled(o, images))
+    other = data.draw(transitive_pairs(min_degree=o.degree, max_degree=o.degree))
+    assert [g.images for g in _isomorphisms(o, other)] == [
+        g.images for g in oracle.isomorphisms(o, other)
+    ]
+
+
+@pytest.mark.parametrize(
+    "o",
+    [oracle.torus(n, m) for n in range(1, 7) for m in range(1, 7)]
+    + [fixture_origami(name) for name in ("ew", "ltilde", "mbar_star_3")],
+    ids=["torus%dx%d" % (n, m) for n in range(1, 7) for m in range(1, 7)]
+    + ["ew", "ltilde", "mbar_star_3"],
+)
+def test_isomorphisms_of_tori_and_covers_match_the_oracle(o):
+    # on a torus every start ties and the first one tried is square 1, so
+    # the tied orders come sorted by tau(1); the random pairs and ltilde
+    # turned by one square are where an unsorted list shows
+    n = o.degree
+    check_isomorphisms(o, relabelled(o, list(range(n, 0, -1))))
+    check_isomorphisms(o, relabelled(o, [s % n + 1 for s in range(1, n + 1)]))
+
+
+def test_non_isomorphic_pairs_have_no_isomorphisms():
+    pairs = [(oracle.torus(n, m), oracle.torus(m, n)) for n in range(1, 7) for m in range(1, n)]
+    pairs.append((fixture_origami("mstar"), fixture_origami("mstarstar")))
+    for a, b in pairs:
+        assert a.degree == b.degree
+        assert canonical_form(a).origami != canonical_form(b).origami
+        assert _isomorphisms(a, b) == [] == oracle.isomorphisms(a, b)
 
 
 @pytest.mark.parametrize("name", ["dema", "l3", "ltilde", "mstar", "mbar_star"])

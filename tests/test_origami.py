@@ -17,7 +17,9 @@ from origami_lab.origami import (
     stratum,
 )
 from origami_lab.perm import Permutation, parse_cycles
+from origami_lab.spin import hyperelliptic_involution
 
+import isomorphism_oracle as oracle
 from conftest import fixture_origami, fixture_path, random_origamis
 
 
@@ -91,14 +93,35 @@ def test_automorphism_counts(dema, ew):
 
 
 def test_automorphisms_commute_with_h_and_v(ew, ltilde):
-    # automorphisms returns the maps of propagate_square_map unchecked
+    # automorphisms builds its maps from the tied orders of the canonical
+    # labelling, unchecked; the count is the propagation oracle's
     surfaces = [o for o in random_origamis(600, seed=29, degrees=(2, 8)) if automorphism_count(o) > 1]
     assert len(surfaces) > 100
     for o in surfaces + [ew, ltilde]:
         auts = automorphisms(o)
         assert len({g.images for g in auts}) == len(auts) == automorphism_count(o)
+        assert len(auts) == len(oracle.automorphisms(o))
         for g in auts:
             assert g * o.h == o.h * g and g * o.v == o.v * g
+
+
+@pytest.mark.parametrize("name", ["ew", "mstarstar"])
+def test_isomorphism_questions_label_each_surface_once(monkeypatch, name):
+    # automorphisms labels the surface once; hyperelliptic_involution
+    # labels it and its rotation (h^-1, v^-1), once each
+    o = fixture_origami(name)
+    labellings = []
+    canonical_labelling = origami.canonical_labelling
+
+    def counted(h, v):
+        labellings.append(len(h))
+        return canonical_labelling(h, v)
+
+    monkeypatch.setattr(origami, "canonical_labelling", counted)
+    automorphisms(o)
+    assert labellings == [o.degree]
+    hyperelliptic_involution(o)
+    assert labellings == [o.degree] * 3
 
 
 def test_canonical_form_fixed_seed_sweep():
